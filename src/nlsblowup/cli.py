@@ -38,7 +38,8 @@ from .linops import (beta_closed_form, branch_forcing, coercivity_spectrum,
                      operator_identity_residuals, solve_bordered, solve_rho)
 from .profile import (ProfileExpansion, build_profile, fit_loglog_slope,
                       psi_slope_sweep)
-from .reduced import app_solutions, init_params, integrate_reduced
+from .reduced import (app_solutions, classify_regime, init_params,
+                      integrate_reduced, power_law_solutions)
 from .sim import (SimConfig, energy_positivity_check, fit_blowup_rate,
                   initial_datum, lower_bound_check, simulate_blowup)
 
@@ -334,7 +335,7 @@ def _pipe_linops(cfg: dict, rundir: Path) -> dict:
         "identity_residuals": residuals,
         "omega": omega,
         "lplus_unconstrained_min": lplus_unconstrained_min(gs),
-        "lminus_unconstrained_min": lminus_unconstrained_min(gs)[0],
+        "lminus_unconstrained_min": lminus_unconstrained_min(gs),
         "constrained_min_eig": coercivity_spectrum(gs, rho),
     }
     _write_json(rundir / "linops.json", report)
@@ -394,31 +395,26 @@ def _pipe_profile(cfg: dict, rundir: Path) -> dict:
 def _pipe_reduced(cfg: dict, rundir: Path) -> dict:
     cfg = dict(cfg, profile_n=cfg["grid_n"], profile_rmax=cfg["rmax"])
     gs, omega, expansion = _profile_stage(cfg)
-    params = expansion.params
     beta00 = expansion.beta_table.get((0, 0), 0.0)
-    balanced = abs(beta00) < 1e-3
+    regime = classify_regime(expansion)
+    balanced = regime == "balanced"
+    if regime == "subthreshold":
+        raise DomainError(
+            "reduced flow blows up only for beta00 >= 0 on this branch "
+            f"(beta00 = {beta00:.3e}); raise C0 past omega or use "
+            "--branch balanced")
     s1 = cfg["s1"]
     if balanced:
         lam1, b1 = init_params(expansion, gs, cfg["E0"], s1)
     else:
-        if beta00 < 0.0:
-            raise DomainError(
-                "reduced flow blows up only for beta00 >= 0 on this branch "
-                f"(beta00 = {beta00:.3e}); raise C0 past omega or use "
-                "--branch balanced")
-        alpha = params.alpha
-        A = (2.0 * (2.0 - alpha) / (alpha ** 2 * beta00)) ** (1.0 / alpha)
-        lam1, b1 = A * s1 ** (-2.0 / alpha), 2.0 / (alpha * s1)
+        lam1, b1 = map(float, power_law_solutions(expansion, s1))
     floor = cfg["lambda_floor"] if cfg["lambda_floor"] is not None else 1e-3
     traj = integrate_reduced(expansion, [s1, 1e7], lam1, b1, E0=cfg["E0"],
                              n_points=2000, lambda_floor=floor)
     if balanced:
         lam_app, b_app = app_solutions(gs, cfg["E0"], traj.s_grid)
     else:
-        alpha = params.alpha
-        A = (2.0 * (2.0 - alpha) / (alpha ** 2 * beta00)) ** (1.0 / alpha)
-        lam_app = A * traj.s_grid ** (-2.0 / alpha)
-        b_app = 2.0 / (alpha * traj.s_grid)
+        lam_app, b_app = power_law_solutions(expansion, traj.s_grid)
     rows = list(zip(traj.s_grid, traj.t_grid, traj.lam, traj.b,
                     lam_app, b_app, traj.lam / lam_app, traj.b / b_app))
     _write_csv(rundir / "reduced.csv",
@@ -460,8 +456,7 @@ def _pipe_simulate(cfg: dict, rundir: Path) -> dict:
             "simulation ended before enough snapshots for a rate fit"
             + (f" ({series.abort_reason})" if series.abort_reason else ""))
     fit = fit_blowup_rate(series)
-    beta00 = expansion.beta_table.get((0, 0), 0.0)
-    balanced = abs(beta00) < 1e-3
+    balanced = classify_regime(expansion) == "balanced"
     expected_exponent = (1.0 if balanced
                          else 2.0 / (4.0 - params.alpha))
     expected_coefficient = (math.sqrt(8.0 * cfg["E0"] / gs.norms["virial"])
@@ -563,15 +558,11 @@ def _sweep_cell(cell: dict) -> dict:
                                  cell["E0"])
             params.omega = omega
         expansion = build_profile(gs, params, order=cell["order"])
-        beta00 = expansion.beta_table.get((0, 0), 0.0)
-        if abs(beta00) < 1e-3:
-            row["regime"] = "balanced"
+        row["regime"] = classify_regime(expansion)
+        if row["regime"] == "balanced":
             row["expected_exponent"] = 1.0
-        elif beta00 > 0.0:
-            row["regime"] = "power-law"
+        elif row["regime"] == "power-law":
             row["expected_exponent"] = 2.0 / (4.0 - params.alpha)
-        else:
-            row["regime"] = "subthreshold"
         sim_cfg = SimConfig(params=params, n=cell["grid_n"],
                             rmax_factor=cell["rmax_factor"],
                             c_dt=cell["dt_c"],

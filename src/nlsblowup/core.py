@@ -20,10 +20,9 @@ bilinear identities hold exactly in floating point:
 from __future__ import annotations
 
 import enum
-import json
 import math
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,10 +54,8 @@ __all__ = [
     "apply_scaling_generator",
     "nonlinearity_eval",
     "nonlinearity_diff1",
-    "nonlinearity_diff2",
     "field_to_csv",
     "field_from_csv",
-    "field_to_json",
     "params_to_json",
     "params_from_json",
     "grid_to_json",
@@ -662,21 +659,6 @@ def nonlinearity_diff1(kind: str, base, direction, params: ProblemParams):
     return np.real(fz * np.conj(w))
 
 
-def nonlinearity_diff2(kind: str, base, d1, d2, params: ProblemParams):
-    """Second real-Frechet differential at a nonnegative real base, as a
-    symmetric bilinear form in the complex directions (d1, d2)."""
-    e = _exponent(kind, params)
-    Q = _real_base(base, params)
-    a1, b1 = np.real(np.asarray(d1)), np.imag(np.asarray(d1))
-    a2, b2 = np.real(np.asarray(d2)), np.imag(np.asarray(d2))
-    if kind in ("f", "g"):
-        re = e * (e - 1.0) * Q ** (e - 2.0) * a1 * a2 \
-            + (e - 1.0) * Q ** (e - 2.0) * b1 * b2
-        im = (e - 1.0) * Q ** (e - 2.0) * (a1 * b2 + a2 * b1)
-        return re + 1j * im
-    return e * Q ** (e - 1.0) * a1 * a2 + Q ** (e - 1.0) * b1 * b2
-
-
 # --------------------------------------------------------------------------
 # Serialization
 # --------------------------------------------------------------------------
@@ -712,15 +694,6 @@ def grid_from_json(d: dict) -> RadialGrid:
                      spacing=d.get("spacing", "uniform"))
 
 
-def field_to_json(f: RadialField) -> dict:
-    v = _values_of(f)
-    return {
-        "grid": grid_to_json(f.grid),
-        "re": np.real(v).tolist(),
-        "im": np.imag(v).tolist(),
-    }
-
-
 def params_to_json(params: ProblemParams) -> dict:
     return {
         "N": params.N,
@@ -746,9 +719,3 @@ def params_from_json(d: dict) -> ProblemParams:
         params.omega = float(d["omega"])
     return params
 
-
-def dump_json(obj: dict, path: str) -> None:
-    """Write a JSON artifact with deterministic key order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")

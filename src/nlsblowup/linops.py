@@ -32,7 +32,6 @@ from .core import (
     inner_w,
     neg_laplacian_banded,
     nonlinearity_eval,
-    norm_L2,
     potential_weights,
 )
 from .groundstate import GroundState, refine_longdouble
@@ -337,26 +336,25 @@ def _symmetric_band(gs: GroundState, which: str) -> np.ndarray:
     return ab
 
 
+def _bottom_eigenvalues(gs: GroundState, which: str,
+                        count: int = 1) -> np.ndarray:
+    """The ``count`` smallest eigenvalues of Lplus or Lminus alone, by
+    deterministic banded bisection on the symmetrized banded form (no
+    eigenvectors, so no dense n x n matrix)."""
+    from scipy.linalg import eig_banded
+    return eig_banded(_symmetric_band(gs, which), lower=False,
+                      eigvals_only=True, select="i",
+                      select_range=(0, count - 1))
+
+
 def lplus_unconstrained_min(gs: GroundState) -> float:
-    """Smallest eigenvalue of Lplus alone (negative: one unstable direction).
-
-    Deterministic banded bisection on the symmetrized banded form.
-    """
-    from scipy.linalg import eig_banded
-    ab = _symmetric_band(gs, "plus")
-    vals = eig_banded(ab, lower=False, eigvals_only=True,
-                      select="i", select_range=(0, 0))
-    return float(vals[0])
+    """Smallest eigenvalue of Lplus alone (negative: one unstable mode)."""
+    return float(_bottom_eigenvalues(gs, "plus")[0])
 
 
-def lminus_unconstrained_min(gs: GroundState) -> tuple[float, RadialField]:
-    """Smallest eigenvalue of Lminus with its eigenvector (kernel: Q)."""
-    from scipy.linalg import eig_banded
-    ab = _symmetric_band(gs, "minus")
-    vals, vecs = eig_banded(ab, lower=False, select="i", select_range=(0, 0))
-    vec = vecs[:, 0] / np.sqrt(gs.grid.quad_weights)
-    vec /= norm_L2(RadialField(gs.grid, vec))
-    return float(vals[0]), RadialField(gs.grid, vec)
+def lminus_unconstrained_min(gs: GroundState) -> float:
+    """Smallest eigenvalue of Lminus alone (zero: its kernel is Q)."""
+    return float(_bottom_eigenvalues(gs, "minus")[0])
 
 
 def coercivity_spectrum(gs: GroundState, rho: RadialField,

@@ -524,10 +524,12 @@ def psi_slope_sweep(expansion: ProfileExpansion,
 
     Each x fixes lam = (x/2)^(1/a) and b = sqrt(x/2) so that
     b^2 + lam^a = x, with velocities lam_s = -b lam, b_s = -b^2 + theta.
+    The default x = 0.15 * 2^-k, k < 4, keeps every point inside the
+    accuracy region of ``eval_profile`` (lam + |b| = 0.47 at the first).
     Returns rows of (x, lam, b, theta, weighted_norm).
     """
     if xs is None:
-        xs = 0.3 * 0.5 ** np.arange(4)
+        xs = 0.15 * 0.5 ** np.arange(4)
     a = expansion.params.alpha
     rows = []
     for x in np.asarray(xs, dtype=float):

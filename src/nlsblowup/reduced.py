@@ -26,7 +26,9 @@ from .profile import ProfileExpansion, profile_energy
 __all__ = [
     "ReducedTrajectory",
     "integrate_reduced",
+    "classify_regime",
     "app_solutions",
+    "power_law_solutions",
     "alpha_lt1_solutions",
     "init_params",
     "s_t_conversion",
@@ -212,6 +214,32 @@ def app_solutions(groundstate: GroundState, E0: float, s):
     lam_app = coeff / s
     b_app = 1.0 / s
     return lam_app, b_app
+
+
+def classify_regime(expansion: ProfileExpansion) -> str:
+    """The branch's blow-up regime from beta00, the leading coefficient of
+    theta: "balanced" where |beta00| < 1e-3 (lambda ~ T - t), "power-law"
+    where beta00 > 0 (lambda ~ (T - t)^(2/(4 - alpha))), "subthreshold"
+    where beta00 < 0 (the reduced flow does not blow up)."""
+
+    beta00 = expansion.beta_table.get((0, 0), 0.0)
+    if abs(beta00) < 1e-3:
+        return "balanced"
+    return "power-law" if beta00 > 0.0 else "subthreshold"
+
+
+def power_law_solutions(expansion: ProfileExpansion, s):
+    """Power-law solution lambda_app = A s^(-2/alpha), b_app = 2/(alpha s) of
+    b' + b^2 = beta00 lam^alpha, A^alpha = 2(2-alpha)/(alpha^2 beta00): the
+    power-law regime's initial data (no energy match; needs beta00 > 0)."""
+
+    alpha = expansion.params.alpha
+    beta00 = expansion.beta_table[(0, 0)]
+    if beta00 <= 0.0:
+        raise ValueError("unbalanced initialization needs beta00 > 0")
+    s = np.asarray(s, dtype=float)
+    A = (2.0 * (2.0 - alpha) / (alpha ** 2 * beta00)) ** (1.0 / alpha)
+    return A * s ** (-2.0 / alpha), 2.0 / (alpha * s)
 
 
 def alpha_lt1_solutions(beta01: float, alpha: float, s):

@@ -2,19 +2,20 @@
 
 The propagator is a Strang splitting: a half-step of exact pointwise
 phase rotation by the local terms (|u|^(q-1) + C1 |u|^(p-1) + C2 V(r)),
-a full Crank-Nicolson step of the radial Laplacian, and a second phase
-half-step.  The Laplacian is the grid's one discrete -Lap (fourth-order
-on uniform N = 1 grids, flux form elsewhere), the operator the ground
-state solves with.  Both substeps conserve the discrete mass, the linear
-one because that operator is self-adjoint in the cell-weighted inner
-product.
+a full Crank-Nicolson step of the grid's one discrete -Lap (fourth-order
+on uniform N = 1 grids, flux form elsewhere), and a second phase
+half-step.  The rotation leaves |u| unchanged, so a march fuses each
+step's trailing half-step into the next one's leading half-step (one
+rotation per step); both substeps conserve the discrete mass.
 
-Blow-up runs start from energy-matched profile data, tie the time step
-to the gradient scale (dt = c_dt * lambda_hat^2, so each step advances
-rescaled time by exactly c_dt), shrink the grid by the rescale factor
-whenever lambda_hat halves, and decompose snapshots through the
-modulation machinery.  Rate fits are joint nonlinear fits of
-lambda(t) = c (T - t)^e over the last decade of scale decrease.
+Blow-up runs start from profile data, tie the time step to the gradient
+scale (dt = c_dt * lambda_hat^2, so each step advances rescaled time by
+exactly c_dt), shrink the grid by the rescale factor whenever lambda_hat
+halves, and decompose snapshots through the modulation machinery.  The
+step's lambda_hat comes free from the linear substep, which returns
+grad_norm_sq of the step's midpoint field; snapshots and regrids
+recompute it on the stepped field.  Rate fits are joint nonlinear fits
+of lambda(t) = c (T - t)^e over the last decade of scale decrease.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.fft import dct, idct
+from scipy.fft import dct
 from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 
@@ -34,10 +35,10 @@ from .core import (ProblemParams, RadialField, RadialGrid,
                    neg_laplacian_banded, norm_L2, norm_Lq, penta_symbol,
                    potential_weights)
 from .groundstate import GroundState
-from .modulation import TubeExit, decompose, lyapunov_S, mod_vector
+from .modulation import TubeExit, decompose, lyapunov_S
 from .profile import (ProfileExpansion, even_spline, eval_profile,
                       rescale_to_physical)
-from .reduced import init_params
+from .reduced import classify_regime, init_params, power_law_solutions
 
 __all__ = [
     "SimConfig",
@@ -68,7 +69,7 @@ class SimConfig:
     params: ProblemParams
     n: int = 8192
     rmax_factor: float = 64.0        # initial rmax = rmax_factor * lambda1
-    c_dt: float = 0.01               # dt = c_dt * lambda_hat^2
+    c_dt: float = 8.5e-4             # dt = c_dt * lambda_hat^2
     rescale_factor: float = 2.0      # regrid when lambda_hat shrinks by this
     lambda_floor: Optional[float] = None   # stop scale; None = lambda1/10^1.02
     max_steps: int = 2_000_000
@@ -173,16 +174,26 @@ class SnapshotSeries:
 # Strang-split propagator
 # --------------------------------------------------------------------------
 
+def _dct4(v: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-IV (its own inverse) of a contiguous complex vector,
+    as one real transform of both columns of its float (n, 2) view."""
+    w = dct(v.view(np.float64).reshape(-1, 2), type=4, norm="ortho", axis=0)
+    return w.view(np.complex128).ravel()
+
+
 class _Stepper:
     """Cached propagator state for repeated steps on a fixed grid.
 
-    The Crank-Nicolson substep uses the grid's one discrete -Lap.  Where
-    that operator has a symbol (the fourth-order stencil of uniform N = 1
-    grids, exactly diagonal in the quarter-wave cosine basis) the substep is
-    two orthonormal DCT-IV transforms around an exactly unimodular
-    multiplier (1 - i dt mu / 2) / (1 + i dt mu / 2): mass-conserving to
-    rounding and cheap to re-time as dt tracks the shrinking gradient scale.
-    Other geometries solve the banded system of the same operator.
+    ``rotate`` is the exact flow of the local terms; rotations by a and b
+    compose to one by a + b, since neither changes |v|.  ``linear`` is the
+    Crank-Nicolson substep of the grid's -Lap: where it has a symbol mu
+    (uniform N = 1 grids: diagonal in the quarter-wave cosine basis) two
+    orthonormal DCT-IV transforms around the exactly unimodular multiplier
+    (1 - i dt mu / 2) / (1 + i dt mu / 2), elsewhere a banded solve.  It
+    conserves g = <v, -Lap v> = grad_norm_sq(v) and returns it from what it
+    computes anyway: h * surface * sum mu |w_k|^2 on the cosine coefficients
+    w, or the integral of conj(v) (-Lap v) on the banded path.  A NaN
+    anywhere in v makes g NaN.
     """
 
     def __init__(self, grid: RadialGrid, params: ProblemParams, dt: float,
@@ -193,76 +204,88 @@ class _Stepper:
         self.spectral = grid.fourth_order
         if self.spectral:
             self._symbol = penta_symbol(grid)
+            self._mult = np.empty(grid.n, dtype=complex)
+            self._gscale = grid.surface * grid.h
         else:
             self._lap = neg_laplacian_banded(grid)
-        if linear_only:
-            self.potential = None
-        else:
-            self.potential = (params.C2 * potential_weights(grid, params.sigma)
-                              if params.C2 != 0.0 else None)
+        self.potential = (params.C2 * potential_weights(grid, params.sigma)
+                          if params.C2 != 0.0 and not linear_only else None)
         self.set_dt(dt)
 
     def set_dt(self, dt: float) -> None:
         """Rebuild the dt-dependent Crank-Nicolson arrays (O(n) vector ops)."""
-        self._z = 0.5j * dt
         self.dt = dt
         if self.spectral:
-            zmu = self._z * self._symbol
-            self._mult = (1.0 - zmu) / (1.0 + zmu)
+            # (1 - i y) / (1 + i y) = 2 / (1 + y^2) - 1 - 2 i y / (1 + y^2)
+            # with y = dt mu / 2, in real arithmetic
+            x = (-0.5 * dt) * self._symbol
+            d = 2.0 / (1.0 + x * x)
+            np.subtract(d, 1.0, out=self._mult.real)
+            np.multiply(x, d, out=self._mult.imag)
             return
+        self._z = 0.5j * dt
         self.ab = self._z * self._lap
         self.ab[self._lap.shape[0] // 2] += 1.0
 
-    def _phase(self, v: np.ndarray, half_dt: float) -> np.ndarray:
-        if self.linear_only:
+    def rotate(self, v: np.ndarray, angle: float) -> np.ndarray:
+        """Exact flow of the local terms over time ``angle``:
+        v exp(i angle (|v|^(q-1) + C1 |v|^(p-1) + C2 V))."""
+        if self.linear_only or angle == 0.0:
             return v
         p = self.params
-        a = np.abs(v)
-        rot = a ** (p.q - 1.0)
+        a2 = v.real ** 2 + v.imag ** 2
+        rot = a2 ** (0.5 * (p.q - 1.0))
         if p.C1 != 0.0:
-            rot = rot + p.C1 * a ** (p.p - 1.0)
+            rot += p.C1 * a2 ** (0.5 * (p.p - 1.0))
         if self.potential is not None:
-            rot = rot + self.potential
-        return v * np.exp(1j * half_dt * rot)
+            rot += self.potential
+        rot *= angle
+        out = np.empty_like(v)
+        np.cos(rot, out=out.real)
+        np.sin(rot, out=out.imag)
+        out *= v
+        return out
 
-    def advance(self, v: np.ndarray) -> np.ndarray:
-        v = self._phase(v, 0.5 * self.dt)
+    def linear(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """Crank-Nicolson substep by dt, and the g = <v, -Lap v> it keeps."""
         if self.spectral:
-            w = dct(v, type=4, norm="ortho")
+            w = _dct4(v)
+            g = self._gscale * float(np.dot(self._symbol,
+                                            w.real ** 2 + w.imag ** 2))
             w *= self._mult
-            v = idct(w, type=4, norm="ortho")
-        else:
-            u = self._lap.shape[0] // 2
-            rhs = v - self._z * apply_neg_laplacian(self.grid, v)
-            v = solve_banded((u, u), self.ab, rhs)
-        return self._phase(v, 0.5 * self.dt)
+            return _dct4(w), g
+        Av = apply_neg_laplacian(self.grid, v)
+        g = float(np.real(integrate(self.grid, np.conj(v) * Av)))
+        u = self._lap.shape[0] // 2
+        return solve_banded((u, u), self.ab, v - self._z * Av,
+                            check_finite=False), g
 
 
 def step(u: RadialField, dt: float, params: ProblemParams,
          *, linear_only: bool = False) -> RadialField:
-    """One Strang-split step (phase half, Crank-Nicolson, phase half).
+    """One Strang-split step (phase half, Crank-Nicolson, phase half)."""
 
-    Raises on non-finite output.  For repeated stepping prefer
-    ``propagate``, which reuses the factorized matrices.
-    """
-
-    stepper = _Stepper(u.grid, params, dt, linear_only=linear_only)
-    out = stepper.advance(u.values.astype(complex))
-    if not np.all(np.isfinite(out)):
-        raise RuntimeError(f"non-finite field after step (dt={dt})")
-    return RadialField(u.grid, out)
+    return propagate(u, dt, 1, params, linear_only=linear_only)
 
 
 def propagate(u: RadialField, dt: float, n_steps: int, params: ProblemParams,
               *, linear_only: bool = False) -> RadialField:
-    """March n_steps with a cached stepper; aborts on non-finite values."""
+    """March n_steps Strang steps of size dt, fused first-same-as-last.
+
+    Each step rotates once, by its leading half-angle plus the previous
+    step's trailing one, and the last trailing half-angle is applied at
+    the end.  Raises at the first step whose field is non-finite.
+    """
 
     stepper = _Stepper(u.grid, params, dt, linear_only=linear_only)
     v = u.values.astype(complex)
+    pending = 0.0
     for k in range(n_steps):
-        v = stepper.advance(v)
-        if k % 256 == 0 and not np.all(np.isfinite(v)):
+        v, g = stepper.linear(stepper.rotate(v, pending + 0.5 * dt))
+        if not math.isfinite(g):
             raise RuntimeError(f"non-finite field at step {k}")
+        pending = 0.5 * dt
+    v = stepper.rotate(v, pending)
     if not np.all(np.isfinite(v)):
         raise RuntimeError("non-finite field at final step")
     return RadialField(u.grid, v)
@@ -341,21 +364,6 @@ def _regrid(v: np.ndarray, grid: RadialGrid, factor: float) -> tuple[np.ndarray,
     return spl(new_grid.nodes), new_grid
 
 
-def _unbalanced_init(expansion: ProfileExpansion, s1: float) -> tuple[float, float]:
-    """Approximate-solution initial data for beta00 > 0 (no energy match).
-
-    lambda1 = A s1^(-2/alpha) with A^alpha = 2(2-alpha)/(alpha^2 beta00),
-    b1 = 2/(alpha s1): the power-law solution of b' + b^2 = beta00 lam^alpha.
-    """
-
-    alpha = expansion.params.alpha
-    beta00 = expansion.beta_table[(0, 0)]
-    if beta00 <= 0.0:
-        raise ValueError("unbalanced initialization needs beta00 > 0")
-    A = (2.0 * (2.0 - alpha) / (alpha ** 2 * beta00)) ** (1.0 / alpha)
-    return A * s1 ** (-2.0 / alpha), 2.0 / (alpha * s1)
-
-
 def initial_datum(config: SimConfig, expansion: ProfileExpansion,
                   E0: float, s1: float) -> tuple[RadialField, float, float]:
     """Construct the physical initial field and its (lambda1, b1).
@@ -366,11 +374,10 @@ def initial_datum(config: SimConfig, expansion: ProfileExpansion,
     bubble.
     """
 
-    beta00 = expansion.beta_table.get((0, 0), 0.0)
-    if abs(beta00) < 1e-3:
+    if classify_regime(expansion) == "balanced":
         lam1, b1 = init_params(expansion, expansion.gs, E0, s1)
     else:
-        lam1, b1 = _unbalanced_init(expansion, s1)
+        lam1, b1 = map(float, power_law_solutions(expansion, s1))
     grid = make_grid(config.params.N, config.n, config.rmax_factor * lam1)
     u = rescale_to_physical(eval_profile(expansion, lam1, b1)[0],
                             lam1, b1, 0.0, grid)
@@ -381,12 +388,12 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
                     E0: float, s1: float) -> SnapshotSeries:
     """Evolve profile initial data to the lambda_hat floor with snapshots.
 
-    Initial data: balanced branches (beta00 ~ 0) are energy-matched via
-    init_params; a positive beta00 selects the power-law approximate
-    solution instead.  Each step uses dt = c_dt * lambda_hat^2 (one step
-    advances rescaled time by exactly c_dt).  When lambda_hat shrinks by
-    the rescale factor, the domain is shrunk by the same factor on the
-    same point count and conserved quantities are logged before/after.
+    Initial data come from ``initial_datum``.  Each step uses
+    dt = c_dt * lambda_hat^2, lambda_hat of the previous step's midpoint
+    field (one step advances rescaled time by exactly c_dt), and raises on
+    a non-finite field.  When lambda_hat shrinks by the rescale factor,
+    the domain is shrunk by the same factor on the same point count and
+    conserved quantities are logged before/after.
     Snapshots every snapshot_ds are decomposed with the previous state
     (advanced one Euler step of the reduced flow) as the Newton seed.
     Tube exit truncates the run; conservation drift beyond drift_abort
@@ -415,15 +422,19 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
     s = s1
     guess = (lam1, b1, 0.0)
     s_next_snap = s1
-    lam_hat_regrid = lambda_hat(u, gs)
-    stepper: Optional[_Stepper] = None
+    lam_h = lam_hat_regrid = lambda_hat(u, gs)
+    stepper = _Stepper(grid, params, config.c_dt * lam_h ** 2)
+    # Trailing phase half-angle of the last step, not yet applied to v: the
+    # next step's leading half-angle joins it (first-same-as-last), and
+    # snapshots and regrids apply it first, so they see the stepped field.
+    pending = 0.0
     t_wall = time.time()
 
     for n_step in range(config.max_steps):
-        lam_h = lambda_hat(RadialField(grid, v), gs)
-
         if s >= s_next_snap - 1e-12:
+            v, pending = stepper.rotate(v, pending), 0.0
             field = RadialField(grid, v)
+            lam_h = lambda_hat(field, gs)
             mass, energy = conserved(field, params)
             # Conservation monitor.  Mass is compared against the global
             # initial value (the stepping is unitary, regrids conserve it to
@@ -470,7 +481,10 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
             break
 
         if lam_h <= lam_hat_regrid / config.rescale_factor:
-            before = conserved(RadialField(grid, v), params)
+            v, pending = stepper.rotate(v, pending), 0.0
+            field = RadialField(grid, v)
+            lam_h = lambda_hat(field, gs)
+            before = conserved(field, params)
             v, grid = _regrid(v, grid, config.rescale_factor)
             after = conserved(RadialField(grid, v), params)
             series.regrid_log.append({
@@ -479,22 +493,22 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
                 "energy_before": before[1], "energy_after": after[1]})
             lam_hat_regrid = lam_h
             energy_ref = after[1]
-            stepper = None
+            stepper = _Stepper(grid, params, stepper.dt)
 
-        # dt tracks lambda_hat^2 step by step, so one step always advances
-        # rescaled time by c_dt; letting dt lag within a regrid epoch would
-        # grow the effective rescaled step (and the splitting error rate
-        # with its square) as the solution keeps focusing.
-        if stepper is None:
-            stepper = _Stepper(grid, params, config.c_dt * lam_h ** 2)
-        else:
-            stepper.set_dt(config.c_dt * lam_h ** 2)
+        # dt tracks lambda_hat^2 step by step (lambda_hat of the last step's
+        # midpoint field), so one step always advances rescaled time by
+        # c_dt; letting dt lag within a regrid epoch would grow the effective
+        # rescaled step (and the splitting error rate with its square) as
+        # the solution keeps focusing.
+        stepper.set_dt(config.c_dt * lam_h ** 2)
         dt = stepper.dt
-        v = stepper.advance(v)
-        if n_step % 512 == 0 and not np.all(np.isfinite(v)):
+        v, g = stepper.linear(stepper.rotate(v, pending + 0.5 * dt))
+        if not math.isfinite(g):
             raise RuntimeError(f"non-finite field at step {n_step} (t={t:.6g})")
+        pending = 0.5 * dt
         t += dt
         s += dt / lam_h ** 2
+        lam_h = math.sqrt(gs.norms["grad"] / g)
     else:
         series.abort_reason = "max_steps exhausted"
         series.truncated = True

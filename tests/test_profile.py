@@ -100,6 +100,8 @@ def test_residual_decreases_with_order(gs_profile, params_balanced):
     assert norms[1] < 0.5 * norms[0]
 
 
+@pytest.mark.filterwarnings(
+    "error:profile evaluated outside its accuracy region")
 def test_residual_slope_certifies_order_zero(gs_profile, params_balanced):
     exp0 = build_profile(gs_profile, params_balanced, order=0)
     rows = psi_slope_sweep(exp0)

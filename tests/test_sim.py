@@ -6,17 +6,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
-from nlsblowup.core import RadialField, make_grid, make_params, norm_L2
+from nlsblowup.core import (RadialField, apply_neg_laplacian, grad_norm_sq,
+                            make_grid, make_params, neg_laplacian_banded,
+                            norm_L2, potential_weights)
 from nlsblowup.groundstate import solve_ground_state
-from nlsblowup.sim import (SimConfig, Snapshot, SnapshotSeries, conserved,
-                           energy_positivity_check, fit_blowup_rate,
-                           initial_datum, lambda_hat, lower_bound_check,
-                           propagate, pseudo_conformal_reference,
-                           simulate_blowup, step)
+from nlsblowup.sim import (SimConfig, Snapshot, SnapshotSeries, _Stepper,
+                           conserved, energy_positivity_check,
+                           fit_blowup_rate, initial_datum, lambda_hat,
+                           lower_bound_check, propagate,
+                           pseudo_conformal_reference, simulate_blowup, step)
 
 CRIT = make_params(1, None, 0.2, 0.0, "critical", 1.0)
+# all three local terms switched on, in each dimension
+PLUSMINUS = {N: make_params(N, None, 0.2, 2.0, "plusminus", 1.0)
+             for N in (1, 2, 3)}
 
 
 def _free_gaussian(grid, t, a0=1.0):
@@ -116,6 +123,94 @@ def test_lambda_hat_tracks_rescaling():
     u = RadialField(small, (spline(small.nodes / lam) / math.sqrt(lam)
                             ).astype(complex))
     assert lambda_hat(u, gs) == pytest.approx(lam, rel=1e-3)
+
+
+# --------------------------------------------------------------------------
+# The fused march against the unfused Strang step
+# --------------------------------------------------------------------------
+
+def _wave(grid):
+    r = grid.nodes
+    return 1.2 * np.exp(-r ** 2) * (1.0 + 0.4j * r)
+
+
+def _unfused_step(grid, params, v, dt):
+    """Phase half (complex exp of |v|), banded Crank-Nicolson, phase half."""
+    pot = params.C2 * potential_weights(grid, params.sigma)
+
+    def phase(v):
+        a = np.abs(v)
+        rot = a ** (params.q - 1.0) + params.C1 * a ** (params.p - 1.0) + pot
+        return v * np.exp(0.5j * dt * rot)
+
+    lap = neg_laplacian_banded(grid)
+    u = lap.shape[0] // 2
+    ab = 0.5j * dt * lap
+    ab[u] += 1.0
+    v = phase(v)
+    v = solve_banded((u, u), ab, v - 0.5j * dt * apply_neg_laplacian(grid, v))
+    return phase(v)
+
+
+def _fused_march(stepper, v, dts):
+    pending = 0.0
+    for dt in dts:
+        stepper.set_dt(dt)
+        v, _ = stepper.linear(stepper.rotate(v, pending + 0.5 * dt))
+        pending = 0.5 * dt
+    return stepper.rotate(v, pending)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_fused_march_equals_unfused_steps(N):
+    # N = 1 takes the DCT path, N = 2 the banded one; dt varies every step
+    params = PLUSMINUS[N]
+    grid = make_grid(N, 512, 12.0)
+    dts = 1e-3 * (1.0 + 0.5 * np.sin(np.arange(40)))
+    ref = _wave(grid)
+    for dt in dts:
+        ref = _unfused_step(grid, params, ref, dt)
+    fused = _fused_march(_Stepper(grid, params, dts[0]), _wave(grid), dts)
+    assert np.max(np.abs(fused - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_linear_returns_the_gradient_norm_it_keeps(N):
+    params = PLUSMINUS[N]
+    grid = make_grid(N, 512, 12.0)
+    v = _wave(grid)
+    out, g = _Stepper(grid, params, 2e-3).linear(v)
+    assert g == pytest.approx(grad_norm_sq(RadialField(grid, v)), rel=1e-12)
+    assert g == pytest.approx(grad_norm_sq(RadialField(grid, out)), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_nan_raises_at_its_step(N):
+    params = PLUSMINUS[N]
+    grid = make_grid(N, 256, 12.0)
+    stepper = _Stepper(grid, params, 1e-3)
+    v = _wave(grid)
+    for k in range(6):
+        if k == 4:
+            v[grid.n // 3] = np.nan
+        v, g = stepper.linear(stepper.rotate(v, 1e-3))
+        assert math.isfinite(g) == (k < 4)
+    bad = _wave(grid)
+    bad[-1] = np.nan
+    with pytest.raises(RuntimeError, match="at step 0"):
+        propagate(RadialField(grid, bad), 1e-3, 5, params)
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]), amp=st.floats(0.2, 1.5),
+       width=st.floats(0.5, 2.0), dt=st.floats(1e-4, 5e-3),
+       n_steps=st.integers(1, 30))
+def test_fused_march_conserves_mass(N, amp, width, dt, n_steps):
+    grid = make_grid(N, 256, 12.0)
+    r = grid.nodes
+    u = RadialField(grid, amp * np.exp(-(r / width) ** 2) * (1.0 + 0.5j * r))
+    out = propagate(u, dt, n_steps, PLUSMINUS[N])
+    assert abs(norm_L2(out) ** 2 / norm_L2(u) ** 2 - 1.0) < 1e-12
 
 
 # --------------------------------------------------------------------------
