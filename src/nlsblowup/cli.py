@@ -38,8 +38,8 @@ from .linops import (beta_closed_form, branch_forcing, coercivity_spectrum,
                      operator_identity_residuals, solve_bordered, solve_rho)
 from .profile import (ProfileExpansion, build_profile, fit_loglog_slope,
                       psi_slope_sweep)
-from .reduced import (app_solutions, classify_regime, init_params,
-                      integrate_reduced, power_law_solutions)
+from .reduced import (app_solutions, classify_regime, initial_params,
+                      integrate_reduced, power_law_solutions, rate_exponent)
 from .sim import (SimConfig, energy_positivity_check, fit_blowup_rate,
                   initial_datum, lower_bound_check, simulate_blowup)
 
@@ -127,6 +127,12 @@ _GRID_DEFAULTS = {
     "reduced": (8192, 20.0),
 }
 
+# Flags of the runs that evolve (simulate, each sweep cell) and the SimConfig
+# fields they set; a missing flag takes the field's default.
+_SIM_FIELDS = {"grid_n": "n", "rmax_factor": "rmax_factor", "dt_c": "c_dt",
+               "lambda_floor": "lambda_floor", "snapshot_ds": "snapshot_ds",
+               "drift_abort": "drift_abort"}
+
 
 def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--N", type=int, default=None, help="dimension (1-3)")
@@ -211,20 +217,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if cfg["rmax"] is None:
             cfg["rmax"] = (rmax_def if rmax_def is not None
                            else default_rmax(cfg["N"]))
-    if sub == "simulate":
+    if sub in ("simulate", "sweep"):
         base = SimConfig.__dataclass_fields__
-        if cfg["grid_n"] is None:
-            cfg["grid_n"] = base["n"].default
-        if cfg["rmax_factor"] is None:
-            cfg["rmax_factor"] = base["rmax_factor"].default
-        if cfg["dt_c"] is None:
-            cfg["dt_c"] = base["c_dt"].default
-        if cfg["lambda_floor"] is None:
-            cfg["lambda_floor"] = base["lambda_floor"].default
-        if cfg["snapshot_ds"] is None:
-            cfg["snapshot_ds"] = base["snapshot_ds"].default
-        if cfg["drift_abort"] is None:
-            cfg["drift_abort"] = base["drift_abort"].default
+        for key, name in _SIM_FIELDS.items():
+            if cfg[key] is None:
+                cfg[key] = base[name].default
     return cfg
 
 
@@ -260,25 +257,27 @@ def _critical_params(cfg: dict):
                        cfg["E0"])
 
 
-def _resolve_branch_params(cfg: dict, omega: float):
-    """Turn the CLI branch word into concrete coupled parameters."""
+def _resolve_branch_params(cfg: dict, omega: float,
+                           c0_ratio: Optional[float] = None):
+    """Turn the CLI branch word into concrete coupled parameters; a sweep
+    cell's C0/omega ratio stands in for --C0."""
     branch = cfg["branch"]
     if branch == "critical":
-        return make_params(cfg["N"], cfg["p"], cfg["sigma"], 0.0, "critical",
-                           cfg["E0"])
-    if branch == "balanced":
+        return _critical_params(cfg)
+    if c0_ratio is not None:
+        C0 = c0_ratio * omega
+    elif branch == "balanced":
         C0 = omega
-        branch = "plusminus"
+    elif cfg["C0"] is None:
+        raise DomainError(
+            f"branch {branch!r} needs an explicit --C0 "
+            "(use --branch balanced for C0 = omega)")
     else:
-        if cfg["C0"] is None:
-            raise DomainError(
-                f"branch {branch!r} needs an explicit --C0 "
-                "(use --branch balanced for C0 = omega)")
         C0 = cfg["C0"]
-    params = make_params(cfg["N"], cfg["p"], cfg["sigma"], C0, branch,
-                         cfg["E0"])
-    params.omega = omega
-    return params
+    if branch == "balanced":
+        branch = "plusminus"
+    return make_params(cfg["N"], cfg["p"], cfg["sigma"], C0, branch,
+                       cfg["E0"])
 
 
 def _solve_primary(cfg: dict) -> tuple[GroundState, float]:
@@ -288,17 +287,25 @@ def _solve_primary(cfg: dict) -> tuple[GroundState, float]:
     return gs, compute_omega(gs, params)
 
 
-def _profile_stage(cfg: dict, *, n: Optional[int] = None,
-                   rmax: Optional[float] = None
+def _profile_stage(cfg: dict, c0_ratio: Optional[float] = None
                    ) -> tuple[GroundState, float, ProfileExpansion]:
     params = _critical_params(cfg)
-    grid = make_grid(cfg["N"], n or cfg["profile_n"],
-                     rmax or cfg["profile_rmax"])
+    grid = make_grid(cfg["N"], cfg["profile_n"], cfg["profile_rmax"])
     gs = solve_ground_state(params, grid)
     omega = compute_omega(gs, params)
-    run_params = _resolve_branch_params(cfg, omega)
+    run_params = _resolve_branch_params(cfg, omega, c0_ratio)
     expansion = build_profile(gs, run_params, order=cfg["order"])
     return gs, omega, expansion
+
+
+def _simulate_stage(cfg: dict, expansion: ProfileExpansion):
+    """Evolve cfg's run from ``expansion``: its SimConfig, the snapshot
+    series and the rate exponent of the series' regime."""
+    sim_cfg = SimConfig(params=expansion.params,
+                        **{name: cfg[key] for key, name in _SIM_FIELDS.items()})
+    series = simulate_blowup(sim_cfg, expansion, cfg["E0"], cfg["s1"])
+    return sim_cfg, series, rate_exponent(series.regime,
+                                          expansion.params.alpha)
 
 
 # --------------------------------------------------------------------------
@@ -345,7 +352,6 @@ def _pipe_linops(cfg: dict, rundir: Path) -> dict:
     for ratio in (0.5, 0.75, 1.0, 1.5, 2.0):
         params_c = make_params(cfg["N"], cfg["p"], cfg["sigma"],
                                ratio * omega, branch, cfg["E0"])
-        params_c.omega = omega
         sol = solve_bordered(gs, branch_forcing(gs, params_c))
         closed = beta_closed_form(gs, params_c)
         rows.append((ratio * omega, ratio, sol.beta, closed,
@@ -404,10 +410,7 @@ def _pipe_reduced(cfg: dict, rundir: Path) -> dict:
             f"(beta00 = {beta00:.3e}); raise C0 past omega or use "
             "--branch balanced")
     s1 = cfg["s1"]
-    if balanced:
-        lam1, b1 = init_params(expansion, gs, cfg["E0"], s1)
-    else:
-        lam1, b1 = map(float, power_law_solutions(expansion, s1))
+    lam1, b1 = initial_params(expansion, cfg["E0"], s1)
     floor = cfg["lambda_floor"] if cfg["lambda_floor"] is not None else 1e-3
     traj = integrate_reduced(expansion, [s1, 1e7], lam1, b1, E0=cfg["E0"],
                              n_points=2000, lambda_floor=floor)
@@ -431,14 +434,9 @@ def _pipe_reduced(cfg: dict, rundir: Path) -> dict:
 
 
 def _pipe_simulate(cfg: dict, rundir: Path) -> dict:
-    gs, omega, expansion = _profile_stage(cfg)
+    gs, _, expansion = _profile_stage(cfg)
     params = expansion.params
-    sim_cfg = SimConfig(params=params, n=cfg["grid_n"],
-                        rmax_factor=cfg["rmax_factor"], c_dt=cfg["dt_c"],
-                        lambda_floor=cfg["lambda_floor"],
-                        snapshot_ds=cfg["snapshot_ds"],
-                        drift_abort=cfg["drift_abort"])
-    series = simulate_blowup(sim_cfg, expansion, cfg["E0"], cfg["s1"])
+    sim_cfg, series, expected_exponent = _simulate_stage(cfg, expansion)
     series.to_csv(str(rundir / "snapshots.csv"))
 
     drifts = [sn.drift for sn in series.snapshots]
@@ -456,11 +454,8 @@ def _pipe_simulate(cfg: dict, rundir: Path) -> dict:
             "simulation ended before enough snapshots for a rate fit"
             + (f" ({series.abort_reason})" if series.abort_reason else ""))
     fit = fit_blowup_rate(series)
-    balanced = classify_regime(expansion) == "balanced"
-    expected_exponent = (1.0 if balanced
-                         else 2.0 / (4.0 - params.alpha))
     expected_coefficient = (math.sqrt(8.0 * cfg["E0"] / gs.norms["virial"])
-                            if balanced else float("nan"))
+                            if series.regime == "balanced" else float("nan"))
     _write_json(rundir / "ratefit.json", {
         "exponent": fit.exponent, "coefficient": fit.coefficient,
         "T_est": fit.T_est, "r2": fit.r2, "n_points": fit.n_points,
@@ -503,12 +498,7 @@ def _pipe_validate(cfg: dict, rundir: Path) -> dict:
     for target in targets:
         manifest = json.loads((target / "manifest.json").read_text())
         stored = json.loads((target / "ground.json").read_text())
-        tcfg = manifest["config"]
-        params = make_params(tcfg["N"], tcfg["p"], tcfg["sigma"], 0.0,
-                             "critical", tcfg["E0"])
-        grid = make_grid(tcfg["N"], tcfg["grid_n"], tcfg["rmax"])
-        gs = solve_ground_state(params, grid)
-        omega = compute_omega(gs, params)
+        gs, omega = _solve_primary(manifest["config"])
         checks = {
             "Q0": abs(gs.Q0 / stored["Q0"] - 1.0),
             "mass": abs(gs.norms["mass"] / stored["norms"]["mass"] - 1.0),
@@ -545,31 +535,9 @@ def _sweep_cell(cell: dict) -> dict:
            "expected_exponent": float("nan"), "r2": float("nan"),
            "tube_exit": False, "error": ""}
     try:
-        params0 = make_params(cell["N"], cell["p"], cell["sigma"], 0.0,
-                              "critical", cell["E0"])
-        grid = make_grid(cell["N"], cell["profile_n"], cell["profile_rmax"])
-        gs = solve_ground_state(params0, grid)
-        omega = compute_omega(gs, params0)
-        if cell["branch"] == "critical":
-            params = params0
-        else:
-            params = make_params(cell["N"], cell["p"], cell["sigma"],
-                                 cell["c0_ratio"] * omega, cell["branch"],
-                                 cell["E0"])
-            params.omega = omega
-        expansion = build_profile(gs, params, order=cell["order"])
+        _, _, expansion = _profile_stage(cell, cell["c0_ratio"])
         row["regime"] = classify_regime(expansion)
-        if row["regime"] == "balanced":
-            row["expected_exponent"] = 1.0
-        elif row["regime"] == "power-law":
-            row["expected_exponent"] = 2.0 / (4.0 - params.alpha)
-        sim_cfg = SimConfig(params=params, n=cell["grid_n"],
-                            rmax_factor=cell["rmax_factor"],
-                            c_dt=cell["dt_c"],
-                            lambda_floor=cell["lambda_floor"],
-                            snapshot_ds=cell["snapshot_ds"],
-                            drift_abort=cell["drift_abort"])
-        series = simulate_blowup(sim_cfg, expansion, cell["E0"], cell["s1"])
+        _, series, row["expected_exponent"] = _simulate_stage(cell, expansion)
         row["tube_exit"] = series.tube_exit
         fit = fit_blowup_rate(series)
         row["exponent"] = fit.exponent
@@ -593,22 +561,11 @@ def _pipe_sweep(cfg: dict, rundir: Path) -> dict:
     if branch == "balanced":
         branch = "plusminus"
 
-    base = SimConfig.__dataclass_fields__
-    shared = {
-        "N": cfg["N"], "p": cfg["p"], "branch": branch, "s1": cfg["s1"],
-        "order": cfg["order"], "profile_n": cfg["profile_n"],
-        "profile_rmax": cfg["profile_rmax"],
-        "grid_n": cfg["grid_n"] or base["n"].default,
-        "rmax_factor": cfg["rmax_factor"] or base["rmax_factor"].default,
-        "dt_c": cfg["dt_c"] or base["c_dt"].default,
-        "lambda_floor": cfg["lambda_floor"] or base["lambda_floor"].default,
-        "snapshot_ds": cfg["snapshot_ds"] or base["snapshot_ds"].default,
-        "drift_abort": cfg["drift_abort"] or base["drift_abort"].default,
-    }
     points = list(dict.fromkeys(
         (float(s), float(r), float(e))
         for s in sigmas for r in ratios for e in energies))
-    cells = [dict(shared, sigma=s, c0_ratio=r, E0=e) for s, r, e in points]
+    cells = [dict(cfg, branch=branch, sigma=s, c0_ratio=r, E0=e)
+             for s, r, e in points]
 
     if not cells:
         rows = []

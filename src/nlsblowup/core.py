@@ -56,10 +56,6 @@ __all__ = [
     "nonlinearity_diff1",
     "field_to_csv",
     "field_from_csv",
-    "params_to_json",
-    "params_from_json",
-    "grid_to_json",
-    "grid_from_json",
 ]
 
 
@@ -104,10 +100,11 @@ class ProblemParams:
 
     alpha_p = 2 - N(p-1)/2 and alpha_sigma = 2 - 2*sigma are the smallness
     orders (in the collapsing scale) of the power perturbation and of the
-    potential perturbation.  alpha is set when the two coincide.  omega is
-    the coupling threshold at which the two perturbations cancel each
-    other's leading effect; it depends on the soliton profile and is filled
-    in by ``groundstate.compute_omega``.
+    potential perturbation.  alpha is set when the two coincide.  The
+    threshold omega, where the two perturbations cancel each other's
+    leading effect, depends on the soliton profile and is returned by
+    ``groundstate.compute_omega``; a run's regime is
+    ``reduced.classify_regime`` of its expansion.
     """
 
     N: int
@@ -119,7 +116,6 @@ class ProblemParams:
     alpha_p: float
     alpha_sigma: float
     alpha: float | None
-    omega: float | None = None
     relaxed: bool = False
 
     @property
@@ -147,13 +143,6 @@ class ProblemParams:
         if self.branch is Branch.MINUS_PLUS:
             return 1.0
         return 0.0
-
-    def is_balanced(self, rtol: float = 1e-8) -> bool:
-        """True when the branch couples both terms and C0 sits at the
-        cancellation threshold omega (requires omega to be computed)."""
-        if self.branch is Branch.CRITICAL or self.omega is None:
-            return False
-        return abs(self.C0 - self.omega) <= rtol * max(1.0, abs(self.omega))
 
 
 def make_params(
@@ -317,7 +306,6 @@ class RadialField:
 
     grid: RadialGrid
     values: np.ndarray
-    parity: str = "even"
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values)
@@ -325,7 +313,7 @@ class RadialField:
             raise ValueError("field values must match the grid size")
 
     def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.values.copy(), self.parity)
+        return RadialField(self.grid, self.values.copy())
 
     @property
     def is_complex(self) -> bool:
@@ -682,40 +670,3 @@ def field_from_csv(path: str, grid: RadialGrid) -> RadialField:
     if np.all(data[:, 2] == 0.0):
         vals = data[:, 1].copy()
     return RadialField(grid, vals)
-
-
-def grid_to_json(grid: RadialGrid) -> dict:
-    d = {"N": grid.N, "n": grid.n, "rmax": grid.rmax, "spacing": grid.spacing}
-    return d
-
-
-def grid_from_json(d: dict) -> RadialGrid:
-    return make_grid(int(d["N"]), int(d["n"]), float(d["rmax"]),
-                     spacing=d.get("spacing", "uniform"))
-
-
-def params_to_json(params: ProblemParams) -> dict:
-    return {
-        "N": params.N,
-        "p": params.p,
-        "sigma": params.sigma,
-        "C0": params.C0,
-        "branch": params.branch.value,
-        "E0": params.E0,
-        "alpha_p": params.alpha_p,
-        "alpha_sigma": params.alpha_sigma,
-        "alpha": params.alpha,
-        "omega": params.omega,
-        "relaxed": params.relaxed,
-    }
-
-
-def params_from_json(d: dict) -> ProblemParams:
-    params = make_params(
-        int(d["N"]), d.get("p"), float(d["sigma"]), float(d["C0"]),
-        d["branch"], float(d["E0"]), strict=not d.get("relaxed", False),
-    )
-    if d.get("omega") is not None:
-        params.omega = float(d["omega"])
-    return params
-

@@ -311,16 +311,12 @@ def petviashvili_ground_state(params: ProblemParams, grid: RadialGrid,
 def compute_omega(gs: GroundState, params: ProblemParams) -> float:
     """Coupling threshold at which the two perturbations balance.
 
-    omega = (p+1)/2 * ||r^-sigma Q||_2^2 / ||Q||_{p+1}^{p+1};
-    stored into ``params.omega``.
+    omega = (p+1)/2 * ||r^-sigma Q||_2^2 / ||Q||_{p+1}^{p+1}, with p from
+    ``params``; neither argument is modified.
     """
     if not gs.norms:
         raise ValueError("ground-state norm cache is empty")
-    omega = 0.5 * (params.p + 1.0) * gs.norms["potential"] / gs.norms["lp1"]
-    params.omega = omega
-    if gs.params is not params:
-        gs.params.omega = omega
-    return omega
+    return 0.5 * (params.p + 1.0) * gs.norms["potential"] / gs.norms["lp1"]
 
 
 def gn_ratio(gs: GroundState, v: RadialField) -> float:

@@ -421,5 +421,6 @@ def coercivity_spectrum(gs: GroundState, rho: RadialField,
     A = LinearOperator((dim, dim), matvec=a_matvec, dtype=float)
     OPinv = LinearOperator((dim, dim), matvec=opinv, dtype=float)
     vals = eigsh(A, k=1, sigma=shift, OPinv=OPinv, which="LM",
+                 v0=np.ones(dim),  # ARPACK's default start is random
                  return_eigenvectors=False, tol=1e-10, maxiter=2000)
     return float(vals[0])

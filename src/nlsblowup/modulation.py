@@ -44,13 +44,13 @@ from .profile import (
     profile_derivatives,
     rescale_to_physical,
 )
+from .reduced import classify_regime
 
 __all__ = [
     "TubeExit",
     "ModulationState",
     "decompose",
     "reconstruct",
-    "mod_vector",
     "hat_epsilon",
     "lyapunov_S",
     "energy_inequality_check",
@@ -270,15 +270,6 @@ def reconstruct(state: ModulationState, grid: RadialGrid) -> RadialField:
     return rescale_to_physical(total, state.lam, state.b, state.gamma, grid)
 
 
-def mod_vector(state: ModulationState, dlambda_ds: float, db_ds: float,
-               dgamma_ds: float) -> tuple[np.ndarray, float]:
-    """Modulation-equation deviations (lam_s/lam + b, b_s + b^2, 1 - gamma_s)."""
-    vec = np.array([dlambda_ds / state.lam + state.b,
-                    db_ds + state.b ** 2,
-                    1.0 - dgamma_ds])
-    return vec, float(np.linalg.norm(vec))
-
-
 def hat_epsilon(state: ModulationState) -> RadialField:
     """Phase-twisted remainder eps * exp(-i b |y|^2 / 4)."""
     y2 = state.grid.nodes ** 2
@@ -321,14 +312,15 @@ def lyapunov_S(state: ModulationState, params: ProblemParams,
 
 def energy_inequality_check(state: ModulationState, params: ProblemParams,
                             E0: float) -> float:
-    """Ratio (b^2 + ||hat eps||_H1^2) / (lam^2 E0)   (balanced branch)
-    or    (b^2 + ||hat eps||_H1^2) / lam^alpha       (unbalanced).
+    """Ratio (b^2 + ||hat eps||_H1^2) / (lam^2 E0)   (balanced regime)
+    or    (b^2 + ||hat eps||_H1^2) / lam^alpha       (otherwise),
 
+    the regime being ``reduced.classify_regime`` of the state's expansion.
     Bounded along admissible blow-up trajectories.  A balanced check with
     E0 <= 0 is rejected: positive energy is part of the balanced regime.
     """
     num = state.b ** 2 + norm_H1(hat_epsilon(state)) ** 2
-    if params.is_balanced():
+    if classify_regime(state.expansion) == "balanced":
         if E0 <= 0.0:
             raise ValueError(
                 "balanced energy inequality needs E0 > 0 "

@@ -27,6 +27,8 @@ __all__ = [
     "ReducedTrajectory",
     "integrate_reduced",
     "classify_regime",
+    "rate_exponent",
+    "initial_params",
     "app_solutions",
     "power_law_solutions",
     "alpha_lt1_solutions",
@@ -228,6 +230,19 @@ def classify_regime(expansion: ProfileExpansion) -> str:
     return "power-law" if beta00 > 0.0 else "subthreshold"
 
 
+def rate_exponent(regime: str, alpha: Optional[float]) -> float:
+    """Exponent q of the blow-up rate lambda ~ (T - t)^q of a regime from
+    ``classify_regime``: 1 when balanced, 2/(4 - alpha) for the power law."""
+
+    if regime == "balanced":
+        return 1.0
+    if regime != "power-law":
+        raise ValueError(f"the {regime!r} regime has no blow-up rate")
+    if alpha is None:
+        raise ValueError("the power-law rate needs a single scaling exponent")
+    return 2.0 / (4.0 - alpha)
+
+
 def power_law_solutions(expansion: ProfileExpansion, s):
     """Power-law solution lambda_app = A s^(-2/alpha), b_app = 2/(alpha s) of
     b' + b^2 = beta00 lam^alpha, A^alpha = 2(2-alpha)/(alpha^2 beta00): the
@@ -326,6 +341,18 @@ def init_params(
             f"init_params: root polish stalled, |E - E0| = {abs(f1):.3e}"
         )
     return lam1, float(b1)
+
+
+def initial_params(expansion: ProfileExpansion, E0: float,
+                   s1: float) -> tuple[float, float]:
+    """A run's initial (lambda1, b1) at rescaled time s1, by its regime:
+    energy-matched by ``init_params`` when balanced, otherwise the
+    power-law solution (which needs beta00 > 0)."""
+
+    if classify_regime(expansion) == "balanced":
+        return init_params(expansion, expansion.gs, E0, s1)
+    lam1, b1 = power_law_solutions(expansion, s1)
+    return float(lam1), float(b1)
 
 
 def s_t_conversion(

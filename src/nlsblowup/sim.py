@@ -38,7 +38,7 @@ from .groundstate import GroundState
 from .modulation import TubeExit, decompose, lyapunov_S
 from .profile import (ProfileExpansion, even_spline, eval_profile,
                       rescale_to_physical)
-from .reduced import classify_regime, init_params, power_law_solutions
+from .reduced import classify_regime, initial_params, rate_exponent
 
 __all__ = [
     "SimConfig",
@@ -119,13 +119,15 @@ class Snapshot:
 
 @dataclass
 class SnapshotSeries:
-    """A blow-up run: snapshots plus run-level records."""
+    """A blow-up run: snapshots plus run-level records.  ``regime`` is
+    ``reduced.classify_regime`` of the run's expansion."""
 
     snapshots: list[Snapshot]
     E0: float
     s1: float
     mass0: float
     energy0: float
+    regime: str
     truncated: bool = False
     tube_exit: bool = False
     abort_reason: str = ""
@@ -368,16 +370,12 @@ def initial_datum(config: SimConfig, expansion: ProfileExpansion,
                   E0: float, s1: float) -> tuple[RadialField, float, float]:
     """Construct the physical initial field and its (lambda1, b1).
 
-    Balanced branches (beta00 ~ 0) are energy-matched via init_params; a
-    positive beta00 selects the power-law approximate solution instead.
-    The physical grid spans rmax_factor gradient lengths of the initial
-    bubble.
+    (lambda1, b1) is ``reduced.initial_params``: energy-matched on a
+    balanced run, the power-law solution otherwise.  The physical grid
+    spans rmax_factor gradient lengths of the initial bubble.
     """
 
-    if classify_regime(expansion) == "balanced":
-        lam1, b1 = init_params(expansion, expansion.gs, E0, s1)
-    else:
-        lam1, b1 = map(float, power_law_solutions(expansion, s1))
+    lam1, b1 = initial_params(expansion, E0, s1)
     grid = make_grid(config.params.N, config.n, config.rmax_factor * lam1)
     u = rescale_to_physical(eval_profile(expansion, lam1, b1)[0],
                             lam1, b1, 0.0, grid)
@@ -415,8 +413,9 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
     v = u.values.astype(complex)
     mass0, energy0 = conserved(u, params)
 
-    series = SnapshotSeries(snapshots=[], E0=E0, s1=s1,
-                            mass0=mass0, energy0=energy0)
+    series = SnapshotSeries(snapshots=[], E0=E0, s1=s1, mass0=mass0,
+                            energy0=energy0,
+                            regime=classify_regime(expansion))
     energy_ref = energy0
     t = 0.0
     s = s1
@@ -574,17 +573,12 @@ def lower_bound_check(series: SnapshotSeries, ratefit: RateFit,
                       params: ProblemParams) -> float:
     """min over the fit window of ||grad u|| * (T_est - t)^q.
 
-    q = 1 on energy-balanced branches, 2/(4 - alpha) otherwise; a strictly
-    positive result is the desk-scale form of the gradient lower bounds.
+    q = ``reduced.rate_exponent`` of the series' regime: 1 when balanced,
+    2/(4 - alpha) for the power law; a strictly positive result is the
+    desk-scale form of the gradient lower bounds.
     """
 
-    if params.is_balanced():
-        q = 1.0
-    else:
-        alpha = params.alpha
-        if alpha is None:
-            raise ValueError("lower_bound_check needs a single scaling exponent")
-        q = 2.0 / (4.0 - alpha)
+    q = rate_exponent(series.regime, params.alpha)
     t_a, t_b = ratefit.window
     vals = [sn.grad_norm * (ratefit.T_est - sn.t) ** q
             for sn in series.snapshots if t_a <= sn.t <= t_b]

@@ -38,17 +38,13 @@ def omega_profile(gs_profile, params_critical):
 
 @pytest.fixture(scope="session")
 def params_balanced(omega_profile):
-    params = make_params(1, None, 0.2, omega_profile, "plusminus", 1.0)
-    params.omega = omega_profile
-    return params
+    return make_params(1, None, 0.2, omega_profile, "plusminus", 1.0)
 
 
 @pytest.fixture(scope="session")
 def params_unbalanced(omega_profile):
     """Plus-minus branch with the coupling at twice the balance point."""
-    params = make_params(1, None, 0.2, 2.0 * omega_profile, "plusminus", 1.0)
-    params.omega = omega_profile
-    return params
+    return make_params(1, None, 0.2, 2.0 * omega_profile, "plusminus", 1.0)
 
 
 @pytest.fixture(scope="session")

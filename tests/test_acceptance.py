@@ -102,16 +102,12 @@ def omega(gs_profile, crit_params):
 
 @pytest.fixture(scope="module")
 def params_balanced(omega):
-    params = make_params(1, None, 0.2, omega, "plusminus", 1.0)
-    params.omega = omega
-    return params
+    return make_params(1, None, 0.2, omega, "plusminus", 1.0)
 
 
 @pytest.fixture(scope="module")
 def params_unbalanced(omega):
-    params = make_params(1, None, 0.2, 2.0 * omega, "plusminus", 1.0)
-    params.omega = omega
-    return params
+    return make_params(1, None, 0.2, 2.0 * omega, "plusminus", 1.0)
 
 
 @pytest.fixture(scope="module")

@@ -43,13 +43,16 @@ def test_ground_emits_expected_artifacts(ground_root, capsys):
     assert latest == rundir.name
 
 
-def test_rerun_reproduces_artifact_bytes(ground_root, capsys):
-    code, out = _run(capsys, GROUND_ARGS + ["--out", str(ground_root)])
+@pytest.mark.parametrize("argv", [GROUND_ARGS,
+                                  ["linops", "--grid-n", "2048"]],
+                         ids=["ground", "linops"])
+def test_rerun_reproduces_artifact_bytes(argv, tmp_path, capsys):
+    code, out = _run(capsys, argv + ["--out", str(tmp_path)])
     assert code == 0
     rundir = Path(out["outdir"])
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in rundir.iterdir() if p.name != "manifest.json"}
-    assert run(GROUND_ARGS + ["--out", str(ground_root)]) == 0
+    assert run(argv + ["--out", str(tmp_path)]) == 0
     for name, digest in digests.items():
         assert hashlib.sha256(
             (rundir / name).read_bytes()).hexdigest() == digest
@@ -158,6 +161,20 @@ def test_sweep_empty_grid(tmp_path, capsys):
                               "--out", str(tmp_path)])
     assert code == 0
     assert out["n_cells"] == 0
+
+
+def test_sweep_manifest_records_simulation_defaults(tmp_path, capsys):
+    # the run-dir hash covers the resolved config, so the SimConfig defaults
+    # a sweep runs with must be in it
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sigma_values": []}))
+    code, out = _run(capsys, ["sweep", "--config", str(cfg),
+                              "--out", str(tmp_path)])
+    assert code == 0
+    manifest = json.loads((Path(out["outdir"]) / "manifest.json").read_text())
+    assert manifest["config"]["grid_n"] == 8192
+    assert manifest["config"]["dt_c"] == 8.5e-4
+    assert manifest["config"]["drift_abort"] == 1e-6
 
 
 def test_sweep_dedupes_and_records_failures(tmp_path, capsys):

@@ -13,15 +13,13 @@ from scipy.linalg import solve_banded
 from nlsblowup.core import (Branch, RadialField, apply_laplacian,
                             apply_neg_laplacian, apply_neg_laplacian_penta,
                             apply_scaling_generator, field_from_csv,
-                            field_to_csv, grad_norm_sq, grid_from_json,
-                            grid_to_json, integrate, make_grid, make_params,
-                            neg_laplacian_banded, neg_laplacian_penta,
-                            neg_laplacian_tridiag,
+                            field_to_csv, grad_norm_sq, integrate, make_grid,
+                            make_params, neg_laplacian_banded,
+                            neg_laplacian_penta, neg_laplacian_tridiag,
                             nonlinearity_diff1, nonlinearity_eval, norm_L2,
-                            norm_Lq, p_from_sigma, params_from_json,
-                            params_to_json, penta_symbol, potential_weights,
-                            radial_derivative, sigma_from_p, surface_factor,
-                            weighted_norm)
+                            norm_Lq, p_from_sigma, penta_symbol,
+                            potential_weights, radial_derivative,
+                            sigma_from_p, surface_factor, weighted_norm)
 
 
 # --------------------------------------------------------------------------
@@ -265,13 +263,3 @@ def test_field_csv_roundtrip(tmp_path):
     field_to_csv(f, str(path))
     g = field_from_csv(str(path), grid)
     assert np.array_equal(f.values, g.values)
-
-
-def test_params_and_grid_json_roundtrip():
-    params = make_params(2, None, 0.3, 1.5, "minusplus", 2.0)
-    back = params_from_json(params_to_json(params))
-    assert back == params
-    grid = make_grid(3, 64, 7.0)
-    gback = grid_from_json(grid_to_json(grid))
-    assert np.array_equal(gback.nodes, grid.nodes)
-    assert gback.N == grid.N and gback.rmax == grid.rmax

@@ -63,7 +63,6 @@ def test_beta_affine_in_coupling(gs_profile, omega_profile):
     for ratio in (0.5, 1.0, 2.0):
         params = make_params(1, None, 0.2, ratio * omega_profile,
                              "plusminus", 1.0)
-        params.omega = omega_profile
         betas.append(beta_closed_form(gs_profile, params))
     slope1 = (betas[1] - betas[0]) / 0.5
     slope2 = (betas[2] - betas[1]) / 1.0

@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from nlsblowup.core import RadialField, norm_H1, norm_L2
-from nlsblowup.modulation import (TubeExit, decompose, energy_inequality_check,
-                                  hat_epsilon, lyapunov_S, reconstruct,
-                                  tube_distance)
-from nlsblowup.profile import eval_profile, rescale_to_physical
+from nlsblowup.core import RadialField, make_params, norm_H1, norm_L2
+from nlsblowup.modulation import (ModulationState, TubeExit, decompose,
+                                  energy_inequality_check, hat_epsilon,
+                                  lyapunov_S, reconstruct, tube_distance)
+from nlsblowup.profile import build_profile, eval_profile, rescale_to_physical
+from nlsblowup.reduced import classify_regime
 
 
 def _pure_profile_field(expansion, lam, b, gamma):
@@ -113,3 +114,21 @@ def test_energy_inequality_nonnegative_margin(expansion_balanced,
     state = decompose(u, expansion_balanced, (lam1, 0.0, 0.0))
     margin = energy_inequality_check(state, params_balanced, 1.0)
     assert np.isfinite(margin)
+
+
+def test_energy_inequality_follows_the_classified_regime(gs_profile,
+                                                         omega_profile):
+    # C0 = 1.0001 omega is off the exact threshold, but its beta00 lies in
+    # the balanced band, so the run starts and is fitted as balanced; the
+    # energy inequality must judge it balanced too (E0 = 0 is excluded)
+    params = make_params(1, None, 0.2, 1.0001 * omega_profile, "plusminus",
+                         1.0)
+    expansion = build_profile(gs_profile, params, order=0)
+    assert classify_regime(expansion) == "balanced"
+    grid = expansion.grid
+    state = ModulationState(lam=0.1, b=0.05, gamma=0.0,
+                            eps=RadialField(grid, np.zeros(grid.n, complex)),
+                            t=0.0, s=0.0, expansion=expansion, eps_H1=0.0,
+                            eps_P=0.0, orth=(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="needs E0 > 0"):
+        energy_inequality_check(state, params, E0=0.0)

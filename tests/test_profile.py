@@ -36,7 +36,6 @@ def test_balanced_beta00_vanishes(expansion_balanced, expansion_unbalanced):
     fine = solve_ground_state(critical, make_grid(1, 2 * grid.n, grid.rmax))
     omega = compute_omega(fine, critical)
     params = make_params(1, None, 0.2, omega, "plusminus", 1.0)
-    params.omega = omega
     beta00_fine = build_profile(fine, params, order=0).beta_table[(0, 0)]
     assert beta00 * beta00_fine > 0.0
     assert 3.5 <= beta00 / beta00_fine <= 4.5

@@ -269,7 +269,8 @@ def test_initial_datum_energy_and_grid(expansion_balanced):
 # Rate fitting on synthetic series
 # --------------------------------------------------------------------------
 
-def _synthetic_series(T=0.8, expo=0.85, coeff=1.3, n=400):
+def _synthetic_series(T=0.8, expo=0.85, coeff=1.3, n=400,
+                      regime="power-law"):
     t = np.linspace(0.0, T - 0.01, n)
     lam = coeff * (T - t) ** expo
     snaps = [Snapshot(t=tk, s=0.0, lam=lk, b=0.0, gamma=0.0, eps_H1=0.0,
@@ -277,7 +278,7 @@ def _synthetic_series(T=0.8, expo=0.85, coeff=1.3, n=400):
                       energy=1.0, lyap=0.0)
              for tk, lk in zip(t, lam)]
     return SnapshotSeries(snapshots=snaps, E0=1.0, s1=0.0, mass0=1.0,
-                          energy0=1.0)
+                          energy0=1.0, regime=regime)
 
 
 def test_fit_recovers_synthetic_power_law():
@@ -307,3 +308,13 @@ def test_lower_bound_positive_on_synthetic():
     params = make_params(1, None, 0.2, 0.0, "critical", 1.0)
     inf_val = lower_bound_check(series, fit, params)
     assert np.isfinite(inf_val) and inf_val > 0.0
+
+
+def test_lower_bound_takes_q_from_the_series_regime():
+    # grad_norm = 1/lam = (T - t)^-1 / coeff: with the balanced q = 1 every
+    # window point gives 1/coeff, whatever the params say
+    series = _synthetic_series(expo=1.0, regime="balanced")
+    fit = fit_blowup_rate(series)
+    params = make_params(1, None, 0.2, 0.0, "critical", 1.0)
+    assert lower_bound_check(series, fit, params) == pytest.approx(
+        1.0 / 1.3, rel=1e-6)
