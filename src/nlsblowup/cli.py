@@ -405,10 +405,12 @@ def _pipe_reduced(cfg: dict, rundir: Path) -> dict:
     regime = classify_regime(expansion)
     balanced = regime == "balanced"
     if regime == "subthreshold":
+        # beta00 falls as C0 grows on minusplus and rises on plusminus
+        advice = ("lower C0 below omega" if cfg["branch"] == "minusplus"
+                  else "raise C0 past omega or use --branch balanced")
         raise DomainError(
             "reduced flow blows up only for beta00 >= 0 on this branch "
-            f"(beta00 = {beta00:.3e}); raise C0 past omega or use "
-            "--branch balanced")
+            f"(beta00 = {beta00:.3e}); {advice}")
     s1 = cfg["s1"]
     lam1, b1 = initial_params(expansion, cfg["E0"], s1)
     floor = cfg["lambda_floor"] if cfg["lambda_floor"] is not None else 1e-3

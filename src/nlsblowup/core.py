@@ -6,11 +6,13 @@ bilinear identities hold exactly in floating point:
 
 - quadrature weights are exact cell integrals of r^(N-1) dr, so the constant
   function integrates to rmax^N / N with no quadrature error;
-- every grid has one discrete -Lap, shared by the elliptic solvers, the
-  linearized operators, the profile residual and the propagator: the
-  fourth-order pentadiagonal stencil on uniform N = 1 grids, the
-  conservative flux form elsewhere; both are exactly self-adjoint in the
-  weighted inner product;
+- grids are uniform, and every grid has one discrete -Lap, shared by the
+  elliptic solvers, the linearized operators, the profile residual and the
+  propagator: the fourth-order pentadiagonal stencil for N = 1, the
+  second-order conservative flux form for N = 2, 3; both are exactly
+  self-adjoint in the weighted inner product;
+- every banded solve goes through :class:`Operator`, that -Lap plus a
+  diagonal;
 - the squared gradient norm is the Dirichlet form of that operator, so
   <-Lap u, u> equals |grad u|^2 exactly;
 - the inverse-power potential r^(-2*sigma) is represented by exact cell
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 __all__ = [
     "Branch",
@@ -46,14 +49,12 @@ __all__ = [
     "weighted_norm",
     "grad_norm_sq",
     "potential_weights",
-    "apply_laplacian",
     "apply_neg_laplacian",
     "neg_laplacian_banded",
-    "neg_laplacian_tridiag",
+    "Operator",
     "radial_derivative",
     "apply_scaling_generator",
     "nonlinearity_eval",
-    "nonlinearity_diff1",
     "field_to_csv",
     "field_from_csv",
 ]
@@ -220,13 +221,14 @@ def surface_factor(N: int) -> float:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Staggered radial grid with exact cell-integral quadrature weights.
+    """Uniform staggered radial grid with exact cell-integral quadrature
+    weights.
 
-    Nodes sit strictly inside (0, rmax); node i owns the cell
-    [edges[i], edges[i+1]] and its quadrature weight is the exact integral
-    of r^(N-1) over that cell.  The first edge is 0 and carries zero flux
-    (even parity), the last edge is rmax with a Dirichlet ghost value 0
-    mirrored at distance ``ghost_gap`` beyond the last node.
+    Nodes sit strictly inside (0, rmax) at spacing h = rmax / n; node i
+    owns the cell [edges[i], edges[i+1]] and its quadrature weight is the
+    exact integral of r^(N-1) over that cell.  The first edge is 0 and
+    carries zero flux (even parity), the last edge is rmax with a Dirichlet
+    ghost value 0 mirrored at distance ``ghost_gap`` beyond the last node.
     """
 
     N: int
@@ -234,7 +236,6 @@ class RadialGrid:
     edges: np.ndarray
     quad_weights: np.ndarray
     rmax: float
-    spacing: str  # "uniform" | "geometric"
 
     def __post_init__(self) -> None:
         if self.nodes[0] <= 0.0:
@@ -250,9 +251,8 @@ class RadialGrid:
 
     @property
     def h(self) -> float:
-        """Representative spacing (exact for uniform grids)."""
-        return float(self.rmax / self.n) if self.spacing == "uniform" \
-            else float(np.max(np.diff(self.edges)))
+        """Node spacing rmax / n."""
+        return float(self.rmax / self.n)
 
     @property
     def ghost_gap(self) -> float:
@@ -266,38 +266,22 @@ class RadialGrid:
     @property
     def fourth_order(self) -> bool:
         """True where the grid's -Lap is the fourth-order pentadiagonal
-        stencil (uniform N = 1 grids); elsewhere it is the flux form."""
-        return self.N == 1 and self.spacing == "uniform"
+        stencil (N = 1); for N = 2, 3 it is the flux form."""
+        return self.N == 1
 
 
-def make_grid(N: int, n: int, rmax: float, *, spacing: str = "uniform",
-              ratio: float = 1.0) -> RadialGrid:
-    """Build a staggered radial grid.
-
-    ``spacing="uniform"``: nodes (i - 1/2) * h with h = rmax / n.
-    ``spacing="geometric"``: cell widths in geometric progression with the
-    given ratio > 1 (wider cells outward); nodes at cell midpoints.
-    """
+def make_grid(N: int, n: int, rmax: float) -> RadialGrid:
+    """Build the uniform staggered radial grid: nodes (i - 1/2) * h with
+    h = rmax / n, i = 1..n, and cell edges i * h."""
     if n < 8:
         raise ValueError("grid needs at least 8 nodes")
     if rmax <= 0.0:
         raise ValueError("rmax must be positive")
-    if spacing == "uniform":
-        edges = np.linspace(0.0, rmax, n + 1)
-        nodes = (np.arange(n) + 0.5) * (rmax / n)
-    elif spacing == "geometric":
-        if ratio <= 1.0:
-            raise ValueError("geometric spacing needs ratio > 1")
-        widths = ratio ** np.arange(n)
-        widths *= rmax / widths.sum()
-        edges = np.concatenate(([0.0], np.cumsum(widths)))
-        edges[-1] = rmax
-        nodes = 0.5 * (edges[:-1] + edges[1:])
-    else:
-        raise ValueError(f"unknown spacing policy {spacing!r}")
+    edges = np.linspace(0.0, rmax, n + 1)
+    nodes = (np.arange(n) + 0.5) * (rmax / n)
     weights = (edges[1:] ** N - edges[:-1] ** N) / N
     return RadialGrid(N=N, nodes=nodes, edges=edges, quad_weights=weights,
-                      rmax=float(rmax), spacing=spacing)
+                      rmax=float(rmax))
 
 
 @dataclass
@@ -422,42 +406,25 @@ def potential_weights(grid: RadialGrid, sigma: float) -> np.ndarray:
 # Discrete radial operators
 # --------------------------------------------------------------------------
 
-def apply_laplacian(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Conservative flux-form radial Laplacian with zero inner flux and a
-    Dirichlet ghost value 0 mirrored beyond rmax (second order on any grid).
-
-    This is the grid operator on every grid except uniform N = 1 grids;
-    layers that must agree with each other use :func:`apply_neg_laplacian`.
-    """
-    v = values
-    flux = np.empty(grid.n + 1, dtype=v.dtype)
-    flux[0] = 0.0
-    flux[1:-1] = grid.edges[1:-1] ** (grid.N - 1) * np.diff(v) / np.diff(grid.nodes)
-    flux[-1] = grid.edges[-1] ** (grid.N - 1) * (0.0 - v[-1]) / grid.ghost_gap
-    return np.diff(flux) / grid.quad_weights
-
-
 def apply_neg_laplacian(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     """The grid's one discrete -Lap applied to node values (any dtype).
 
-    Uniform N = 1 grids use the fourth-order stencil of
-    :func:`neg_laplacian_penta`, the operator the propagator diagonalizes;
-    other grids use the flux form of :func:`apply_laplacian`.
+    N = 1 grids use the fourth-order stencil the propagator diagonalizes
+    (eigenvalues :func:`penta_symbol`); N = 2, 3 grids use the second-order
+    conservative flux form.
     """
     if grid.fourth_order:
-        return apply_neg_laplacian_penta(grid, values)
-    return -apply_laplacian(grid, values)
+        return _penta_apply(grid, values)
+    return -_flux_laplacian(grid, values)
 
 
 def neg_laplacian_banded(grid: RadialGrid) -> np.ndarray:
     """The matrix of :func:`apply_neg_laplacian` in general band storage.
 
     ``ab`` has 2u+1 rows (u = 2 for the pentadiagonal stencil, 1 for the
-    flux form) and is ready for ``solve_banded((u, u), ab, rhs)``:
-    ab[u + i - j, j] = A[i, j].
+    flux form), ab[u + i - j, j] = A[i, j]; :class:`Operator` solves with it.
     """
-    diags = (neg_laplacian_penta(grid) if grid.fourth_order
-             else neg_laplacian_tridiag(grid))
+    diags = _penta_diags(grid) if grid.fourth_order else _flux_diags(grid)
     u = len(diags) // 2
     ab = np.zeros((2 * u + 1, grid.n))
     for off, d in zip(range(-u, u + 1), diags):
@@ -468,12 +435,58 @@ def neg_laplacian_banded(grid: RadialGrid) -> np.ndarray:
     return ab
 
 
-def neg_laplacian_tridiag(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tridiagonal representation (sub, diag, super) of -Lap.
+@dataclass(frozen=True)
+class Operator:
+    """L = -Lap + pot: the grid's -Lap plus a diagonal, the one banded
+    operator behind every linear solve.
 
-    The matrix acts on node values; it is self-adjoint in the weighted inner
-    product (W A symmetric with W = diag(quad_weights)).
+    ``ab`` is L in the storage of :func:`neg_laplacian_banded`; ``pot`` is
+    a real scalar or node array, made complex by a complex :meth:`shifted`.
     """
+
+    grid: RadialGrid
+    pot: np.ndarray | float | complex
+    ab: np.ndarray
+
+    @classmethod
+    def of(cls, grid: RadialGrid, pot) -> "Operator":
+        ab = neg_laplacian_banded(grid)
+        ab[ab.shape[0] // 2] += pot
+        return cls(grid, pot, ab)
+
+    @property
+    def u(self) -> int:
+        return self.ab.shape[0] // 2
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return apply_neg_laplacian(self.grid, x) + self.pot * x
+
+    def solve(self, rhs: np.ndarray, *, check_finite: bool = True) -> np.ndarray:
+        """L^-1 rhs by banded LU; ``check_finite`` as in scipy."""
+        return solve_banded((self.u, self.u), self.ab, rhs,
+                            check_finite=check_finite)
+
+    def shifted(self, s: float | complex) -> "Operator":
+        """L - s (a new operator; complex s gives a complex band)."""
+        ab = self.ab.astype(np.result_type(self.ab, s))
+        ab[self.u] -= s
+        return Operator(self.grid, self.pot - s, ab)
+
+
+def _flux_laplacian(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """Conservative flux-form radial Laplacian (N = 2, 3) with zero inner
+    flux and a Dirichlet ghost value 0 mirrored beyond rmax."""
+    v = values
+    flux = np.empty(grid.n + 1, dtype=v.dtype)
+    flux[0] = 0.0
+    flux[1:-1] = grid.edges[1:-1] ** (grid.N - 1) * np.diff(v) / np.diff(grid.nodes)
+    flux[-1] = grid.edges[-1] ** (grid.N - 1) * (0.0 - v[-1]) / grid.ghost_gap
+    return np.diff(flux) / grid.quad_weights
+
+
+def _flux_diags(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sub, diag, super) of the flux form's -Lap; W A is symmetric with
+    W = diag(quad_weights)."""
     n = grid.n
     geom = grid.edges[1:-1] ** (grid.N - 1) / np.diff(grid.nodes)  # size n-1
     bnd = grid.edges[-1] ** (grid.N - 1) / grid.ghost_gap
@@ -488,25 +501,21 @@ def neg_laplacian_tridiag(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.
     return lower, diag, upper
 
 
-def neg_laplacian_penta(grid: RadialGrid) -> tuple[np.ndarray, ...]:
-    """Fourth-order pentadiagonal representation of -Lap for N = 1.
+def _penta_diags(grid: RadialGrid) -> tuple[np.ndarray, ...]:
+    """(sub2, sub1, diag, super1, super2) of the fourth-order -Lap (N = 1).
 
-    Returns (sub2, sub1, diag, super1, super2) acting on node values of an
-    even function: ghosts below the origin are even mirror images of the
-    first nodes, ghosts beyond rmax are odd mirror images of the last nodes
-    (a reflecting wall where decayed tails vanish).  These mirror conditions
-    make the stencil exactly diagonal in the quarter-wave cosine basis
+    The stencil acts on node values of an even function: ghosts below the
+    origin are even mirror images of the first nodes, ghosts beyond rmax
+    are odd mirror images of the last nodes (a reflecting wall where
+    decayed tails vanish).  These mirror conditions make the stencil
+    exactly diagonal in the quarter-wave cosine basis
     cos(pi (k+1/2)(j+1/2)/n) with eigenvalues penta_symbol, which the
     propagator exploits; the matrix is symmetric, so Crank-Nicolson built
     on it stays unitary.  The fourth-order truncation keeps the evolution's
     spatial error from biasing slow modulation dynamics at the marginal
     points-per-width resolutions reached between regrids.
     """
-    if not grid.fourth_order:
-        raise ValueError("fourth-order stencil requires a uniform N=1 grid")
     n = grid.n
-    if n < 5:
-        raise ValueError("fourth-order stencil needs at least 5 nodes")
     c = 1.0 / (12.0 * grid.h ** 2)
     diag = np.full(n, 30.0 * c)
     sub1 = np.full(n - 1, -16.0 * c)
@@ -529,13 +538,13 @@ def penta_symbol(grid: RadialGrid) -> np.ndarray:
     and eigenvalue (30 - 32 cos theta + 2 cos 2theta) / (12 h^2) >= 0.
     """
     if not grid.fourth_order:
-        raise ValueError("fourth-order stencil requires a uniform N=1 grid")
+        raise ValueError("fourth-order stencil requires an N=1 grid")
     theta = np.pi * (np.arange(grid.n) + 0.5) / grid.n
     return (30.0 - 32.0 * np.cos(theta) + 2.0 * np.cos(2.0 * theta)) / (
         12.0 * grid.h ** 2)
 
 
-def apply_neg_laplacian_penta(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+def _penta_apply(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     """Matrix-vector product with the fourth-order -Lap stencil (N = 1).
 
     Evaluated as -(16 d2 - w2) / (12 h^2) from the second differences d2
@@ -543,11 +552,9 @@ def apply_neg_laplacian_penta(grid: RadialGrid, values: np.ndarray) -> np.ndarra
     differencing first keeps the rounding error proportional to the
     result instead of eps * |v| / h^2, the floor of a direct stencil sum.
     """
-    if not grid.fourth_order:
-        raise ValueError("fourth-order stencil requires a uniform N=1 grid")
     v = np.asarray(values)
     # even mirror across the origin, odd mirror across rmax (as in
-    # neg_laplacian_penta)
+    # _penta_diags)
     ext = np.concatenate([v[1::-1], v, -v[:-3:-1]])
     d2 = np.diff(ext, 2)[1:-1]
     e2 = ext[2:] - ext[:-2]
@@ -559,29 +566,18 @@ def radial_derivative(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     """Node derivative in r, even-parity mirrored at the origin and zero
     beyond rmax (decaying fields).
 
-    On uniform grids a fourth-order centered stencil is used: downstream
-    identities apply the Laplacian to this derivative, which amplifies the
-    stencil error by curvature-scale constants, and the extra two orders
-    keep those residuals below the tolerances of the operator identities.
-    Non-uniform grids fall back to second-order centered differences.
+    A fourth-order centered stencil: downstream identities apply the
+    Laplacian to this derivative, which amplifies the stencil error by
+    curvature-scale constants, and the extra two orders keep those
+    residuals below the tolerances of the operator identities.
     """
     v = np.asarray(values)
-    r = grid.nodes
-    out = np.empty_like(v)
-    if grid.spacing == "uniform":
-        # Ghost values follow the same conventions as the Laplacian: even
-        # mirror across the origin (the staggered mirror of node i is node
-        # -(i+1)) and odd mirror across rmax (Dirichlet).  Consistent ghosts
-        # keep operator identities free of boundary kinks.
-        ext = np.concatenate([v[1::-1], v, -v[:-3:-1]])
-        h = grid.h
-        out[:] = (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * h)
-        return out
-    out[1:-1] = (v[2:] - v[:-2]) / (r[2:] - r[:-2])
-    out[0] = (v[1] - v[0]) / (r[1] + r[0])
-    ghost_r = 2.0 * grid.rmax - r[-1]
-    out[-1] = (-v[-1] - v[-2]) / (ghost_r - r[-2])
-    return out
+    # Ghost values follow the same conventions as the Laplacian: even
+    # mirror across the origin (the staggered mirror of node i is node
+    # -(i+1)) and odd mirror across rmax (Dirichlet).  Consistent ghosts
+    # keep operator identities free of boundary kinks.
+    ext = np.concatenate([v[1::-1], v, -v[:-3:-1]])
+    return (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * grid.h)
 
 
 def apply_scaling_generator(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
@@ -618,33 +614,6 @@ def nonlinearity_eval(kind: str, z: np.ndarray | complex, params: ProblemParams)
     if kind in ("f", "g"):
         return a ** (e - 1.0) * z
     return a ** (e + 1.0) / (e + 1.0)
-
-
-def _real_base(base, params: ProblemParams) -> np.ndarray:
-    b = np.asarray(base, dtype=float) if not np.iscomplexobj(np.asarray(base)) else None
-    if b is None:
-        raise ValueError("differentials at a complex base are only defined for F, G")
-    if np.any(b < 0.0):
-        raise ValueError("fractional-power differentials need a nonnegative real base")
-    return b
-
-
-def nonlinearity_diff1(kind: str, base, direction, params: ProblemParams):
-    """First real-Frechet differential at a base profile.
-
-    For f and g the base must be a nonnegative real profile Q and
-        df(Q)(w) = e Q^(e-1) Re w + i Q^(e-1) Im w,  e the power of the kind.
-    For F and G a complex base z is allowed and
-        dF(z)(w) = Re( f(z) * conj(w) ),   dG(z)(w) = Re( g(z) * conj(w) ).
-    """
-    e = _exponent(kind, params)
-    w = np.asarray(direction)
-    if kind in ("f", "g"):
-        Q = _real_base(base, params)
-        return e * Q ** (e - 1.0) * np.real(w) + 1j * Q ** (e - 1.0) * np.imag(w)
-    z = np.asarray(base)
-    fz = np.abs(z) ** (e - 1.0) * z
-    return np.real(fz * np.conj(w))
 
 
 # --------------------------------------------------------------------------

@@ -8,12 +8,12 @@ It is computed in two stages: a shooting pass on the radial ODE (bisection
 on the center value, classifying overshoot/undershoot) produces an accurate
 initial guess, and a damped Newton iteration on the discrete equation then
 drives the residual of the *grid* operator to roundoff.  The operator is the
-grid's one discrete -Lap (``core.apply_neg_laplacian``): on uniform N = 1
-grids the fourth-order stencil the propagator evolves with, so Q is a
-discrete stationary state of that flow.  All subsequent linear algebra
-therefore sees a field that satisfies the discrete equation essentially
-exactly, which is what makes the downstream operator identities and
-solvability computations clean.
+grid's one discrete -Lap (``core.apply_neg_laplacian``, solved through
+``core.Operator``): for N = 1 the fourth-order stencil the propagator
+evolves with, so Q is a discrete stationary state of that flow.  All
+subsequent linear algebra therefore sees a field that satisfies the
+discrete equation essentially exactly, which is what makes the downstream
+operator identities and solvability computations clean.
 """
 
 from __future__ import annotations
@@ -23,15 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
 
 from .core import (
+    Operator,
     ProblemParams,
     RadialField,
     RadialGrid,
     apply_neg_laplacian,
     grad_norm_sq,
-    neg_laplacian_banded,
     norm_L2,
     norm_Lq,
     potential_weights,
@@ -169,18 +168,14 @@ def _elliptic_residual(grid: RadialGrid, q: float,
     return apply_neg_laplacian(grid, u) + u - np.abs(u) ** (q - 1.0) * u
 
 
-def _linearized_solve(lap: np.ndarray, q: float, Q: np.ndarray,
+def _linearized_solve(grid: RadialGrid, q: float, Q: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:
-    """Solve (-Lap + 1 - q Q^(q-1)) x = rhs with the banded -Lap ``lap``."""
-    u = lap.shape[0] // 2
-    ab = lap.copy()
-    ab[u] += 1.0 - q * np.abs(Q) ** (q - 1.0)
-    return solve_banded((u, u), ab, rhs)
+    """Solve (-Lap + 1 - q Q^(q-1)) x = rhs with the grid's -Lap."""
+    return Operator.of(grid, 1.0 - q * np.abs(Q) ** (q - 1.0)).solve(rhs)
 
 
 def _newton_polish(grid: RadialGrid, q: float, guess: np.ndarray,
                    tol: float, max_iter: int = 60) -> tuple[np.ndarray, float]:
-    lap = neg_laplacian_banded(grid)
     Q = guess.copy()
     res = _elliptic_residual(grid, q, Q)
     best = np.max(np.abs(res))
@@ -188,7 +183,7 @@ def _newton_polish(grid: RadialGrid, q: float, guess: np.ndarray,
         scale = np.max(np.abs(Q))
         if best <= tol * scale:
             break
-        step = _linearized_solve(lap, q, Q, -res)
+        step = _linearized_solve(grid, q, Q, -res)
         lam = 1.0
         for _ in range(12):
             trial = Q + lam * step
@@ -267,11 +262,10 @@ def refine_longdouble(gs: GroundState, passes: int = 3) -> np.ndarray:
         return gs.Q_ld
     grid = gs.grid
     q = gs.q
-    lap = neg_laplacian_banded(grid)
     Qld = gs.Q.values.astype(np.longdouble)
     for _ in range(passes):
         res = _elliptic_residual(grid, q, Qld)
-        delta = _linearized_solve(lap, q, Qld.astype(float),
+        delta = _linearized_solve(grid, q, Qld.astype(float),
                                   -res.astype(float))
         Qld = Qld + delta.astype(np.longdouble)
     gs.Q_ld = Qld
@@ -286,17 +280,14 @@ def petviashvili_ground_state(params: ProblemParams, grid: RadialGrid,
     on the unique positive discrete solution.
     """
     q = 1.0 + 4.0 / grid.N
-    ab = neg_laplacian_banded(grid)
-    band = ab.shape[0] // 2
-    ab[band] += 1.0
+    op = Operator.of(grid, 1.0)
     gamma = q / (q - 1.0)
     w = grid.quad_weights
     u = 1.5 * np.exp(-grid.nodes ** 2)
     for _ in range(max_iter):
         fu = np.abs(u) ** (q - 1.0) * u
-        lin_u = apply_neg_laplacian(grid, u) + u
-        m = np.sum(w * lin_u * u) / np.sum(w * fu * u)
-        nxt = m ** gamma * solve_banded((band, band), ab, fu)
+        m = np.sum(w * op.matvec(u) * u) / np.sum(w * fu * u)
+        nxt = m ** gamma * op.solve(fu)
         delta = np.max(np.abs(nxt - u))
         u = nxt
         if delta <= tol * np.max(np.abs(u)):

@@ -7,9 +7,10 @@ parts,
     Lplus  = -Lap + 1 - (1 + 4/N) Q^(4/N)
     Lminus = -Lap + 1 - Q^(4/N) ,
 
-with Lminus Q = 0.  This module assembles their banded forms on the grid's
-one discrete -Lap (exactly self-adjoint in the cell-weighted inner product;
-pentadiagonal on uniform N = 1 grids, tridiagonal elsewhere), solves
+with Lminus Q = 0.  This module builds both as ``core.Operator``s, the
+grid's one discrete -Lap plus a diagonal (exactly self-adjoint in the
+cell-weighted inner product; the fourth-order pentadiagonal stencil for
+N = 1, the tridiagonal flux form for N = 2, 3), solves
 well-posed and bordered systems with iterative refinement, produces the
 companion profile rho solving  Lplus rho = r^2 Q, and certifies constrained
 positivity of the quadratic form by a preconditioned block eigensolve.
@@ -20,17 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.sparse.linalg import LinearOperator
 
 from .core import (
+    Operator,
     ProblemParams,
     RadialField,
-    RadialGrid,
     apply_neg_laplacian,
     apply_scaling_generator,
     inner_w,
-    neg_laplacian_banded,
     nonlinearity_eval,
     potential_weights,
 )
@@ -68,51 +67,26 @@ class BorderedSolution:
 
 
 # --------------------------------------------------------------------------
-# Banded assembly and basic application
+# Operators and basic application
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Op:
-    """L = -Lap + pot on the soliton grid; ``ab`` is its general band
-    storage (bandwidth u on both sides) for ``solve_banded``."""
-
-    grid: RadialGrid
-    pot: np.ndarray
-    ab: np.ndarray
-
-    @property
-    def u(self) -> int:
-        return self.ab.shape[0] // 2
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return apply_neg_laplacian(self.grid, x) + self.pot * x
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return solve_banded((self.u, self.u), self.ab, rhs)
-
-
-def _operators(gs: GroundState) -> tuple[_Op, _Op]:
+def _operators(gs: GroundState) -> tuple[Operator, Operator]:
     """Lplus and Lminus on the grid's one discrete -Lap."""
-    grid = gs.grid
     q = gs.q
-    lap = neg_laplacian_banded(grid)
     Qpow = np.abs(gs.Q.values) ** (q - 1.0)
-    ops = []
-    for pot in (1.0 - q * Qpow, 1.0 - Qpow):
-        ab = lap.copy()
-        ab[lap.shape[0] // 2] += pot
-        ops.append(_Op(grid, pot, ab))
-    return ops[0], ops[1]
+    return (Operator.of(gs.grid, 1.0 - q * Qpow),
+            Operator.of(gs.grid, 1.0 - Qpow))
 
 
-def _solve_refined(op: _Op, rhs: np.ndarray, refine: int = 2) -> np.ndarray:
+def _solve_refined(op: Operator, rhs: np.ndarray,
+                   refine: int = 2) -> np.ndarray:
     x = op.solve(rhs)
     for _ in range(refine):
         x = x + op.solve(rhs - op.matvec(x))
     return x
 
 
-def _residual_floor(op: _Op, x: np.ndarray, rhs: np.ndarray) -> float:
+def _residual_floor(op: Operator, x: np.ndarray, rhs: np.ndarray) -> float:
     """Roundoff floor of a measured residual ||A x - rhs||.
 
     Even an exact solution shows a residual of order eps * ||A|| * ||x||
@@ -397,16 +371,12 @@ def coercivity_spectrum(gs: GroundState, rho: RadialField,
         x = np.asarray(x, dtype=float).reshape(-1)
         return s_matvec(x) + penalty * (Z @ (Z.T @ x))
 
-    shifted = []
-    for sl, op in blocks:
-        ab = op.ab.copy()
-        ab[op.u] -= shift
-        shifted.append((sl, op.u, ab))
+    shifted = [(sl, op.shifted(shift)) for sl, op in blocks]
 
     def t0_solve(b):
         out = np.empty_like(b)
-        for sl, u, ab in shifted:
-            out[sl] = sq * solve_banded((u, u), ab, b[sl] / sq)
+        for sl, op in shifted:
+            out[sl] = sq * op.solve(b[sl] / sq)
         return out
 
     G = np.column_stack([t0_solve(Z[:, j]) for j in range(3)])

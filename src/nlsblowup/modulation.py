@@ -35,6 +35,7 @@ from .core import (
     nonlinearity_eval,
     norm_H1,
     pair,
+    potential_weights,
     weighted_norm,
 )
 from .profile import (
@@ -305,7 +306,7 @@ def lyapunov_S(state: ModulationState, params: ProblemParams,
                                  * np.conj(eps)))
         total -= shift * params.C1 * float(np.real(integrate(grid, remainder_G)))
         pot = float(np.real(integrate(
-            grid, state.expansion.potential * np.abs(eps) ** 2)))
+            grid, potential_weights(grid, params.sigma) * np.abs(eps) ** 2)))
         total -= shift * 0.5 * params.C2 * pot
     return float(total / state.lam ** m)
 

@@ -64,7 +64,6 @@ __all__ = [
     "eval_profile",
     "theta_value",
     "profile_derivatives",
-    "ds_derivative",
     "residual_Psi",
     "rescale_to_physical",
     "profile_energy",
@@ -105,7 +104,6 @@ class ProfileExpansion:
     params: ProblemParams
     order: int
     entries: dict[tuple[int, int], ProfileEntry]
-    potential: np.ndarray
     eps_weight: float
 
     @property
@@ -317,7 +315,7 @@ def build_profile(gs: GroundState, params: ProblemParams,
 
     eps = _default_weight_rate(gs)
     return ProfileExpansion(gs=gs, params=params, order=order,
-                            entries=entries, potential=ctx.V, eps_weight=eps)
+                            entries=entries, eps_weight=eps)
 
 
 def _default_weight_rate(gs: GroundState) -> float:
@@ -385,33 +383,11 @@ def profile_derivatives(expansion: ProfileExpansion, lam: float,
     return dP_dlam, dP_db
 
 
-def ds_derivative(expansion: ProfileExpansion, lam: float, b: float,
-                  dlam_ds: float, db_ds: float) -> np.ndarray:
-    """Chain-rule dP/ds for supplied parameter velocities.
-
-    At lam = 0 the scale velocity must vanish (the flow is lam_s = -b lam),
-    so the lam-derivative terms are dropped there instead of evaluating
-    lam**(m-1).
-    """
-    a = expansion.params.alpha
-    out = np.zeros(expansion.grid.n, dtype=complex)
-    for (j, k), e in expansion.entries.items():
-        m = (k + 1) * a
-        lam_m = lam ** m
-        du = 2 * j * b ** (2 * j - 1) * lam_m * db_ds if j >= 1 else 0.0
-        dv = (2 * j + 1) * b ** (2 * j) * lam_m * db_ds
-        if lam > 0.0:
-            lam_m1 = m * lam ** (m - 1.0) * dlam_ds
-            du += b ** (2 * j) * lam_m1
-            dv += b ** (2 * j + 1) * lam_m1
-        out += du * e.Pp.values + 1j * dv * e.Pm.values
-    return out
-
-
 def residual_Psi(expansion: ProfileExpansion, lam: float, b: float,
                  dlambda_ds: float, db_ds: float,
                  eps_weight: float | None = None) -> tuple[RadialField, float]:
-    """Residual of the renormalized equation along supplied velocities.
+    """Residual of the renormalized equation along supplied velocities,
+    at lam > 0 (as for ``profile_derivatives``).
 
     Returns (Psi, ||exp(eps*r) Psi||_H1), with -Lap the grid's one
     discrete operator (the one Q and the corrections solve with).  The full
@@ -424,13 +400,15 @@ def residual_Psi(expansion: ProfileExpansion, lam: float, b: float,
     grid = expansion.grid
     P_field, th = eval_profile(expansion, lam, b)
     P = P_field.values
-    dPds = ds_derivative(expansion, lam, b, dlambda_ds, db_ds)
+    dPdl, dPdb = profile_derivatives(expansion, lam, b)
+    dPds = dlambda_ds * dPdl + db_ds * dPdb
     Psi = (1j * dPds - apply_neg_laplacian(grid, P) - P
            + nonlinearity_eval("f", P, params))
     if params.C1 != 0.0 or params.C2 != 0.0:
         shift = lam ** params.alpha
+        V = potential_weights(grid, params.sigma)
         Psi = Psi + shift * (params.C1 * nonlinearity_eval("g", P, params)
-                             + params.C2 * expansion.potential * P)
+                             + params.C2 * V * P)
     Psi = Psi + th * 0.25 * grid.nodes ** 2 * P
     eps = expansion.eps_weight if eps_weight is None else eps_weight
     weighted = RadialField(grid, np.exp(eps * grid.nodes) * Psi)
@@ -463,12 +441,10 @@ def rescale_to_physical(P: RadialField, lam: float, b: float, gamma: float,
     src = P.grid
     if src.N != grid.N:
         raise ValueError("source and target grids must share the dimension")
-    spacing = grid.h if grid.spacing == "uniform" else float(
-        np.max(np.diff(grid.nodes)))
-    if lam < 4.0 * spacing:
+    if lam < 4.0 * grid.h:
         raise ValueError(
             f"scale under-resolved: lam = {lam:.3e} below 4 grid spacings "
-            f"({4.0 * spacing:.3e})")
+            f"({4.0 * grid.h:.3e})")
     spline = even_spline(P)
     y = grid.nodes / lam
     out = np.where(y <= src.nodes[-1], spline(y), 0.0 + 0.0j)
@@ -507,8 +483,8 @@ def profile_energy(expansion: ProfileExpansion, lam: float, b: float) -> float:
     e = kin - crit - defect
     if params.C1 != 0.0 or params.C2 != 0.0:
         sub = norm_Lq(P_field, params.p + 1.0) ** (params.p + 1.0)
-        pot = float(np.real(integrate(grid, expansion.potential
-                                      * np.abs(P) ** 2)))
+        V = potential_weights(grid, params.sigma)
+        pot = float(np.real(integrate(grid, V * np.abs(P) ** 2)))
         e -= lam ** params.alpha * (params.C1 / (params.p + 1.0) * sub
                                     + 0.5 * params.C2 * pot)
     return float(e / lam ** 2)

@@ -3,7 +3,7 @@
 The propagator is a Strang splitting: a half-step of exact pointwise
 phase rotation by the local terms (|u|^(q-1) + C1 |u|^(p-1) + C2 V(r)),
 a full Crank-Nicolson step of the grid's one discrete -Lap (fourth-order
-on uniform N = 1 grids, flux form elsewhere), and a second phase
+for N = 1, flux form for N = 2, 3), and a second phase
 half-step.  The rotation leaves |u| unchanged, so a march fuses each
 step's trailing half-step into the next one's leading half-step (one
 rotation per step); both substeps conserve the discrete mass.
@@ -27,13 +27,11 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import dct
-from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 
-from .core import (ProblemParams, RadialField, RadialGrid,
-                   apply_neg_laplacian, grad_norm_sq, integrate, make_grid,
-                   neg_laplacian_banded, norm_L2, norm_Lq, penta_symbol,
-                   potential_weights)
+from .core import (Operator, ProblemParams, RadialField, RadialGrid,
+                   grad_norm_sq, integrate, make_grid, norm_L2, norm_Lq,
+                   penta_symbol, potential_weights)
 from .groundstate import GroundState
 from .modulation import TubeExit, decompose, lyapunov_S
 from .profile import (ProfileExpansion, even_spline, eval_profile,
@@ -189,9 +187,10 @@ class _Stepper:
     ``rotate`` is the exact flow of the local terms; rotations by a and b
     compose to one by a + b, since neither changes |v|.  ``linear`` is the
     Crank-Nicolson substep of the grid's -Lap: where it has a symbol mu
-    (uniform N = 1 grids: diagonal in the quarter-wave cosine basis) two
-    orthonormal DCT-IV transforms around the exactly unimodular multiplier
-    (1 - i dt mu / 2) / (1 + i dt mu / 2), elsewhere a banded solve.  It
+    (N = 1: diagonal in the quarter-wave cosine basis) two orthonormal
+    DCT-IV transforms around the exactly unimodular multiplier
+    (1 - i dt mu / 2) / (1 + i dt mu / 2), elsewhere a banded solve of
+    1 + z(-Lap) = z(-Lap + 1/z), z = i dt / 2.  It
     conserves g = <v, -Lap v> = grad_norm_sq(v) and returns it from what it
     computes anyway: h * surface * sum mu |w_k|^2 on the cosine coefficients
     w, or the integral of conj(v) (-Lap v) on the banded path.  A NaN
@@ -209,7 +208,7 @@ class _Stepper:
             self._mult = np.empty(grid.n, dtype=complex)
             self._gscale = grid.surface * grid.h
         else:
-            self._lap = neg_laplacian_banded(grid)
+            self._lap = Operator.of(grid, 0.0)
         self.potential = (params.C2 * potential_weights(grid, params.sigma)
                           if params.C2 != 0.0 and not linear_only else None)
         self.set_dt(dt)
@@ -226,8 +225,7 @@ class _Stepper:
             np.multiply(x, d, out=self._mult.imag)
             return
         self._z = 0.5j * dt
-        self.ab = self._z * self._lap
-        self.ab[self._lap.shape[0] // 2] += 1.0
+        self._cn = self._lap.shifted(-1.0 / self._z)
 
     def rotate(self, v: np.ndarray, angle: float) -> np.ndarray:
         """Exact flow of the local terms over time ``angle``:
@@ -256,11 +254,10 @@ class _Stepper:
                                             w.real ** 2 + w.imag ** 2))
             w *= self._mult
             return _dct4(w), g
-        Av = apply_neg_laplacian(self.grid, v)
+        Av = self._lap.matvec(v)
         g = float(np.real(integrate(self.grid, np.conj(v) * Av)))
-        u = self._lap.shape[0] // 2
-        return solve_banded((u, u), self.ab, v - self._z * Av,
-                            check_finite=False), g
+        # no finiteness check: a NaN must reach g
+        return self._cn.solve(v / self._z - Av, check_finite=False), g
 
 
 def step(u: RadialField, dt: float, params: ProblemParams,

@@ -138,6 +138,18 @@ def test_reduced_emits_trajectory(tmp_path, capsys):
     assert float(rows[-1]["ratio_lambda"]) == pytest.approx(1.0, abs=0.05)
 
 
+def test_reduced_subthreshold_advice_follows_branch(tmp_path, capsys):
+    # on minusplus beta00 falls as C0 grows: C0 = 5 > omega is subthreshold,
+    # and the way back is a smaller C0, not a larger one
+    code, out = _run(capsys, ["reduced", "--branch", "minusplus",
+                              "--C0", "5.0", "--grid-n", "2048",
+                              "--rmax", "15", "--out", str(tmp_path)])
+    assert code == 1
+    assert "beta00" in out["error"]
+    assert "raise C0" not in out["error"]
+    assert "below omega" in out["error"]
+
+
 def test_linops_beta_sweep_artifact(tmp_path, capsys):
     code, out = _run(capsys, ["linops", "--grid-n", "2048", "--rmax", "20",
                               "--out", str(tmp_path)])

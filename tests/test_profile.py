@@ -84,11 +84,9 @@ def test_profile_derivatives_finite_difference(expansion_balanced):
     assert np.max(np.abs(d_b - fd_b)) < 1e-5 * np.max(np.abs(fd_b))
 
 
-@pytest.mark.filterwarnings(
-    "error:profile evaluated outside its accuracy region")
 def test_residual_decreases_with_order(gs_profile, params_balanced):
     # lam^alpha = b^2 = 0.075 keeps lam + |b| = 0.47 inside the accuracy
-    # region of eval_profile; leaving it turns the warning into a failure
+    # region of eval_profile; leaving it fails (pyproject's filterwarnings)
     lam, b = 0.075 ** (1 / 1.6), math.sqrt(0.075)
     norms = []
     for order in (0, 1):
@@ -99,8 +97,6 @@ def test_residual_decreases_with_order(gs_profile, params_balanced):
     assert norms[1] < 0.5 * norms[0]
 
 
-@pytest.mark.filterwarnings(
-    "error:profile evaluated outside its accuracy region")
 def test_residual_slope_certifies_order_zero(gs_profile, params_balanced):
     exp0 = build_profile(gs_profile, params_balanced, order=0)
     rows = psi_slope_sweep(exp0)
