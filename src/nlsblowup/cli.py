@@ -324,6 +324,7 @@ def _pipe_ground(cfg: dict, rundir: Path) -> dict:
             "pohozaev_gradient": poh[0],
             "pohozaev_mass": poh[1],
         },
+        "iterations": dict(gs.iterations),
         "alpha": gs.params.alpha,
         "p": gs.params.p,
         "grid": {"n": gs.grid.n, "rmax": gs.grid.rmax},

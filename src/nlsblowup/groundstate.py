@@ -4,16 +4,18 @@ The soliton profile is the unique positive decaying radial solution of
 
     -Lap Q + Q - |Q|^(4/N) Q = 0 .
 
-It is computed in two stages: a shooting pass on the radial ODE (bisection
-on the center value, classifying overshoot/undershoot) produces an accurate
-initial guess, and a damped Newton iteration on the discrete equation then
-drives the residual of the *grid* operator to roundoff.  The operator is the
-grid's one discrete -Lap (``core.apply_neg_laplacian``, solved through
-``core.Operator``): for N = 1 the fourth-order stencil the propagator
-evolves with, so Q is a discrete stationary state of that flow.  All
-subsequent linear algebra therefore sees a field that satisfies the
-discrete equation essentially exactly, which is what makes the downstream
-operator identities and solvability computations clean.
+It is computed on the grid in two stages.  A few sweeps of Petviashvili's
+normalized fixed-point iteration, started from a positive Gaussian, bring
+the field near the ground state: the iteration converges from positive
+data because L+ has exactly one negative eigenvalue.  A damped Newton
+iteration on the same discrete equation then drives the residual to
+roundoff.  Both stages use the grid's one discrete -Lap
+(``core.apply_neg_laplacian``, solved through ``core.Operator``): for N = 1
+the fourth-order stencil the propagator evolves with, so Q is a discrete
+stationary state of that flow.  All subsequent linear algebra therefore
+sees a field that satisfies the discrete equation essentially exactly,
+which is what makes the downstream operator identities and solvability
+computations clean.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import (
     Operator,
@@ -59,6 +60,8 @@ class GroundState:
                 crit   = ||Q||_{2+4/N}^{2+4/N}
                 virial = || r Q ||_2^2
                 potential = || r^-sigma Q ||_2^2   (exact cell averages)
+    iterations keys: seed_sweeps = Petviashvili sweeps of the seed
+                     newton      = Newton linearized solves
     rho is the decaying solution of the bordered companion problem
     (filled in by linops.solve_rho).
     """
@@ -69,6 +72,7 @@ class GroundState:
     norms: dict
     Q0: float
     residual_inf: float
+    iterations: dict
     rho: RadialField | None = None
     Q_ld: np.ndarray | None = None  # extended-precision refinement cache
 
@@ -84,83 +88,35 @@ def default_rmax(N: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# Shooting stage
+# Fixed-point seed and discrete Newton stage
 # --------------------------------------------------------------------------
 
-def _shoot(N: int, q: float, center: float, r_end: float):
-    """Integrate the radial ODE from a series start near the origin.
-
-    Returns (status, solution) where status is 'overshoot' (profile crossed
-    zero), 'undershoot' (profile turned back upward), or 'decay'.
-    """
-    r0 = 1e-8
-    curv = (center - abs(center) ** (q - 1.0) * center) / (2.0 * N)
-    y0 = [center + curv * r0 * r0, 2.0 * curv * r0]
-
-    def rhs(r, y):
-        u, du = y
-        return [du, -(N - 1.0) / r * du + u - abs(u) ** (q - 1.0) * u]
-
-    def hit_zero(r, y):
-        return y[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1.0
-
-    def turn_up(r, y):
-        return y[1]
-
-    turn_up.terminal = True
-    turn_up.direction = 1.0
-
-    sol = solve_ivp(rhs, (r0, r_end), y0, method="DOP853",
-                    rtol=1e-12, atol=1e-14, events=(hit_zero, turn_up),
-                    dense_output=True)
-    if sol.t_events[0].size:
-        return "overshoot", sol
-    if sol.t_events[1].size:
-        return "undershoot", sol
-    return "decay", sol
+# Relative sup-norm change per sweep at which the seed hands over to Newton.
+_SEED_TOL = 1e-3
+# Newton steps below this size relative to max|Q| are taken in full, and
+# Newton stops at its residual target only after one: a residual near its
+# roundoff floor cannot see the error such a step removes.
+_FULL_STEP = 1e-8
 
 
-def _shooting_guess(N: int, q: float, grid: RadialGrid) -> np.ndarray:
-    """Bisect the center value to the separatrix and sample the grid."""
-    r_end = min(grid.rmax, 30.0)
-    lo, hi = 1.0 + 1e-6, 8.0
-    status_lo, _ = _shoot(N, q, lo, r_end)
-    status_hi, _ = _shoot(N, q, hi, r_end)
-    if status_lo == "overshoot" or status_hi != "overshoot":
-        raise ValueError("shooting bracket failure: endpoints do not "
-                         f"classify as under/over ({status_lo}, {status_hi})")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        status, _ = _shoot(N, q, mid, r_end)
-        if status == "overshoot":
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-14:
+def _petviashvili(grid: RadialGrid, q: float, tol: float,
+                  max_iter: int = 400) -> tuple[np.ndarray, int]:
+    """Petviashvili sweeps from a positive Gaussian until the relative
+    sup-norm change is <= ``tol``; returns the field and the sweep count."""
+    op = Operator.of(grid, 1.0)
+    gamma = q / (q - 1.0)
+    w = grid.quad_weights
+    u = 1.5 * np.exp(-grid.nodes ** 2)
+    for sweep in range(1, max_iter + 1):
+        fu = np.abs(u) ** (q - 1.0) * u
+        m = np.sum(w * op.matvec(u) * u) / np.sum(w * fu * u)
+        nxt = m ** gamma * op.solve(fu)
+        delta = np.max(np.abs(nxt - u))
+        u = nxt
+        if delta <= tol * np.max(np.abs(u)):
             break
-    center = 0.5 * (lo + hi)
-    status, sol = _shoot(N, q, center, r_end)
+    return u, sweep
 
-    # Trust the trajectory only while it is far from the amplified tail.
-    r_valid = sol.t[-1]
-    r_safe = min(r_valid, 15.0)
-    guess = np.empty(grid.n)
-    inside = grid.nodes <= r_safe
-    guess[inside] = sol.sol(grid.nodes[inside])[0]
-    if not np.all(inside):
-        anchor = sol.sol(r_safe)[0]
-        rr = grid.nodes[~inside]
-        guess[~inside] = anchor * (rr / r_safe) ** (-(N - 1) / 2.0) \
-            * np.exp(r_safe - rr)
-    return np.maximum(guess, 0.0)
-
-
-# --------------------------------------------------------------------------
-# Discrete Newton stage
-# --------------------------------------------------------------------------
 
 def _elliptic_residual(grid: RadialGrid, q: float,
                        u: np.ndarray) -> np.ndarray:
@@ -175,45 +131,55 @@ def _linearized_solve(grid: RadialGrid, q: float, Q: np.ndarray,
 
 
 def _newton_polish(grid: RadialGrid, q: float, guess: np.ndarray,
-                   tol: float, max_iter: int = 60) -> tuple[np.ndarray, float]:
+                   tol: float, max_iter: int = 60
+                   ) -> tuple[np.ndarray, float, int]:
+    """Damped Newton from ``guess``; returns the field, its sup-norm
+    residual and the number of linearized solves."""
     Q = guess.copy()
     res = _elliptic_residual(grid, q, Q)
     best = np.max(np.abs(res))
+    solves = 0
+    small = False
     for _ in range(max_iter):
         scale = np.max(np.abs(Q))
-        if best <= tol * scale:
+        if small and best <= tol * scale:
             break
         step = _linearized_solve(grid, q, Q, -res)
+        solves += 1
+        small = np.max(np.abs(step)) <= _FULL_STEP * scale
         lam = 1.0
         for _ in range(12):
             trial = Q + lam * step
             trial_res = _elliptic_residual(grid, q, trial)
             trial_norm = np.max(np.abs(trial_res))
-            if trial_norm < best or trial_norm <= tol * scale:
+            if small or trial_norm < best or trial_norm <= tol * scale:
                 Q, res, new_best = trial, trial_res, trial_norm
                 break
             lam *= 0.5
         else:
             break  # stagnated at the roundoff floor
-        if new_best >= best * 0.99:
-            best = min(best, new_best)
-            break
+        stalled = new_best >= best * 0.99
         best = new_best
-    return Q, float(best)
+        if stalled:
+            break
+    return Q, float(best), solves
 
 
 def solve_ground_state(params: ProblemParams, grid: RadialGrid,
                        tol: float = 1e-11) -> GroundState:
     """Compute the soliton profile and its cached norms on the given grid.
 
-    ``tol`` is the relative sup-norm target for the discrete elliptic
-    residual (the achievable floor is set by roundoff in the Laplacian).
+    Petviashvili sweeps seed the field to a relative change of
+    ``_SEED_TOL`` per sweep; damped Newton on the grid operator then
+    polishes it.  ``tol`` is the relative sup-norm target for the discrete
+    elliptic residual (the achievable floor is set by roundoff in the
+    Laplacian).  Both iteration counts are recorded in ``iterations``.
     """
     q = 1.0 + 4.0 / grid.N
     if grid.N != params.N:
         raise ValueError("grid dimension does not match params.N")
-    guess = _shooting_guess(grid.N, q, grid)
-    Q, res_inf = _newton_polish(grid, q, guess, tol)
+    guess, sweeps = _petviashvili(grid, q, _SEED_TOL)
+    Q, res_inf, solves = _newton_polish(grid, q, guess, tol)
     scale = float(np.max(np.abs(Q)))
     # The reachable residual floor is the rounding noise of the second
     # difference, ~ eps*|Q|/h^2; anything far above that means divergence.
@@ -245,7 +211,8 @@ def solve_ground_state(params: ProblemParams, grid: RadialGrid,
     Q0 = float(coeffs[0])
 
     return GroundState(params=params, grid=grid, Q=field, norms=norms,
-                       Q0=Q0, residual_inf=res_inf)
+                       Q0=Q0, residual_inf=res_inf,
+                       iterations={"seed_sweeps": sweeps, "newton": solves})
 
 
 def refine_longdouble(gs: GroundState, passes: int = 3) -> np.ndarray:
@@ -274,25 +241,14 @@ def refine_longdouble(gs: GroundState, passes: int = 3) -> np.ndarray:
 
 def petviashvili_ground_state(params: ProblemParams, grid: RadialGrid,
                               max_iter: int = 400, tol: float = 1e-13) -> RadialField:
-    """Normalized fixed-point iteration for the same discrete soliton.
+    """Petviashvili's normalized fixed-point iteration, run to ``tol``.
 
-    Independent cross-check of the shooting+Newton solver: both must agree
-    on the unique positive discrete solution.
+    The same iteration seeds ``solve_ground_state`` at a loose tolerance;
+    run to convergence on its own it reaches the same unique positive
+    discrete solution, only more slowly (linearly, not quadratically).
     """
-    q = 1.0 + 4.0 / grid.N
-    op = Operator.of(grid, 1.0)
-    gamma = q / (q - 1.0)
-    w = grid.quad_weights
-    u = 1.5 * np.exp(-grid.nodes ** 2)
-    for _ in range(max_iter):
-        fu = np.abs(u) ** (q - 1.0) * u
-        m = np.sum(w * op.matvec(u) * u) / np.sum(w * fu * u)
-        nxt = m ** gamma * op.solve(fu)
-        delta = np.max(np.abs(nxt - u))
-        u = nxt
-        if delta <= tol * np.max(np.abs(u)):
-            break
-    return RadialField(grid, u)
+    return RadialField(grid, _petviashvili(grid, 1.0 + 4.0 / grid.N, tol,
+                                           max_iter)[0])
 
 
 # --------------------------------------------------------------------------

@@ -39,6 +39,7 @@ def test_ground_emits_expected_artifacts(ground_root, capsys):
     # spec-level smoke value: the analytic peak height to ~5 digits
     assert report["Q0"] == pytest.approx(1.316074, abs=5e-5)
     assert report["residuals"]["elliptic_inf"] < 1e-9
+    assert set(report["iterations"]) == {"seed_sweeps", "newton"}
     latest = (ground_root / "latest").read_text().strip()
     assert latest == rundir.name
 

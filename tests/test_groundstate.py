@@ -7,10 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from nlsblowup.core import RadialField, make_grid, make_params, norm_L2
-from nlsblowup.groundstate import (compute_omega, default_rmax, gn_ratio,
+from nlsblowup.groundstate import (_newton_polish, compute_omega,
+                                   default_rmax, gn_ratio,
                                    petviashvili_ground_state,
                                    pohozaev_residuals, refine_longdouble,
                                    solve_ground_state)
@@ -67,11 +69,26 @@ def test_pohozaev_residuals(gs_profile):
 
 
 def test_petviashvili_agrees_with_newton(params_critical):
+    # the fixed-point iteration run to convergence reaches the Q that
+    # solve_ground_state polishes from its loosely converged sweeps
     grid = make_grid(1, 2048, 18.0)
     newton = solve_ground_state(params_critical, grid)
     fixedpoint = petviashvili_ground_state(params_critical, grid)
     diff = np.max(np.abs(newton.Q.values - fixedpoint.values))
     assert diff < 1e-8
+
+
+@pytest.mark.parametrize("n, rmax", [(2048, 18.0), (2048, 30.0),
+                                     (32768, 30.0)])
+def test_newton_is_independent_of_its_seed(params_critical, n, rmax):
+    # Newton from the analytic soliton, not from the fixed-point seed.  The
+    # last two grids need Newton's full-step rule: from the seed, at rmax 30,
+    # n 2048 the residual meets tol one step early, and at n 32768 its
+    # roundoff floor hides a last step of 4.5e-13 * Q0 from the line search.
+    gs = solve_ground_state(params_critical, make_grid(1, n, rmax))
+    Q, _, _ = _newton_polish(gs.grid, gs.q, _analytic_Q(gs.grid.nodes),
+                             1e-11)
+    assert np.max(np.abs(Q - gs.Q.values)) < 1e-14 * gs.Q0
 
 
 def test_two_dimensional_soliton():
@@ -82,6 +99,29 @@ def test_two_dimensional_soliton():
     assert gs.norms["mass"] == pytest.approx(11.700896, rel=1e-5)
     res1, _ = pohozaev_residuals(gs)
     assert abs(res1) < 1e-9
+
+
+def test_three_dimensional_soliton():
+    params = make_params(3, None, 0.3, 0.0, "critical", 1.0)
+    gs = solve_ground_state(params, make_grid(3, 8192, 20.0))
+    # frozen from a 131072-point, rmax=25 reference solve
+    assert gs.Q0 == pytest.approx(4.19172340738898, rel=1e-5)
+    assert gs.norms["mass"] == pytest.approx(63.78311374553597, rel=1e-5)
+    res1, _ = pohozaev_residuals(gs)
+    assert abs(res1) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]), n=st.integers(512, 8192),
+       rmax=st.floats(12.0, 30.0))
+def test_ground_state_converges_on_any_grid(N, n, rmax):
+    params = make_params(N, None, 0.2, 0.0, "critical", 1.0)
+    gs = solve_ground_state(params, make_grid(N, n, rmax))
+    Q = gs.Q.values
+    assert np.min(Q) > 0.0 and np.all(np.diff(Q) < 0.0)
+    assert gs.residual_inf < 1e-9
+    assert abs(pohozaev_residuals(gs)[0]) < 1e-9
+    assert gs.iterations["newton"] <= 8
 
 
 def test_gn_ratio_extremal_at_soliton(gs_coarse):
