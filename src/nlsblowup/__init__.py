@@ -13,8 +13,8 @@ restricted to radial data in dimension N in {1, 2, 3}.  The modules provide:
 - profile:     the blow-up profile expansion and its residual diagnostics
 - modulation:  decomposition of near-soliton fields into (scale, curvature,
                phase, remainder)
-- reduced:     the reduced parameter ODEs, closed-form approximants,
-               initialization, and time conversions
+- reduced:     the reduced parameter ODEs, regime classification,
+               closed-form approximants, and initialization
 - sim:         direct time propagation with dynamic rescaling and rate fits
 - cli:         command-line front end
 """

@@ -30,7 +30,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import __version__
-from .core import field_to_csv, make_grid, make_params
+from .core import make_grid, make_params
 from .groundstate import (GroundState, compute_omega, default_rmax,
                           pohozaev_residuals, solve_ground_state)
 from .linops import (beta_closed_form, branch_forcing, coercivity_spectrum,
@@ -40,8 +40,9 @@ from .profile import (ProfileExpansion, build_profile, fit_loglog_slope,
                       psi_slope_sweep)
 from .reduced import (app_solutions, classify_regime, initial_params,
                       integrate_reduced, power_law_solutions, rate_exponent)
-from .sim import (SimConfig, energy_positivity_check, fit_blowup_rate,
-                  initial_datum, lower_bound_check, simulate_blowup)
+from .sim import (SimConfig, SnapshotSeries, energy_positivity_check,
+                  fit_blowup_rate, initial_datum, lower_bound_check,
+                  simulate_blowup)
 
 __all__ = ["main", "run", "DomainError"]
 
@@ -104,6 +105,30 @@ def _write_csv(path: Path, header: list[str], rows: list) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
+_SNAPSHOT_COLUMNS = ["t", "s", "lam", "b", "gamma", "eps_H1", "eps_P",
+                     "lam_hat", "grad_norm", "mass", "energy", "lyap", "drift"]
+
+
+def _write_snapshots(path: Path, series: SnapshotSeries) -> None:
+    """One row per snapshot, plus |Mod| and lam_hat / lam.
+
+    |Mod| = |(lambda_s/lambda + b, b_s + b^2, 1 - gamma_s)| from centered
+    differences in s of the decomposed parameter tracks; NaN at the ends.
+    """
+    s, lam, b, gam = (series.column(c) for c in ("s", "lam", "b", "gamma"))
+    mods = np.full(s.size, np.nan)
+    ds = s[2:] - s[:-2]
+    dl = (lam[2:] - lam[:-2]) / ds
+    db = (b[2:] - b[:-2]) / ds
+    dg = (gam[2:] - gam[:-2]) / ds
+    mods[1:-1] = np.sqrt((dl / lam[1:-1] + b[1:-1]) ** 2
+                         + (db + b[1:-1] ** 2) ** 2 + (1.0 - dg) ** 2)
+    rows = [[getattr(sn, c) for c in _SNAPSHOT_COLUMNS]
+            + [mods[i], sn.lam_hat / sn.lam]
+            for i, sn in enumerate(series.snapshots)]
+    _write_csv(path, _SNAPSHOT_COLUMNS + ["mod_norm", "ratio_hat"], rows)
+
+
 # --------------------------------------------------------------------------
 # Configuration plumbing
 # --------------------------------------------------------------------------
@@ -126,6 +151,9 @@ _GRID_DEFAULTS = {
     "profile": (8192, 20.0),
     "reduced": (8192, 20.0),
 }
+
+# Config-file keys that only sweep reads: the axes of its grid.
+_SWEEP_AXES = ("sigma_values", "C0_over_omega_values", "E0_values")
 
 # Flags of the runs that evolve (simulate, each sweep cell) and the SimConfig
 # fields they set; a missing flag takes the field's default.
@@ -204,6 +232,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise DomainError(f"malformed config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise DomainError(f"config file {path} must hold a JSON object")
+        known = set(_SHARED_DEFAULTS)
+        if args.subcommand == "sweep":
+            known.update(_SWEEP_AXES)
+        unknown = sorted(set(loaded) - known)
+        if unknown:
+            raise DomainError(f"unknown keys in config file {path}: "
+                              f"{', '.join(unknown)}")
         cfg.update(loaded)
     for key in _SHARED_DEFAULTS:
         val = getattr(args, key, None)
@@ -330,7 +365,10 @@ def _pipe_ground(cfg: dict, rundir: Path) -> dict:
         "grid": {"n": gs.grid.n, "rmax": gs.grid.rmax},
     }
     _write_json(rundir / "ground.json", report)
-    field_to_csv(gs.Q, str(rundir / "ground.csv"))
+    Q = gs.Q.values
+    np.savetxt(rundir / "ground.csv",
+               np.column_stack([gs.grid.nodes, np.real(Q), np.imag(Q)]),
+               delimiter=",", header="r,re,im", comments="", fmt="%.17g")
     return {"Q0": gs.Q0, "omega": omega,
             "elliptic_inf": gs.residual_inf}
 
@@ -415,7 +453,7 @@ def _pipe_reduced(cfg: dict, rundir: Path) -> dict:
     s1 = cfg["s1"]
     lam1, b1 = initial_params(expansion, cfg["E0"], s1)
     floor = cfg["lambda_floor"] if cfg["lambda_floor"] is not None else 1e-3
-    traj = integrate_reduced(expansion, [s1, 1e7], lam1, b1, E0=cfg["E0"],
+    traj = integrate_reduced(expansion, [s1, 1e7], lam1, b1,
                              n_points=2000, lambda_floor=floor)
     if balanced:
         lam_app, b_app = app_solutions(gs, cfg["E0"], traj.s_grid)
@@ -440,7 +478,7 @@ def _pipe_simulate(cfg: dict, rundir: Path) -> dict:
     gs, _, expansion = _profile_stage(cfg)
     params = expansion.params
     sim_cfg, series, expected_exponent = _simulate_stage(cfg, expansion)
-    series.to_csv(str(rundir / "snapshots.csv"))
+    _write_snapshots(rundir / "snapshots.csv", series)
 
     drifts = [sn.drift for sn in series.snapshots]
     conservation = {
@@ -452,11 +490,13 @@ def _pipe_simulate(cfg: dict, rundir: Path) -> dict:
     }
     _write_json(rundir / "conservation.json", conservation)
 
-    if len(series.snapshots) < 8:
+    try:
+        fit = fit_blowup_rate(series)
+    except RuntimeError as exc:
         raise DomainError(
-            "simulation ended before enough snapshots for a rate fit"
-            + (f" ({series.abort_reason})" if series.abort_reason else ""))
-    fit = fit_blowup_rate(series)
+            f"no rate fit: {exc}"
+            + (f" ({series.abort_reason})" if series.abort_reason else "")
+        ) from exc
     expected_coefficient = (math.sqrt(8.0 * cfg["E0"] / gs.norms["virial"])
                             if series.regime == "balanced" else float("nan"))
     _write_json(rundir / "ratefit.json", {

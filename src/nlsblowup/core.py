@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -36,27 +35,23 @@ __all__ = [
     "RadialField",
     "make_params",
     "p_from_sigma",
-    "sigma_from_p",
     "make_grid",
-    "surface_factor",
     "integrate",
     "pair",
     "inner_w",
     "norm_L2",
     "norm_Lq",
     "norm_H1",
-    "norm_Sigma1",
     "weighted_norm",
     "grad_norm_sq",
     "potential_weights",
     "apply_neg_laplacian",
     "neg_laplacian_banded",
     "Operator",
+    "penta_symbol",
     "radial_derivative",
     "apply_scaling_generator",
     "nonlinearity_eval",
-    "field_to_csv",
-    "field_from_csv",
 ]
 
 
@@ -90,11 +85,6 @@ def p_from_sigma(N: int, sigma: float) -> float:
     return 1.0 + 4.0 * sigma / N
 
 
-def sigma_from_p(N: int, p: float) -> float:
-    """Inverse of :func:`p_from_sigma`."""
-    return N * (p - 1.0) / 4.0
-
-
 @dataclass
 class ProblemParams:
     """Validated problem parameters with derived scaling orders.
@@ -117,7 +107,6 @@ class ProblemParams:
     alpha_p: float
     alpha_sigma: float
     alpha: float | None
-    relaxed: bool = False
 
     @property
     def q(self) -> float:
@@ -153,34 +142,22 @@ def make_params(
     C0: float,
     branch: Branch | str,
     E0: float,
-    *,
-    strict: bool = True,
-    require_alpha_gt1: bool = False,
 ) -> ProblemParams:
     """Validate and derive the full parameter record.
 
     If ``p`` is None it is derived from sigma so that both perturbations
-    carry the same scaling order: p = 1 + 4*sigma/N.  ``strict`` enforces
-    sigma < min(N/4, 1); the relaxed window sigma < min(N/2, 1) is accepted
-    with ``strict=False`` and recorded via ``relaxed=True``.
-    ``require_alpha_gt1`` additionally rejects alpha <= 1 (needed by the
-    balanced-rate regime).
+    carry the same scaling order: p = 1 + 4*sigma/N.  sigma must lie in
+    (0, min(N/4, 1)).  alpha is None unless alpha_p == alpha_sigma.
     """
     if N not in (1, 2, 3):
         raise ValueError(f"dimension N must be 1, 2, or 3, got {N}")
     if isinstance(branch, str):
         branch = Branch.from_name(branch)
 
-    sigma_cap_strict = min(N / 4.0, 1.0)
-    sigma_cap_relaxed = min(N / 2.0, 1.0)
-    if not (0.0 < sigma < sigma_cap_relaxed):
+    sigma_cap = min(N / 4.0, 1.0)
+    if not (0.0 < sigma < sigma_cap):
         raise ValueError(
-            f"sigma={sigma} outside the admissible window (0, {sigma_cap_relaxed})")
-    relaxed = not (sigma < sigma_cap_strict)
-    if strict and relaxed:
-        raise ValueError(
-            f"sigma={sigma} >= min(N/4, 1) = {sigma_cap_strict}; pass "
-            f"strict=False to accept the relaxed window")
+            f"sigma={sigma} outside the admissible window (0, {sigma_cap})")
 
     if p is None:
         p = p_from_sigma(N, sigma)
@@ -193,17 +170,10 @@ def make_params(
     alpha_p = 2.0 - N * (p - 1.0) / 2.0
     alpha_sigma = 2.0 - 2.0 * sigma
     alpha = alpha_p if abs(alpha_p - alpha_sigma) <= 1e-12 else None
-    if require_alpha_gt1:
-        if alpha is None:
-            raise ValueError("balanced-rate regime requires alpha_p == alpha_sigma")
-        if alpha <= 1.0:
-            raise ValueError(
-                f"balanced-rate regime requires alpha > 1, got alpha={alpha}")
 
     return ProblemParams(
         N=N, p=float(p), sigma=float(sigma), C0=float(C0), branch=branch,
         E0=float(E0), alpha_p=alpha_p, alpha_sigma=alpha_sigma, alpha=alpha,
-        relaxed=relaxed,
     )
 
 
@@ -211,12 +181,8 @@ def make_params(
 # Radial grids and fields
 # --------------------------------------------------------------------------
 
+# Measure of the unit sphere: full-line factor 2 in 1d, 2*pi, 4*pi.
 _SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
-
-
-def surface_factor(N: int) -> float:
-    """Measure of the unit sphere: full-line factor 2 in 1d, 2*pi, 4*pi."""
-    return _SURFACE[N]
 
 
 @dataclass(frozen=True)
@@ -261,7 +227,7 @@ class RadialGrid:
 
     @property
     def surface(self) -> float:
-        return surface_factor(self.N)
+        return _SURFACE[self.N]
 
     @property
     def fourth_order(self) -> bool:
@@ -295,13 +261,6 @@ class RadialField:
         self.values = np.asarray(self.values)
         if self.values.shape != (self.grid.n,):
             raise ValueError("field values must match the grid size")
-
-    def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.values.copy())
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.values)
 
 
 def _values_of(f: RadialField | np.ndarray) -> np.ndarray:
@@ -365,25 +324,18 @@ def norm_H1(f: RadialField) -> float:
     return math.sqrt(norm_L2(f) ** 2 + grad_norm_sq(f))
 
 
-def weighted_norm(f: RadialField, weight: np.ndarray | Callable[[np.ndarray], np.ndarray]) -> float:
+def weighted_norm(f: RadialField, weight: np.ndarray) -> float:
     """L^2 norm against a pointwise nonnegative weight: ||sqrt(weight) f||_2.
 
-    ``weight`` is either an array of node values or a callable applied to
-    the node radii.  The weight multiplies |f|^2 inside the integral.
+    ``weight`` holds node values; it multiplies |f|^2 inside the integral.
     """
     g = f.grid
     v = _values_of(f)
     _check_finite(v)
-    w = weight(g.nodes) if callable(weight) else np.asarray(weight)
+    w = np.asarray(weight)
     if np.any(w < 0):
         raise ValueError("weight must be nonnegative")
     return math.sqrt(float(g.surface * np.sum(g.quad_weights * w * np.abs(v) ** 2)))
-
-
-def norm_Sigma1(f: RadialField) -> float:
-    """Virial-space norm: sqrt(H1^2 + || r f ||_2^2)."""
-    g = f.grid
-    return math.sqrt(norm_H1(f) ** 2 + weighted_norm(f, g.nodes ** 2) ** 2)
 
 
 def potential_weights(grid: RadialGrid, sigma: float) -> np.ndarray:
@@ -615,27 +567,3 @@ def nonlinearity_eval(kind: str, z: np.ndarray | complex, params: ProblemParams)
         return a ** (e - 1.0) * z
     return a ** (e + 1.0) / (e + 1.0)
 
-
-# --------------------------------------------------------------------------
-# Serialization
-# --------------------------------------------------------------------------
-
-def field_to_csv(f: RadialField, path: str) -> None:
-    """Write node samples as CSV with columns r, re, im."""
-    v = _values_of(f)
-    data = np.column_stack([f.grid.nodes, np.real(v), np.imag(v)])
-    header = "r,re,im"
-    np.savetxt(path, data, delimiter=",", header=header, comments="",
-               fmt="%.17g")
-
-
-def field_from_csv(path: str, grid: RadialGrid) -> RadialField:
-    """Read a CSV written by :func:`field_to_csv` onto a matching grid."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    r = data[:, 0]
-    if r.size != grid.n or not np.allclose(r, grid.nodes, rtol=0, atol=1e-12 * grid.rmax):
-        raise ValueError("CSV nodes do not match the supplied grid")
-    vals = data[:, 1] + 1j * data[:, 2]
-    if np.all(data[:, 2] == 0.0):
-        vals = data[:, 1].copy()
-    return RadialField(grid, vals)

@@ -20,7 +20,6 @@ computations clean.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "refine_longdouble",
     "petviashvili_ground_state",
     "compute_omega",
-    "gn_ratio",
     "pohozaev_residuals",
     "default_rmax",
 ]
@@ -93,21 +91,25 @@ def default_rmax(N: int) -> float:
 
 # Relative sup-norm change per sweep at which the seed hands over to Newton.
 _SEED_TOL = 1e-3
+# Relative sup-norm target of Newton's elliptic residual (the achievable
+# floor is set by roundoff in the Laplacian).
+_NEWTON_TOL = 1e-11
 # Newton steps below this size relative to max|Q| are taken in full, and
 # Newton stops at its residual target only after one: a residual near its
 # roundoff floor cannot see the error such a step removes.
 _FULL_STEP = 1e-8
 
 
-def _petviashvili(grid: RadialGrid, q: float, tol: float,
-                  max_iter: int = 400) -> tuple[np.ndarray, int]:
-    """Petviashvili sweeps from a positive Gaussian until the relative
-    sup-norm change is <= ``tol``; returns the field and the sweep count."""
+def _petviashvili(grid: RadialGrid, q: float,
+                  tol: float) -> tuple[np.ndarray, int]:
+    """At most 400 Petviashvili sweeps from a positive Gaussian, until the
+    relative sup-norm change is <= ``tol``; returns the field and the
+    sweep count."""
     op = Operator.of(grid, 1.0)
     gamma = q / (q - 1.0)
     w = grid.quad_weights
     u = 1.5 * np.exp(-grid.nodes ** 2)
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, 401):
         fu = np.abs(u) ** (q - 1.0) * u
         m = np.sum(w * op.matvec(u) * u) / np.sum(w * fu * u)
         nxt = m ** gamma * op.solve(fu)
@@ -165,21 +167,20 @@ def _newton_polish(grid: RadialGrid, q: float, guess: np.ndarray,
     return Q, float(best), solves
 
 
-def solve_ground_state(params: ProblemParams, grid: RadialGrid,
-                       tol: float = 1e-11) -> GroundState:
+def solve_ground_state(params: ProblemParams,
+                       grid: RadialGrid) -> GroundState:
     """Compute the soliton profile and its cached norms on the given grid.
 
     Petviashvili sweeps seed the field to a relative change of
     ``_SEED_TOL`` per sweep; damped Newton on the grid operator then
-    polishes it.  ``tol`` is the relative sup-norm target for the discrete
-    elliptic residual (the achievable floor is set by roundoff in the
-    Laplacian).  Both iteration counts are recorded in ``iterations``.
+    polishes it to a relative sup-norm residual of ``_NEWTON_TOL``.  Both
+    iteration counts are recorded in ``iterations``.
     """
     q = 1.0 + 4.0 / grid.N
     if grid.N != params.N:
         raise ValueError("grid dimension does not match params.N")
     guess, sweeps = _petviashvili(grid, q, _SEED_TOL)
-    Q, res_inf, solves = _newton_polish(grid, q, guess, tol)
+    Q, res_inf, solves = _newton_polish(grid, q, guess, _NEWTON_TOL)
     scale = float(np.max(np.abs(Q)))
     # The reachable residual floor is the rounding noise of the second
     # difference, ~ eps*|Q|/h^2; anything far above that means divergence.
@@ -215,13 +216,13 @@ def solve_ground_state(params: ProblemParams, grid: RadialGrid,
                        iterations={"seed_sweeps": sweeps, "newton": solves})
 
 
-def refine_longdouble(gs: GroundState, passes: int = 3) -> np.ndarray:
+def refine_longdouble(gs: GroundState) -> np.ndarray:
     """Refine the stored soliton to extended precision.
 
     The double-precision field carries per-node rounding noise of order
     eps*|Q|; difference stencils amplify such noise by 1/h^2 (Laplacian) or
     1/h^3 (Laplacian of the scaling generator), which dominates identity
-    residuals on fine grids.  A few rounds of iterative refinement --
+    residuals on fine grids.  Three rounds of iterative refinement --
     extended-precision residual, double-precision banded correction -- push
     the noise floor down to long-double rounding.  Result is cached.
     """
@@ -230,7 +231,7 @@ def refine_longdouble(gs: GroundState, passes: int = 3) -> np.ndarray:
     grid = gs.grid
     q = gs.q
     Qld = gs.Q.values.astype(np.longdouble)
-    for _ in range(passes):
+    for _ in range(3):
         res = _elliptic_residual(grid, q, Qld)
         delta = _linearized_solve(grid, q, Qld.astype(float),
                                   -res.astype(float))
@@ -239,16 +240,17 @@ def refine_longdouble(gs: GroundState, passes: int = 3) -> np.ndarray:
     return Qld
 
 
-def petviashvili_ground_state(params: ProblemParams, grid: RadialGrid,
-                              max_iter: int = 400, tol: float = 1e-13) -> RadialField:
-    """Petviashvili's normalized fixed-point iteration, run to ``tol``.
+def petviashvili_ground_state(params: ProblemParams,
+                              grid: RadialGrid) -> RadialField:
+    """Petviashvili's normalized fixed-point iteration, run to a relative
+    change of 1e-13 per sweep.
 
     The same iteration seeds ``solve_ground_state`` at a loose tolerance;
     run to convergence on its own it reaches the same unique positive
     discrete solution, only more slowly (linearly, not quadratically).
     """
-    return RadialField(grid, _petviashvili(grid, 1.0 + 4.0 / grid.N, tol,
-                                           max_iter)[0])
+    return RadialField(grid, _petviashvili(grid, 1.0 + 4.0 / grid.N,
+                                           1e-13)[0])
 
 
 # --------------------------------------------------------------------------
@@ -266,26 +268,9 @@ def compute_omega(gs: GroundState, params: ProblemParams) -> float:
     return 0.5 * (params.p + 1.0) * gs.norms["potential"] / gs.norms["lp1"]
 
 
-def gn_ratio(gs: GroundState, v: RadialField) -> float:
-    """Interpolation-inequality ratio, equal to 1 at the soliton.
-
-    ratio(v) = ||v||_m^m / [ (1 + 2/N) (||v||_2/||Q||_2)^(4/N) ||grad v||_2^2 ]
-    with m = 2 + 4/N; <= 1 (up to discretization slack) for every v.
-    """
-    N = gs.grid.N
-    m = 2.0 + 4.0 / N
-    l2 = norm_L2(v)
-    if l2 == 0.0:
-        raise ValueError("interpolation ratio undefined for the zero field")
-    num = norm_Lq(v, m) ** m
-    den = (1.0 + 2.0 / N) * (l2 / math.sqrt(gs.norms["mass"])) ** (4.0 / N) \
-        * grad_norm_sq(v)
-    return float(num / den)
-
-
-def pohozaev_residuals(gs: GroundState, field: RadialField | None = None) -> tuple[float, float]:
+def pohozaev_residuals(gs: GroundState) -> tuple[float, float]:
     """Two integral identities characterizing the soliton, as residuals
-    relative to ||.||_m^m (m = 2 + 4/N).
+    relative to ||Q||_m^m (m = 2 + 4/N), from the cached norms.
 
     res1: |grad|^2 + ||.||_2^2 - ||.||_m^m     (equation against the profile)
     res2: |grad|^2 - (N/(N+2)) ||.||_m^m       (zero-energy identity)
@@ -294,15 +279,9 @@ def pohozaev_residuals(gs: GroundState, field: RadialField | None = None) -> tup
     operators); the second converges at the scheme order.
     """
     N = gs.grid.N
-    m = 2.0 + 4.0 / N
-    if field is None:
-        grad = gs.norms["grad"]
-        mass = gs.norms["mass"]
-        crit = gs.norms["crit"]
-    else:
-        grad = grad_norm_sq(field)
-        mass = norm_L2(field) ** 2
-        crit = norm_Lq(field, m) ** m
+    grad = gs.norms["grad"]
+    mass = gs.norms["mass"]
+    crit = gs.norms["crit"]
     res1 = (grad + mass - crit) / crit
     res2 = (grad - N / (N + 2.0) * crit) / crit
     return float(res1), float(res2)

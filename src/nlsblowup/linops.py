@@ -37,8 +37,6 @@ from .groundstate import GroundState, refine_longdouble
 
 __all__ = [
     "BorderedSolution",
-    "apply_Lplus",
-    "apply_Lminus",
     "solve_rho",
     "solve_bordered",
     "solve_lminus_orthogonal",
@@ -56,10 +54,10 @@ class BorderedSolution:
     """Solution pair of the augmented system
 
         [ Lplus        -(r^2/4) Q ] [P   ]   [F]
-        [ <. , Q>_2        0      ] [beta] = [c]
+        [ <. , Q>_2        0      ] [beta] = [0]
 
-    P is orthogonal to Q (or carries the prescribed component c) and beta is
-    the scalar multiplier of the quadratic-potential column.
+    P is orthogonal to Q and beta is the scalar multiplier of the
+    quadratic-potential column.
     """
 
     P: RadialField
@@ -98,18 +96,6 @@ def _residual_floor(op: Operator, x: np.ndarray, rhs: np.ndarray) -> float:
     return eps * (opscale * float(np.linalg.norm(x)) + float(np.linalg.norm(rhs)))
 
 
-def apply_Lplus(gs: GroundState, v: RadialField) -> RadialField:
-    """Apply  -Lap + 1 - (1+4/N) Q^(4/N)  to a radial field."""
-    op, _ = _operators(gs)
-    return RadialField(gs.grid, op.matvec(np.asarray(v.values)))
-
-
-def apply_Lminus(gs: GroundState, v: RadialField) -> RadialField:
-    """Apply  -Lap + 1 - Q^(4/N)  to a radial field."""
-    _, op = _operators(gs)
-    return RadialField(gs.grid, op.matvec(np.asarray(v.values)))
-
-
 # --------------------------------------------------------------------------
 # Solvers
 # --------------------------------------------------------------------------
@@ -130,14 +116,12 @@ def solve_rho(gs: GroundState) -> RadialField:
     return rho
 
 
-def solve_bordered(gs: GroundState, F: RadialField,
-                   q_component: float = 0.0) -> BorderedSolution:
-    """Solve the augmented system for (P, beta).
+def solve_bordered(gs: GroundState, F: RadialField) -> BorderedSolution:
+    """Solve the augmented system for (P, beta) with (P, Q)_2 = 0.
 
     The quadratic-potential column is eliminated through rho:
     Lplus (rho/4) = (r^2/4) Q exactly, so P = x + beta*(rho/4) with
-    x = Lplus^{-1} F, and beta is fixed by the prescribed Q-component
-    of P (default 0, i.e. (P, Q)_2 = 0).
+    x = Lplus^{-1} F, and beta is fixed by the vanishing Q-component of P.
     """
     if gs.rho is None:
         solve_rho(gs)
@@ -150,7 +134,7 @@ def solve_bordered(gs: GroundState, F: RadialField,
     denom = float(np.real(inner_w(grid, x1, Qv)))
     if abs(denom) < 1e-14:
         raise ValueError("bordered system singular: (rho, Q)_2 vanished")
-    beta = (q_component - float(np.real(inner_w(grid, x, Qv)))) / denom
+    beta = -float(np.real(inner_w(grid, x, Qv))) / denom
     P = x + beta * x1
     res = float(np.linalg.norm(
         op.matvec(P) - beta * 0.25 * grid.nodes ** 2 * Qv - Fv))
@@ -331,8 +315,13 @@ def lminus_unconstrained_min(gs: GroundState) -> float:
     return float(_bottom_eigenvalues(gs, "minus")[0])
 
 
-def coercivity_spectrum(gs: GroundState, rho: RadialField,
-                        penalty: float = 1e6, shift: float = -0.5) -> float:
+# Quadratic penalty on the constraint directions, and the shift-invert
+# point below the bottom of the penalized operator.
+_PENALTY = 1e6
+_SHIFT = -0.5
+
+
+def coercivity_spectrum(gs: GroundState, rho: RadialField) -> float:
     """Smallest eigenvalue of  <Lplus a, a> + <Lminus c, c>  under the
     constraints a _|_ Q, a _|_ r^2 Q, c _|_ rho (L2 normalization).
 
@@ -369,9 +358,9 @@ def coercivity_spectrum(gs: GroundState, rho: RadialField,
 
     def a_matvec(x):
         x = np.asarray(x, dtype=float).reshape(-1)
-        return s_matvec(x) + penalty * (Z @ (Z.T @ x))
+        return s_matvec(x) + _PENALTY * (Z @ (Z.T @ x))
 
-    shifted = [(sl, op.shifted(shift)) for sl, op in blocks]
+    shifted = [(sl, op.shifted(_SHIFT)) for sl, op in blocks]
 
     def t0_solve(b):
         out = np.empty_like(b)
@@ -380,7 +369,7 @@ def coercivity_spectrum(gs: GroundState, rho: RadialField,
         return out
 
     G = np.column_stack([t0_solve(Z[:, j]) for j in range(3)])
-    K = np.linalg.inv(np.eye(3) / penalty + Z.T @ G)
+    K = np.linalg.inv(np.eye(3) / _PENALTY + Z.T @ G)
 
     def opinv(b):
         b = np.asarray(b, dtype=float).reshape(-1)
@@ -390,7 +379,7 @@ def coercivity_spectrum(gs: GroundState, rho: RadialField,
     dim = 2 * n
     A = LinearOperator((dim, dim), matvec=a_matvec, dtype=float)
     OPinv = LinearOperator((dim, dim), matvec=opinv, dtype=float)
-    vals = eigsh(A, k=1, sigma=shift, OPinv=OPinv, which="LM",
+    vals = eigsh(A, k=1, sigma=_SHIFT, OPinv=OPinv, which="LM",
                  v0=np.ones(dim),  # ARPACK's default start is random
                  return_eigenvectors=False, tol=1e-10, maxiter=2000)
     return float(vals[0])

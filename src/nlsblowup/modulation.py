@@ -55,12 +55,19 @@ __all__ = [
     "hat_epsilon",
     "lyapunov_S",
     "energy_inequality_check",
-    "tube_distance",
 ]
 
 
 class TubeExit(RuntimeError):
     """The field left the soliton tube; the decomposition is undefined."""
+
+
+# Tube radius: a converged remainder with ||eps||_H1 >= _TUBE_DELTA exits.
+_TUBE_DELTA = 0.3
+# Newton on the condition vector stops below _NEWTON_TOL (sup norm) and
+# gives up after _NEWTON_MAX_ITER iterations.
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 50
 
 
 @dataclass
@@ -114,14 +121,6 @@ def _remainder(u: RadialField, expansion: ProfileExpansion, lam: float,
     return eps, P
 
 
-def tube_distance(u: RadialField, expansion: ProfileExpansion,
-                  lam_g: float, gamma_g: float, *, b: float = 0.0) -> float:
-    """H1 norm of the remainder eps of u against P(lam_g, b) at phase
-    gamma_g: the distance ``decompose`` judges tube membership by."""
-    eps, _ = _remainder(u, expansion, lam_g, b, gamma_g)
-    return norm_H1(RadialField(expansion.grid, eps))
-
-
 def _default_guess(u: RadialField,
                    expansion: ProfileExpansion) -> tuple[float, float, float]:
     gs = expansion.gs
@@ -135,18 +134,16 @@ def _default_guess(u: RadialField,
 
 def decompose(u: RadialField, expansion: ProfileExpansion,
               guess: tuple[float, float, float] | None = None, *,
-              delta: float = 0.3, tol: float = 1e-12,
-              max_iter: int = 50, t: float = 0.0,
-              s: float = 0.0) -> ModulationState:
+              t: float = 0.0, s: float = 0.0) -> ModulationState:
     """Solve the three orthogonality conditions for (lam, b, gamma).
 
     ``guess`` is (lam, b, gamma); when omitted it is derived from the
     gradient-ratio scale and the central phase.  Tube membership is judged
     after convergence: TubeExit is raised when the Newton iteration fails
-    or when the converged remainder has ||eps||_H1 >= ``delta``.
+    or when the converged remainder has ||eps||_H1 >= ``_TUBE_DELTA``.
 
     The remainder is the renormalized resample of D = u - P_(lam,b,gamma)
-    in physical space (see ``tube_distance``); P itself is never resampled.
+    in physical space (see ``_remainder``); P itself is never resampled.
     The Jacobian treats the resample of the profile term as P, which makes
     it a quasi-Newton matrix; a finite-difference Jacobian takes over when
     the iteration stalls.
@@ -220,10 +217,10 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
     use_fd = False
     prev = np.inf
     stalls = 0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         R, P, eps, LamP = conditions(m)
         rmax_R = float(np.max(np.abs(R)))
-        if rmax_R < tol:
+        if rmax_R < _NEWTON_TOL:
             converged = True
             break
         if rmax_R > 0.5 * prev:
@@ -248,7 +245,7 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
         m = m - step
     if not converged:
         raise TubeExit(
-            f"modulation Newton stagnated after {max_iter} iterations "
+            f"modulation Newton stagnated after {_NEWTON_MAX_ITER} iterations "
             f"(condition vector {prev:.3e})")
 
     lam, b, gamma = float(m[0]), float(m[1]), float(m[2])
@@ -256,8 +253,9 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
     R, P, eps, _ = conditions(np.array([lam, b, gamma]))
     eps_field = RadialField(grid, eps)
     eps_H1 = norm_H1(eps_field)
-    if eps_H1 >= delta:
-        raise TubeExit(f"tube exit: H1 distance {eps_H1:.4f} >= delta {delta}")
+    if eps_H1 >= _TUBE_DELTA:
+        raise TubeExit(f"tube exit: H1 distance {eps_H1:.4f} >= delta "
+                       f"{_TUBE_DELTA}")
     return ModulationState(
         lam=lam, b=b, gamma=gamma, eps=eps_field, t=t, s=s,
         expansion=expansion, eps_H1=eps_H1,
@@ -278,14 +276,13 @@ def hat_epsilon(state: ModulationState) -> RadialField:
                        state.eps.values * np.exp(-0.25j * state.b * y2))
 
 
-def lyapunov_S(state: ModulationState, params: ProblemParams,
-               m: int = 10) -> float:
+def lyapunov_S(state: ModulationState, params: ProblemParams) -> float:
     """Scaled Lyapunov functional of the remainder.
 
-    S = lam^(-m) [ 1/2 ||eps||_H1^2 + b^2 ||y eps||_2^2
-                   - int( F(P+eps) - F(P) - dF(P)(eps) )
-                   - lam^a C1 int( G(P+eps) - G(P) - dG(P)(eps) )
-                   - lam^a (C2/2) || r^-sigma eps ||_2^2 ]
+    S = lam^(-10) [ 1/2 ||eps||_H1^2 + b^2 ||y eps||_2^2
+                    - int( F(P+eps) - F(P) - dF(P)(eps) )
+                    - lam^a C1 int( G(P+eps) - G(P) - dG(P)(eps) )
+                    - lam^a (C2/2) || r^-sigma eps ||_2^2 ]
     """
     grid = state.grid
     eps = state.eps.values
@@ -308,7 +305,7 @@ def lyapunov_S(state: ModulationState, params: ProblemParams,
         pot = float(np.real(integrate(
             grid, potential_weights(grid, params.sigma) * np.abs(eps) ** 2)))
         total -= shift * 0.5 * params.C2 * pot
-    return float(total / state.lam ** m)
+    return float(total / state.lam ** 10)
 
 
 def energy_inequality_check(state: ModulationState, params: ProblemParams,

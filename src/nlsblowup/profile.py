@@ -70,7 +70,6 @@ __all__ = [
     "psi_slope_sweep",
     "even_spline",
     "fit_loglog_slope",
-    "decay_envelope",
 ]
 
 MAX_ORDER = 2
@@ -295,7 +294,7 @@ def build_profile(gs: GroundState, params: ProblemParams,
         for j in range(level, -1, -1):
             k = level - j
             rest = ctx.assemble_real(j, k)
-            sol = solve_bordered(gs, RadialField(grid, rest), q_component=0.0)
+            sol = solve_bordered(gs, RadialField(grid, rest))
             Pp_hat, beta_hat = sol.P.values, sol.beta
             G_hat = ctx.assemble_imag(j, k, Pp_hat)
             denom = 2 * j + (k + 1) * ctx.alpha
@@ -384,17 +383,16 @@ def profile_derivatives(expansion: ProfileExpansion, lam: float,
 
 
 def residual_Psi(expansion: ProfileExpansion, lam: float, b: float,
-                 dlambda_ds: float, db_ds: float,
-                 eps_weight: float | None = None) -> tuple[RadialField, float]:
+                 dlambda_ds: float, db_ds: float) -> tuple[RadialField, float]:
     """Residual of the renormalized equation along supplied velocities,
     at lam > 0 (as for ``profile_derivatives``).
 
-    Returns (Psi, ||exp(eps*r) Psi||_H1), with -Lap the grid's one
-    discrete operator (the one Q and the corrections solve with).  The full
-    nonlinearities are evaluated at the complex P (no truncation), so the
-    norm measures both
-    the collection error O((b^2 + lam^a)^(order+2)) and any violation of
-    the parameter equations lam_s = -b lam, b_s = -b^2 + theta.
+    Returns (Psi, ||exp(eps*r) Psi||_H1) with eps the expansion's
+    ``eps_weight`` and -Lap the grid's one discrete operator (the one Q and
+    the corrections solve with).  The full nonlinearities are evaluated at
+    the complex P (no truncation), so the norm measures both the collection
+    error O((b^2 + lam^a)^(order+2)) and any violation of the parameter
+    equations lam_s = -b lam, b_s = -b^2 + theta.
     """
     params = expansion.params
     grid = expansion.grid
@@ -410,8 +408,8 @@ def residual_Psi(expansion: ProfileExpansion, lam: float, b: float,
         Psi = Psi + shift * (params.C1 * nonlinearity_eval("g", P, params)
                              + params.C2 * V * P)
     Psi = Psi + th * 0.25 * grid.nodes ** 2 * P
-    eps = expansion.eps_weight if eps_weight is None else eps_weight
-    weighted = RadialField(grid, np.exp(eps * grid.nodes) * Psi)
+    weighted = RadialField(grid,
+                           np.exp(expansion.eps_weight * grid.nodes) * Psi)
     return RadialField(grid, Psi), norm_H1(weighted)
 
 
@@ -494,21 +492,18 @@ def profile_energy(expansion: ProfileExpansion, lam: float, b: float) -> float:
 # Diagnostics
 # --------------------------------------------------------------------------
 
-def psi_slope_sweep(expansion: ProfileExpansion,
-                    xs: np.ndarray | None = None) -> list[dict]:
+def psi_slope_sweep(expansion: ProfileExpansion) -> list[dict]:
     """Dyadic sweep of the weighted residual along the reduced flow.
 
     Each x fixes lam = (x/2)^(1/a) and b = sqrt(x/2) so that
     b^2 + lam^a = x, with velocities lam_s = -b lam, b_s = -b^2 + theta.
-    The default x = 0.15 * 2^-k, k < 4, keeps every point inside the
-    accuracy region of ``eval_profile`` (lam + |b| = 0.47 at the first).
+    The points x = 0.15 * 2^-k, k < 4, all lie inside the accuracy region
+    of ``eval_profile`` (lam + |b| = 0.47 at the first).
     Returns rows of (x, lam, b, theta, weighted_norm).
     """
-    if xs is None:
-        xs = 0.15 * 0.5 ** np.arange(4)
     a = expansion.params.alpha
     rows = []
-    for x in np.asarray(xs, dtype=float):
+    for x in 0.15 * 0.5 ** np.arange(4):
         lam = (0.5 * x) ** (1.0 / a)
         b = math.sqrt(0.5 * x)
         th = theta_value(expansion, lam, b)
@@ -524,21 +519,3 @@ def fit_loglog_slope(xs, ys) -> float:
     ly = np.log(np.asarray(ys, dtype=float))
     return float(np.polyfit(lx, ly, 1)[0])
 
-
-def decay_envelope(gs: GroundState, f: RadialField) -> tuple[float, float]:
-    """Fit |f| <= C (1 + r)^kappa Q pointwise; returns (C, kappa).
-
-    kappa is the least-squares slope of log(|f|/Q) in log(1+r) over the
-    region where Q is well above roundoff, and C the smallest constant
-    making the envelope hold there.
-    """
-    Q = gs.Q.values
-    v = np.abs(np.asarray(f.values))
-    mask = (Q > 1e-10 * np.max(Q)) & (v > 0.0)
-    if np.count_nonzero(mask) < 8:
-        raise ValueError("field too small to fit a decay envelope")
-    r = gs.grid.nodes[mask]
-    ratio = v[mask] / Q[mask]
-    kappa = float(np.polyfit(np.log1p(r), np.log(ratio), 1)[0])
-    C = float(np.max(ratio / (1.0 + r) ** kappa))
-    return C, kappa

@@ -5,10 +5,10 @@ The renormalized evolution drives (lambda, b) through the autonomous pair
     lambda' = -b * lambda,    b' = -b^2 + theta(lambda, b),
 
 where the phase correction theta comes from a ProfileExpansion.  This
-module integrates that system, provides the closed-form approximate
-solutions used for initialization and benchmarking, the energy-matched
-initial data (lambda1, b1), and the diagnostic comparing rescaled time s
-against physical time t via dt = lambda^2 ds.
+module integrates that system (with physical time from dt = lambda^2 ds),
+classifies a branch's blow-up regime, and provides the closed-form
+approximate solutions and the energy-matched initial data (lambda1, b1)
+that runs start from.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "power_law_solutions",
     "alpha_lt1_solutions",
     "init_params",
-    "s_t_conversion",
 ]
 
 
@@ -50,8 +49,6 @@ class ReducedTrajectory:
     s_grid: np.ndarray
     lam: np.ndarray
     b: np.ndarray
-    theta_source: Optional[ProfileExpansion]
-    E0: Optional[float] = None
     truncated: bool = False
     t_grid: np.ndarray = field(default_factory=lambda: np.zeros(0))
     ode_residual: float = 0.0
@@ -61,17 +58,6 @@ class ReducedTrajectory:
             raise ValueError("s_grid must be strictly increasing")
         if np.any(self.lam <= 0):
             raise ValueError("lambda must stay positive along the trajectory")
-
-
-def _theta_function(
-    expansion: Optional[ProfileExpansion],
-    theta: Optional[Callable[[float, float], float]],
-) -> Callable[[float, float], float]:
-    if theta is not None:
-        return theta
-    if expansion is None:
-        return lambda lam, b: 0.0
-    return expansion.theta
 
 
 def _resubstitution_residual(
@@ -111,30 +97,25 @@ def _resubstitution_residual(
 
 
 def integrate_reduced(
-    expansion: Optional[ProfileExpansion],
+    expansion: ProfileExpansion,
     s_range: Sequence[float],
     lambda_init: float,
     b_init: float,
     *,
-    theta: Optional[Callable[[float, float], float]] = None,
-    E0: Optional[float] = None,
     n_points: int = 400,
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
     lambda_floor: Optional[float] = None,
 ) -> ReducedTrajectory:
     """Integrate lambda' = -b lambda, b' = -b^2 + theta(lambda, b).
 
+    theta is ``expansion.theta``; DOP853 runs at rtol 1e-10, atol 1e-13.
     ``s_range`` is either (s0, s1) or a full increasing array of output
-    points.  ``theta`` overrides the expansion's phase-correction law
-    (useful for benchmarking against closed forms); with both omitted the
-    system is the free Riccati pair theta = 0.  If lambda decays to the
-    floor (default max(1e-12, 1e-9 * lambda_init)) integration stops and
-    the trajectory is returned truncated with ``truncated=True``; it then
-    ends exactly at the floor event.  A truncated (s0, s1) request returns
-    ``n_points`` samples of the dense output spread over [s0, s_event]; a
-    truncated array request returns its points before the event followed
-    by the event.
+    points.  If lambda decays to the floor (default
+    max(1e-12, 1e-9 * lambda_init)) integration stops and the trajectory
+    is returned truncated with ``truncated=True``; it then ends exactly at
+    the floor event.  A truncated (s0, s1) request returns ``n_points``
+    samples of the dense output spread over [s0, s_event]; a truncated
+    array request returns its points before the event followed by the
+    event.
     """
 
     s_arr = np.asarray(s_range, dtype=float)
@@ -146,7 +127,7 @@ def integrate_reduced(
         raise ValueError("lambda_init must be positive")
     s_eval = np.linspace(s_arr[0], s_arr[-1], n_points) if s_arr.size == 2 else s_arr
 
-    theta_fn = _theta_function(expansion, theta)
+    theta_fn = expansion.theta
     floor = lambda_floor if lambda_floor is not None else max(1e-12, 1e-9 * lambda_init)
 
     def rhs(s: float, y: np.ndarray) -> list[float]:
@@ -166,8 +147,8 @@ def integrate_reduced(
         [lambda_init, b_init, 0.0],
         method="DOP853",
         t_eval=s_eval,
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-10,
+        atol=1e-13,
         dense_output=True,
         events=hit_floor,
     )
@@ -193,8 +174,6 @@ def integrate_reduced(
         s_grid=s_grid,
         lam=lam,
         b=b,
-        theta_source=expansion,
-        E0=E0,
         truncated=truncated,
         t_grid=t_grid,
         ode_residual=residual,
@@ -286,14 +265,12 @@ def init_params(
     groundstate: GroundState,
     E0: float,
     s1: float,
-    *,
-    rel_tol: float = 1e-10,
 ) -> tuple[float, float]:
     """Energy-matched initial data (lambda1, b1) at rescaled time s1.
 
     lambda1 = sqrt(||y Q||_2^2/(8 E0))/s1; b1 > 0 is the root of
     E(P_{lambda1, b, 0}) = E0, located by bisection in the bracket
-    [b_app/4, 4 b_app] followed by a secant polish.  A missing sign change
+    [b_app/4, 4 b_app] followed by a secant polish to |E - E0| <= 1e-10 E0.  A missing sign change
     in the bracket means s1 is too small for the energy balance to hold.
     """
 
@@ -334,7 +311,7 @@ def init_params(
             b2 = 0.5 * (b0 + b1)
         f2 = f(b2)
         b0, f0, b1, f1 = b1, f1, b2, f2
-        if abs(f1) <= rel_tol * abs(E0):
+        if abs(f1) <= 1e-10 * abs(E0):
             break
     if abs(f1) > 1e-8 * abs(E0):
         raise RuntimeError(
@@ -354,42 +331,3 @@ def initial_params(expansion: ProfileExpansion, E0: float,
     lam1, b1 = power_law_solutions(expansion, s1)
     return float(lam1), float(b1)
 
-
-def s_t_conversion(
-    trajectory: ReducedTrajectory,
-    *,
-    C: Optional[float] = None,
-    M: Optional[float] = None,
-    E0: Optional[float] = None,
-) -> float:
-    """Max over the run of |C/s - |t|| / |t|^(M+1).
-
-    Physical time is reconstructed from the stored t_grid (dt = lambda^2 ds)
-    and anchored at the estimated blow-up time T = t_end + C/s_end, so that
-    |t| = T - t(s) decreases to C/s_end.  C defaults to
-    ||y Q||_2^2 / (8 E0); M defaults to 0.9 * min(1, 2 (alpha - 1)).
-    A single-point trajectory gives 0 by convention.
-    """
-
-    if trajectory.s_grid.size < 2:
-        return 0.0
-    if C is None:
-        e0 = E0 if E0 is not None else trajectory.E0
-        if e0 is None or trajectory.theta_source is None:
-            raise ValueError("s_t_conversion needs C, or an expansion plus E0")
-        virial = trajectory.theta_source.gs.norms["virial"]
-        C = virial / (8.0 * e0)
-    if M is None:
-        alpha = None
-        if trajectory.theta_source is not None:
-            alpha = trajectory.theta_source.params.alpha
-        if alpha is None or alpha <= 1.0:
-            raise ValueError("s_t_conversion: provide M explicitly when alpha <= 1")
-        M = 0.9 * min(1.0, 2.0 * (alpha - 1.0))
-    s = trajectory.s_grid
-    t = trajectory.t_grid
-    T_est = t[-1] + C / s[-1]
-    tau = T_est - t
-    tau = np.maximum(tau, 1e-300)
-    dev = np.abs(C / s - tau) / tau ** (M + 1.0)
-    return float(np.max(dev))

@@ -43,10 +43,8 @@ __all__ = [
     "RateFit",
     "Snapshot",
     "SnapshotSeries",
-    "step",
     "propagate",
     "conserved",
-    "pseudo_conformal_reference",
     "initial_datum",
     "simulate_blowup",
     "fit_blowup_rate",
@@ -60,28 +58,36 @@ __all__ = [
 # Configuration and result records
 # --------------------------------------------------------------------------
 
+# Regrid when lambda_hat shrinks by this factor, shrinking the domain by it.
+_RESCALE_FACTOR = 2.0
+# A run stops, truncated, after this many steps or this much wall time.
+_MAX_STEPS = 2_000_000
+_WALL_BUDGET_S = 3600.0
+
+
 @dataclass
 class SimConfig:
-    """Simulation policy: grid sizing, time step, rescaling, stopping."""
+    """Simulation policy: grid sizing, time step, snapshots, stopping."""
 
     params: ProblemParams
     n: int = 8192
     rmax_factor: float = 64.0        # initial rmax = rmax_factor * lambda1
     c_dt: float = 8.5e-4             # dt = c_dt * lambda_hat^2
-    rescale_factor: float = 2.0      # regrid when lambda_hat shrinks by this
     lambda_floor: Optional[float] = None   # stop scale; None = lambda1/10^1.02
-    max_steps: int = 2_000_000
-    wall_budget_s: float = 3600.0
     snapshot_ds: float = 0.25        # rescaled time between decompositions
     drift_abort: float = 1e-6        # relative conservation drift abort
 
     def __post_init__(self) -> None:
         if not (0.0 < self.c_dt <= 0.1):
             raise ValueError("c_dt must lie in (0, 0.1]")
-        if self.rescale_factor <= 1.0:
-            raise ValueError("rescale_factor must exceed 1")
         if self.n < 64 or self.rmax_factor <= 8.0:
             raise ValueError("grid policy too coarse to resolve the profile")
+        if not self.snapshot_ds > 0.0:
+            raise ValueError("snapshot_ds must be positive")
+        if not self.drift_abort > 0.0:
+            raise ValueError("drift_abort must be positive")
+        if self.lambda_floor is not None and not self.lambda_floor > 0.0:
+            raise ValueError("lambda_floor must be positive or None")
 
 
 @dataclass
@@ -134,41 +140,6 @@ class SnapshotSeries:
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(sn, name) for sn in self.snapshots])
 
-    def mod_norms(self) -> np.ndarray:
-        """|Mod| per interior snapshot via centered differences in s.
-
-        Mod = (lambda_s/lambda + b, b_s + b^2, 1 - gamma_s) evaluated from
-        the decomposed parameter tracks; endpoints get NaN.
-        """
-        s = self.column("s")
-        lam = self.column("lam")
-        b = self.column("b")
-        gam = self.column("gamma")
-        out = np.full(s.size, np.nan)
-        for i in range(1, s.size - 1):
-            ds = s[i + 1] - s[i - 1]
-            dl = (lam[i + 1] - lam[i - 1]) / ds
-            db = (b[i + 1] - b[i - 1]) / ds
-            dg = (gam[i + 1] - gam[i - 1]) / ds
-            out[i] = math.sqrt((dl / lam[i] + b[i]) ** 2
-                               + (db + b[i] ** 2) ** 2 + (1.0 - dg) ** 2)
-        return out
-
-    def to_csv(self, path: str) -> None:
-        import csv
-
-        mods = self.mod_norms()
-        cols = ["t", "s", "lam", "b", "gamma", "eps_H1", "eps_P", "lam_hat",
-                "grad_norm", "mass", "energy", "lyap", "drift"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols + ["mod_norm", "ratio_hat"])
-            for i, sn in enumerate(self.snapshots):
-                row = [f"{getattr(sn, c):.17g}" for c in cols]
-                row.append(f"{mods[i]:.17g}")
-                row.append(f"{sn.lam_hat / sn.lam:.17g}")
-                writer.writerow(row)
-
 
 # --------------------------------------------------------------------------
 # Strang-split propagator
@@ -197,11 +168,10 @@ class _Stepper:
     anywhere in v makes g NaN.
     """
 
-    def __init__(self, grid: RadialGrid, params: ProblemParams, dt: float,
-                 *, linear_only: bool = False) -> None:
+    def __init__(self, grid: RadialGrid, params: ProblemParams,
+                 dt: float) -> None:
         self.grid = grid
         self.params = params
-        self.linear_only = linear_only
         self.spectral = grid.fourth_order
         if self.spectral:
             self._symbol = penta_symbol(grid)
@@ -210,7 +180,7 @@ class _Stepper:
         else:
             self._lap = Operator.of(grid, 0.0)
         self.potential = (params.C2 * potential_weights(grid, params.sigma)
-                          if params.C2 != 0.0 and not linear_only else None)
+                          if params.C2 != 0.0 else None)
         self.set_dt(dt)
 
     def set_dt(self, dt: float) -> None:
@@ -230,7 +200,7 @@ class _Stepper:
     def rotate(self, v: np.ndarray, angle: float) -> np.ndarray:
         """Exact flow of the local terms over time ``angle``:
         v exp(i angle (|v|^(q-1) + C1 |v|^(p-1) + C2 V))."""
-        if self.linear_only or angle == 0.0:
+        if angle == 0.0:
             return v
         p = self.params
         a2 = v.real ** 2 + v.imag ** 2
@@ -260,15 +230,8 @@ class _Stepper:
         return self._cn.solve(v / self._z - Av, check_finite=False), g
 
 
-def step(u: RadialField, dt: float, params: ProblemParams,
-         *, linear_only: bool = False) -> RadialField:
-    """One Strang-split step (phase half, Crank-Nicolson, phase half)."""
-
-    return propagate(u, dt, 1, params, linear_only=linear_only)
-
-
-def propagate(u: RadialField, dt: float, n_steps: int, params: ProblemParams,
-              *, linear_only: bool = False) -> RadialField:
+def propagate(u: RadialField, dt: float, n_steps: int,
+              params: ProblemParams) -> RadialField:
     """March n_steps Strang steps of size dt, fused first-same-as-last.
 
     Each step rotates once, by its leading half-angle plus the previous
@@ -276,7 +239,7 @@ def propagate(u: RadialField, dt: float, n_steps: int, params: ProblemParams,
     the end.  Raises at the first step whose field is non-finite.
     """
 
-    stepper = _Stepper(u.grid, params, dt, linear_only=linear_only)
+    stepper = _Stepper(u.grid, params, dt)
     v = u.values.astype(complex)
     pending = 0.0
     for k in range(n_steps):
@@ -291,7 +254,7 @@ def propagate(u: RadialField, dt: float, n_steps: int, params: ProblemParams,
 
 
 # --------------------------------------------------------------------------
-# Conserved quantities and exact references
+# Conserved quantities and the gradient scale
 # --------------------------------------------------------------------------
 
 def conserved(u: RadialField, params: ProblemParams) -> tuple[float, float]:
@@ -315,26 +278,6 @@ def conserved(u: RadialField, params: ProblemParams) -> tuple[float, float]:
     return mass, energy
 
 
-def pseudo_conformal_reference(t: float, grid: RadialGrid,
-                               groundstate: GroundState) -> RadialField:
-    """Exact critical-branch solution |t|^{-N/2} Q(x/|t|) e^{-i/t} e^{i x^2/(4t)}.
-
-    Valid for t < 0 (blow-up at t = 0); the soliton is sampled by spline
-    and zeroed beyond the source support.
-    """
-
-    if t >= 0.0:
-        raise ValueError("pseudo-conformal reference requires t < 0")
-    N = grid.N
-    x = grid.nodes
-    spl = even_spline(groundstate.Q)
-    y = x / abs(t)
-    qv = np.where(y <= groundstate.grid.rmax, spl(y), 0.0)
-    vals = (abs(t) ** (-0.5 * N) * qv
-            * np.exp(-1j / t) * np.exp(0.25j * x ** 2 / t))
-    return RadialField(grid, vals)
-
-
 def lambda_hat(u: RadialField, groundstate: GroundState) -> float:
     """Gradient-ratio scale ||grad Q||_2 / ||grad u||_2."""
 
@@ -348,16 +291,16 @@ def lambda_hat(u: RadialField, groundstate: GroundState) -> float:
 # Blow-up driver
 # --------------------------------------------------------------------------
 
-def _regrid(v: np.ndarray, grid: RadialGrid, factor: float) -> tuple[np.ndarray, RadialGrid]:
-    """Shrink the domain by `factor` (same n), quintic resample.
+def _regrid(v: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, RadialGrid]:
+    """Shrink the domain by the rescale factor (same n), quintic resample.
 
     Quintic rather than cubic: at the regrid trigger the core is resolved
-    by rescale_factor fewer points per width, and a cubic resample there
+    by the rescale factor fewer points per width, and a cubic resample there
     injects an O((h/width)^3) kinetic-energy error that dominates the
     conservation budget; degree 5 pushes the injection below it.
     """
 
-    new_grid = make_grid(grid.N, grid.n, grid.rmax / factor)
+    new_grid = make_grid(grid.N, grid.n, grid.rmax / _RESCALE_FACTOR)
     f = RadialField(grid, v)
     spl = even_spline(f, k=5)
     return spl(new_grid.nodes), new_grid
@@ -426,7 +369,7 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
     pending = 0.0
     t_wall = time.time()
 
-    for n_step in range(config.max_steps):
+    for n_step in range(_MAX_STEPS):
         if s >= s_next_snap - 1e-12:
             v, pending = stepper.rotate(v, pending), 0.0
             field = RadialField(grid, v)
@@ -471,17 +414,17 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
 
         if lam_h <= floor:
             break
-        if time.time() - t_wall > config.wall_budget_s:
+        if time.time() - t_wall > _WALL_BUDGET_S:
             series.abort_reason = "wall budget exhausted"
             series.truncated = True
             break
 
-        if lam_h <= lam_hat_regrid / config.rescale_factor:
+        if lam_h <= lam_hat_regrid / _RESCALE_FACTOR:
             v, pending = stepper.rotate(v, pending), 0.0
             field = RadialField(grid, v)
             lam_h = lambda_hat(field, gs)
             before = conserved(field, params)
-            v, grid = _regrid(v, grid, config.rescale_factor)
+            v, grid = _regrid(v, grid)
             after = conserved(RadialField(grid, v), params)
             series.regrid_log.append({
                 "t": t, "s": s, "lam_hat": lam_h, "rmax": grid.rmax,
@@ -527,15 +470,15 @@ def _fit_window(series: SnapshotSeries) -> list[Snapshot]:
     return [sn for sn in snaps if lo <= sn.lam <= hi]
 
 
-def fit_blowup_rate(series: SnapshotSeries,
-                    window: Optional[list[Snapshot]] = None) -> RateFit:
-    """Joint fit of lambda(t) = c (T - t)^e on log lambda.
+def fit_blowup_rate(series: SnapshotSeries) -> RateFit:
+    """Joint fit of lambda(t) = c (T - t)^e on log lambda over the last
+    decade of scale decrease (``_fit_window``).
 
     The blow-up time is the outer variable: for each T the best (ln c, e)
     is a linear least-squares solve, and T minimizes the residual.
     """
 
-    snaps = window if window is not None else _fit_window(series)
+    snaps = _fit_window(series)
     if len(snaps) < 5:
         raise RuntimeError(f"rate fit needs >= 5 snapshots in window, got {len(snaps)}")
     tt = np.array([sn.t for sn in snaps])

@@ -47,9 +47,9 @@ from nlsblowup.sim import (
     initial_datum,
     lower_bound_check,
     propagate,
-    pseudo_conformal_reference,
     simulate_blowup,
 )
+from oracles import pseudo_conformal_reference
 
 Q0_EXACT = 3.0 ** 0.25
 MASS_EXACT = math.sqrt(3.0) * math.pi / 2.0

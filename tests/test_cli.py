@@ -7,9 +7,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nlsblowup.cli import run
+from nlsblowup.core import make_grid, make_params
+from nlsblowup.groundstate import solve_ground_state
 
 GROUND_ARGS = ["ground", "--N", "1", "--sigma", "0.2",
                "--grid-n", "2048", "--rmax", "25"]
@@ -42,6 +45,17 @@ def test_ground_emits_expected_artifacts(ground_root, capsys):
     assert set(report["iterations"]) == {"seed_sweeps", "newton"}
     latest = (ground_root / "latest").read_text().strip()
     assert latest == rundir.name
+
+
+def test_field_csv_roundtrip(ground_root):
+    # ground.csv holds every node and Q sample exactly (17 digits)
+    rundir = next(ground_root.glob("ground-*"))
+    data = np.loadtxt(rundir / "ground.csv", delimiter=",", skiprows=1)
+    params = make_params(1, None, 0.2, 0.0, "critical", 1.0)
+    gs = solve_ground_state(params, make_grid(1, 2048, 25.0))
+    assert np.array_equal(data[:, 0], gs.grid.nodes)
+    assert np.array_equal(data[:, 1], gs.Q.values)
+    assert not data[:, 2].any()
 
 
 @pytest.mark.parametrize("argv", [GROUND_ARGS,
@@ -113,6 +127,19 @@ def test_config_file_flag_precedence(tmp_path, capsys):
     assert manifest["config"]["sigma"] == 0.2       # flag overrides file
 
 
+def test_unknown_config_keys_rejected(tmp_path, capsys):
+    # a misspelt key must not fall back silently to the default it meant
+    # to override; the sweep axes are known to sweep only
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gridn": 2048, "rmax": 18.0,
+                               "sigma_values": [0.2]}))
+    code, out = _run(capsys, ["ground", "--config", str(cfg),
+                              "--out", str(tmp_path)])
+    assert code == 1
+    assert "gridn" in out["error"] and "sigma_values" in out["error"]
+    assert "rmax" not in out["error"]
+
+
 def test_malformed_config_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -149,6 +176,17 @@ def test_reduced_subthreshold_advice_follows_branch(tmp_path, capsys):
     assert "beta00" in out["error"]
     assert "raise C0" not in out["error"]
     assert "below omega" in out["error"]
+
+
+def test_simulate_without_rate_fit_is_a_domain_error(tmp_path, capsys):
+    # the run aborts on drift after enough snapshots but with lambda too
+    # close to its start for the fit window: an error record, not a crash
+    code, out = _run(capsys, ["simulate", "--grid-n", "1024",
+                              "--dt-c", "2.5e-3", "--lambda-floor", "6e-3",
+                              "--s1", "30", "--out", str(tmp_path)])
+    assert code == 1
+    assert "rate fit" in out["error"]
+    assert "conservation drift" in out["error"]
 
 
 def test_linops_beta_sweep_artifact(tmp_path, capsys):

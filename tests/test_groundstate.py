@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from nlsblowup.core import RadialField, make_grid, make_params, norm_L2
+from nlsblowup.core import make_grid, make_params, norm_L2
 from nlsblowup.groundstate import (_newton_polish, compute_omega,
-                                   default_rmax, gn_ratio,
-                                   petviashvili_ground_state,
+                                   default_rmax, petviashvili_ground_state,
                                    pohozaev_residuals, refine_longdouble,
                                    solve_ground_state)
 
@@ -122,13 +121,6 @@ def test_ground_state_converges_on_any_grid(N, n, rmax):
     assert gs.residual_inf < 1e-9
     assert abs(pohozaev_residuals(gs)[0]) < 1e-9
     assert gs.iterations["newton"] <= 8
-
-
-def test_gn_ratio_extremal_at_soliton(gs_coarse):
-    assert gn_ratio(gs_coarse, gs_coarse.Q) == pytest.approx(1.0, abs=1e-8)
-    grid = gs_coarse.grid
-    bump = RadialField(grid, np.exp(-grid.nodes ** 2))
-    assert gn_ratio(gs_coarse, bump) < 1.0
 
 
 def test_refine_longdouble_caches_and_stays_close(gs_coarse):

@@ -10,7 +10,7 @@ import pytest
 from nlsblowup.core import RadialField, make_params, norm_H1, norm_L2
 from nlsblowup.modulation import (ModulationState, TubeExit, decompose,
                                   energy_inequality_check, hat_epsilon,
-                                  lyapunov_S, reconstruct, tube_distance)
+                                  lyapunov_S, reconstruct)
 from nlsblowup.profile import build_profile, eval_profile, rescale_to_physical
 from nlsblowup.reduced import classify_regime
 
@@ -76,11 +76,6 @@ def test_tube_exit_raised_far_from_profile(expansion_balanced):
     with pytest.raises(TubeExit), pytest.warns(UserWarning,
                                                match="accuracy region"):
         decompose(junk, expansion_balanced, (0.2, 0.0, 0.0))
-
-
-def test_tube_distance_zero_on_tube(expansion_balanced):
-    u = _pure_profile_field(expansion_balanced, 0.2, 0.0, 0.5)
-    assert tube_distance(u, expansion_balanced, 0.2, 0.5) < 1e-8
 
 
 def test_hat_epsilon_l2_invariance(expansion_balanced):

@@ -7,10 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from nlsblowup.core import (RadialField, make_grid, make_params, norm_L2,
-                            norm_Sigma1)
+from nlsblowup.core import make_grid, make_params, norm_L2
 from nlsblowup.groundstate import compute_omega, solve_ground_state
-from nlsblowup.profile import (build_profile, decay_envelope, eval_profile,
+from nlsblowup.profile import (build_profile, eval_profile,
                                fit_loglog_slope, profile_derivatives,
                                profile_energy, psi_slope_sweep,
                                rescale_to_physical, residual_Psi,
@@ -128,13 +127,3 @@ def test_profile_energy_vanishes_at_soliton(expansion_balanced):
     assert abs(e_small) < abs(e_large)
     assert abs(e_small) < 1e-3
 
-
-def test_corrections_decay_like_soliton(gs_profile, expansion_balanced):
-    C, kappa = decay_envelope(gs_profile, expansion_balanced.entries[(0, 0)].Pp)
-    assert np.isfinite(C) and np.isfinite(kappa)
-    assert C < 1e3 and kappa < 4.0
-
-
-def test_sigma_norm_finite(expansion_balanced):
-    P, _ = eval_profile(expansion_balanced, 0.1, 0.05)
-    assert np.isfinite(norm_Sigma1(P))

@@ -3,21 +3,26 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nlsblowup.profile import profile_energy
 from nlsblowup.reduced import (alpha_lt1_solutions, app_solutions,
-                               init_params, integrate_reduced,
-                               s_t_conversion)
+                               init_params, integrate_reduced)
+
+
+def _theta_law(theta):
+    """Stand-in for an expansion whose phase correction is ``theta``."""
+    return SimpleNamespace(theta=theta)
 
 
 def test_zero_theta_closed_form():
     # with theta = 0: b' = -b^2, lambda'/lambda = -b have explicit solutions
     lam1, b1, s1 = 0.5, 0.2, 10.0
-    traj = integrate_reduced(None, [s1, 40.0], lam1, b1,
-                             theta=lambda lam, b: 0.0, n_points=200)
+    traj = integrate_reduced(_theta_law(lambda lam, b: 0.0), [s1, 40.0],
+                             lam1, b1, n_points=200)
     denom = 1.0 + b1 * (traj.s_grid - s1)
     b_exact = b1 / denom
     lam_exact = lam1 / denom
@@ -28,14 +33,14 @@ def test_zero_theta_closed_form():
 def test_constant_theta_riccati():
     # b' + b^2 = th0 with th0 > 0 relaxes to sqrt(th0)
     th0 = 0.04
-    traj = integrate_reduced(None, [0.0, 200.0], 1.0, 0.5,
-                             theta=lambda lam, b: th0, n_points=100)
+    traj = integrate_reduced(_theta_law(lambda lam, b: th0), [0.0, 200.0],
+                             1.0, 0.5, n_points=100)
     assert traj.b[-1] == pytest.approx(math.sqrt(th0), rel=1e-6)
 
 
 def test_time_grid_is_integral_of_lambda_squared():
-    traj = integrate_reduced(None, [5.0, 25.0], 0.4, 0.1,
-                             theta=lambda lam, b: 0.0, n_points=400)
+    traj = integrate_reduced(_theta_law(lambda lam, b: 0.0), [5.0, 25.0],
+                             0.4, 0.1, n_points=400)
     # dt/ds = lambda^2: check by trapezoid quadrature
     t_quad = np.concatenate(
         [[0.0], np.cumsum(0.5 * (traj.lam[1:] ** 2 + traj.lam[:-1] ** 2)
@@ -47,7 +52,7 @@ def test_balanced_flow_tracks_app_solution(expansion_balanced, gs_profile):
     E0, s1 = 1.0, 30.0
     lam1, b1 = init_params(expansion_balanced, gs_profile, E0, s1)
     traj = integrate_reduced(expansion_balanced, [s1, 300.0], lam1, b1,
-                             E0=E0, n_points=300)
+                             n_points=300)
     lam_app, b_app = app_solutions(gs_profile, E0, traj.s_grid)
     ratio_lam = traj.lam[-1] / lam_app[-1]
     ratio_b = traj.b[-1] / b_app[-1]
@@ -58,7 +63,7 @@ def test_balanced_flow_tracks_app_solution(expansion_balanced, gs_profile):
 def test_lambda_floor_event(expansion_balanced, gs_profile):
     lam1, b1 = init_params(expansion_balanced, gs_profile, 1.0, 30.0)
     traj = integrate_reduced(expansion_balanced, [30.0, 1e6], lam1, b1,
-                             E0=1.0, lambda_floor=5e-3)
+                             lambda_floor=5e-3)
     assert traj.truncated
     assert traj.lam[-1] == pytest.approx(5e-3, rel=1e-6)
 
@@ -114,10 +119,3 @@ def test_unbalanced_flow_power_law(expansion_unbalanced):
                        np.log(traj.lam[tail]), 1)[0]
     assert slope == pytest.approx(-2.0 / alpha, abs=0.05)
 
-
-def test_s_t_conversion_consistency(expansion_balanced, gs_profile):
-    lam1, b1 = init_params(expansion_balanced, gs_profile, 1.0, 30.0)
-    traj = integrate_reduced(expansion_balanced, [30.0, 120.0], lam1, b1,
-                             E0=1.0, n_points=200)
-    value = s_t_conversion(traj, E0=1.0)
-    assert np.isfinite(value)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
+from nlsblowup.cli import _write_snapshots
 from nlsblowup.core import (RadialField, apply_neg_laplacian, grad_norm_sq,
                             make_grid, make_params, neg_laplacian_banded,
                             norm_L2, potential_weights)
@@ -17,8 +19,8 @@ from nlsblowup.groundstate import solve_ground_state
 from nlsblowup.sim import (SimConfig, Snapshot, SnapshotSeries, _Stepper,
                            conserved, energy_positivity_check,
                            fit_blowup_rate, initial_datum, lambda_hat,
-                           lower_bound_check, propagate,
-                           pseudo_conformal_reference, simulate_blowup, step)
+                           lower_bound_check, propagate, simulate_blowup)
+from oracles import pseudo_conformal_reference
 
 CRIT = make_params(1, None, 0.2, 0.0, "critical", 1.0)
 # all three local terms switched on, in each dimension
@@ -33,13 +35,15 @@ def _free_gaussian(grid, t, a0=1.0):
 
 
 def test_linear_step_exact_solution_and_order():
+    # the Crank-Nicolson substep alone against the free Schroedinger flow
     grid = make_grid(1, 2048, 40.0)
-    u0 = RadialField(grid, _free_gaussian(grid, 0.0))
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
-        u = propagate(u0, dt, int(round(0.2 / dt)), CRIT, linear_only=True)
-        errs.append(norm_L2(RadialField(grid, u.values
-                                        - _free_gaussian(grid, 0.2))))
+        stepper = _Stepper(grid, CRIT, dt)
+        v = _free_gaussian(grid, 0.0)
+        for _ in range(int(round(0.2 / dt))):
+            v, _ = stepper.linear(v)
+        errs.append(norm_L2(RadialField(grid, v - _free_gaussian(grid, 0.2))))
     assert errs[-1] < 1e-5
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
@@ -48,7 +52,7 @@ def test_linear_step_exact_solution_and_order():
 def test_step_matches_propagate():
     grid = make_grid(1, 512, 20.0)
     u = RadialField(grid, _free_gaussian(grid, 0.0))
-    once = step(step(u, 1e-3, CRIT), 1e-3, CRIT)
+    once = propagate(propagate(u, 1e-3, 1, CRIT), 1e-3, 1, CRIT)
     twice = propagate(u, 1e-3, 2, CRIT)
     assert np.max(np.abs(once.values - twice.values)) < 1e-14
 
@@ -250,10 +254,26 @@ def test_snapshot_monotonicity_and_drift(short_run):
 def test_series_csv_roundtrip(short_run, tmp_path):
     _, series = short_run
     path = tmp_path / "snapshots.csv"
-    series.to_csv(str(path))
-    header = path.read_text().splitlines()[0].split(",")
+    _write_snapshots(path, series)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(series.snapshots) >= 3
     for col in ("t", "s", "lam", "b", "eps_H1", "mass", "energy", "drift"):
-        assert col in header
+        assert col in rows[0]
+    # 17 significant digits round-trip every float exactly
+    assert [float(row["lam"]) for row in rows] == list(series.column("lam"))
+    # |Mod| is a centered difference: undefined at both ends only
+    mods = [float(row["mod_norm"]) for row in rows]
+    assert math.isnan(mods[0]) and math.isnan(mods[-1])
+    assert all(math.isfinite(m) for m in mods[1:-1])
+
+
+@pytest.mark.parametrize("name, value", [
+    ("snapshot_ds", 0.0), ("snapshot_ds", -1.0), ("drift_abort", 0.0),
+    ("lambda_floor", 0.0), ("lambda_floor", -1.0)])
+def test_sim_config_rejects_nonpositive_policy(name, value):
+    with pytest.raises(ValueError, match=name):
+        SimConfig(params=CRIT, **{name: value})
 
 
 def test_initial_datum_energy_and_grid(expansion_balanced):
