@@ -7,7 +7,8 @@ perturbed by a subcritical power nonlinearity and an inverse-power potential,
 
 restricted to radial data in dimension N in {1, 2, 3}.  The modules provide:
 
-- core:        parameters, radial grids, quadrature, norms, nonlinearities
+- core:        parameters, radial grids, quadrature, norms, operators,
+               and the equation's local terms
 - groundstate: the positive decaying soliton profile and its cached norms
 - linops:      linearized operators around the soliton, bordered solves
 - profile:     the blow-up profile expansion and its residual diagnostics

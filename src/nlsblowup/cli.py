@@ -155,6 +155,11 @@ _GRID_DEFAULTS = {
 # Config-file keys that only sweep reads: the axes of its grid.
 _SWEEP_AXES = ("sigma_values", "C0_over_omega_values", "E0_values")
 
+# Config-file keys that take integers; "branch" and "out" take strings, the
+# sweep axes lists of numbers and every other key a number.
+_INT_KEYS = ("N", "order", "grid_n", "seed", "profile_n")
+
+
 # Flags of the runs that evolve (simulate, each sweep cell) and the SimConfig
 # fields they set; a missing flag takes the field's default.
 _SIM_FIELDS = {"grid_n": "n", "rmax_factor": "rmax_factor", "dt_c": "c_dt",
@@ -219,6 +224,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_config_value(path: Path, key: str, val: Any) -> None:
+    """DomainError unless ``val`` has ``key``'s type (or is null where the
+    key's default is None)."""
+    def number(x: Any) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+    kind, ok = "a number", number(val)
+    if key in _SWEEP_AXES:
+        kind = "a list of numbers"
+        ok = isinstance(val, list) and all(map(number, val))
+    elif key in ("branch", "out"):
+        kind, ok = "a string", isinstance(val, str)
+    elif key in _INT_KEYS:
+        kind, ok = "an integer", number(val) and isinstance(val, int)
+    if not (ok or val is None and _SHARED_DEFAULTS.get(key) is None):
+        raise DomainError(f"config file {path}: {key} must be {kind}, "
+                          f"got {json.dumps(val)}")
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     """Materialize defaults: shared defaults <- config file <- flags."""
     cfg = dict(_SHARED_DEFAULTS)
@@ -239,6 +262,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise DomainError(f"unknown keys in config file {path}: "
                               f"{', '.join(unknown)}")
+        for key, val in loaded.items():
+            _check_config_value(path, key, val)
         cfg.update(loaded)
     for key in _SHARED_DEFAULTS:
         val = getattr(args, key, None)

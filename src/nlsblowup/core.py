@@ -1,4 +1,4 @@
-"""Parameters, radial grids, quadrature, norms, and the nonlinearity catalogue.
+"""Parameters, radial grids, quadrature, norms, and the equation's local terms.
 
 Everything downstream works with radial fields sampled on a staggered grid
 that excludes the origin.  The discrete calculus is chosen so that the key
@@ -16,7 +16,11 @@ bilinear identities hold exactly in floating point:
 - the squared gradient norm is the Dirichlet form of that operator, so
   <-Lap u, u> equals |grad u|^2 exactly;
 - the inverse-power potential r^(-2*sigma) is represented by exact cell
-  averages, removing the quadrature penalty of the integrable singularity.
+  averages, removing the quadrature penalty of the integrable singularity;
+- the equation's local terms |u|^(q-1) + C1 |u|^(p-1) + C2 V and their
+  potential density are written once, in :class:`LocalTerms`, which the
+  propagator, the energies, the profile residual, the Lyapunov functional
+  and the branch forcing all read.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "make_grid",
     "integrate",
     "pair",
-    "inner_w",
     "norm_L2",
     "norm_Lq",
     "norm_H1",
@@ -51,7 +54,7 @@ __all__ = [
     "penta_symbol",
     "radial_derivative",
     "apply_scaling_generator",
-    "nonlinearity_eval",
+    "LocalTerms",
 ]
 
 
@@ -281,14 +284,10 @@ def integrate(grid: RadialGrid, values: np.ndarray) -> float | complex:
     return grid.surface * np.sum(grid.quad_weights * values)
 
 
-def inner_w(grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> float | complex:
-    """Weighted sesquilinear inner product surface * sum(w * u * conj(v))."""
-    return grid.surface * np.sum(grid.quad_weights * u * np.conj(v))
-
-
 def pair(grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> float:
     """Real L^2 pairing (u, v)_2 = Re integral(u * conj(v))."""
-    return float(np.real(inner_w(grid, u, v)))
+    return float(np.real(grid.surface
+                         * np.sum(grid.quad_weights * u * np.conj(v))))
 
 
 def norm_L2(f: RadialField) -> float:
@@ -538,32 +537,56 @@ def apply_scaling_generator(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Nonlinearity catalogue
+# The equation's local terms
 # --------------------------------------------------------------------------
 
-_KINDS = ("f", "F", "g", "G")
+@dataclass(frozen=True)
+class LocalTerms:
+    """The local terms of the equation on a grid, at a perturbation shift.
 
-
-def _exponent(kind: str, params: ProblemParams) -> float:
-    if kind in ("f", "F"):
-        return params.q
-    if kind in ("g", "G"):
-        return params.p
-    raise ValueError(f"unknown nonlinearity kind {kind!r}; expected one of {_KINDS}")
-
-
-def nonlinearity_eval(kind: str, z: np.ndarray | complex, params: ProblemParams):
-    """Evaluate the nonlinearity catalogue at complex samples.
-
-    f(z) = |z|^(q-1) z with q = 1 + 4/N       (mass-critical power)
-    F(z) = |z|^(q+1) / (q+1)                  (its potential)
-    g(z) = |z|^(p-1) z                        (subcritical power)
-    G(z) = |z|^(p+1) / (p+1)                  (its potential)
+    With a2 = |u|^2 they are the rate |u|^(q-1) + shift (C1 |u|^(p-1)
+    + C2 V) multiplying u, and its potential density.  ``shift`` is 1 in
+    physical variables and lam^alpha on the renormalized profile grid.
+    ``c1`` is shift * C1 and ``cV`` the node array shift * C2 * V, with V
+    the ``potential_weights``, or None where C2 = 0; a zero term is
+    skipped, not added.
     """
-    e = _exponent(kind, params)
-    z = np.asarray(z) if not np.isscalar(z) else z
-    a = np.abs(z)
-    if kind in ("f", "g"):
-        return a ** (e - 1.0) * z
-    return a ** (e + 1.0) / (e + 1.0)
 
+    q: float
+    p: float
+    c1: float
+    cV: np.ndarray | None
+
+    @classmethod
+    def of(cls, params: ProblemParams, grid: RadialGrid,
+           shift: float = 1.0) -> "LocalTerms":
+        cV = (shift * params.C2 * potential_weights(grid, params.sigma)
+              if params.C2 != 0.0 else None)
+        return cls(params.q, params.p, shift * params.C1, cV)
+
+    def _add_perturbation(self, out: np.ndarray, a2: np.ndarray) -> np.ndarray:
+        if self.c1 != 0.0:
+            out += self.c1 * a2 ** (0.5 * (self.p - 1.0))
+        if self.cV is not None:
+            out += self.cV
+        return out
+
+    def rate(self, a2: np.ndarray) -> np.ndarray:
+        """|u|^(q-1) + shift (C1 |u|^(p-1) + C2 V) at a2 = |u|^2."""
+        return self._add_perturbation(a2 ** (0.5 * (self.q - 1.0)), a2)
+
+    def perturbation(self, a2: np.ndarray) -> np.ndarray:
+        """shift (C1 |u|^(p-1) + C2 V) at a2 = |u|^2: the rate without the
+        mass-critical power."""
+        return self._add_perturbation(np.zeros(np.shape(a2)), a2)
+
+    def density(self, u: np.ndarray) -> np.ndarray:
+        """|u|^(q+1)/(q+1) + shift (C1 |u|^(p+1)/(p+1) + C2 V |u|^2 / 2),
+        whose first variation is rate(|u|^2) u."""
+        a2 = np.real(u) ** 2 + np.imag(u) ** 2
+        out = a2 ** (0.5 * (self.q + 1.0)) / (self.q + 1.0)
+        if self.c1 != 0.0:
+            out += self.c1 / (self.p + 1.0) * a2 ** (0.5 * (self.p + 1.0))
+        if self.cV is not None:
+            out += 0.5 * self.cV * a2
+        return out

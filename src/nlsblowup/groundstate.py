@@ -74,11 +74,6 @@ class GroundState:
     rho: RadialField | None = None
     Q_ld: np.ndarray | None = None  # extended-precision refinement cache
 
-    @property
-    def q(self) -> float:
-        """Exponent of the mass-critical nonlinearity, 1 + 4/N."""
-        return 1.0 + 4.0 / self.grid.N
-
 
 def default_rmax(N: int) -> float:
     """Truncation radius making the soliton tail < 1e-12 of its peak."""
@@ -176,9 +171,9 @@ def solve_ground_state(params: ProblemParams,
     polishes it to a relative sup-norm residual of ``_NEWTON_TOL``.  Both
     iteration counts are recorded in ``iterations``.
     """
-    q = 1.0 + 4.0 / grid.N
     if grid.N != params.N:
         raise ValueError("grid dimension does not match params.N")
+    q = params.q
     guess, sweeps = _petviashvili(grid, q, _SEED_TOL)
     Q, res_inf, solves = _newton_polish(grid, q, guess, _NEWTON_TOL)
     scale = float(np.max(np.abs(Q)))
@@ -199,7 +194,7 @@ def solve_ground_state(params: ProblemParams,
         "mass": norm_L2(field) ** 2,
         "grad": grad_norm_sq(field),
         "lp1": norm_Lq(field, params.p + 1.0) ** (params.p + 1.0),
-        "crit": norm_Lq(field, 2.0 + 4.0 / grid.N) ** (2.0 + 4.0 / grid.N),
+        "crit": norm_Lq(field, params.mcrit) ** params.mcrit,
         "virial": weighted_norm(field, grid.nodes ** 2) ** 2,
         "potential": weighted_norm(field, Vw) ** 2,
     }
@@ -229,7 +224,7 @@ def refine_longdouble(gs: GroundState) -> np.ndarray:
     if gs.Q_ld is not None:
         return gs.Q_ld
     grid = gs.grid
-    q = gs.q
+    q = gs.params.q
     Qld = gs.Q.values.astype(np.longdouble)
     for _ in range(3):
         res = _elliptic_residual(grid, q, Qld)
@@ -249,8 +244,7 @@ def petviashvili_ground_state(params: ProblemParams,
     run to convergence on its own it reaches the same unique positive
     discrete solution, only more slowly (linearly, not quadratically).
     """
-    return RadialField(grid, _petviashvili(grid, 1.0 + 4.0 / grid.N,
-                                           1e-13)[0])
+    return RadialField(grid, _petviashvili(grid, params.q, 1e-13)[0])
 
 
 # --------------------------------------------------------------------------

@@ -24,14 +24,13 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from .core import (
+    LocalTerms,
     Operator,
     ProblemParams,
     RadialField,
     apply_neg_laplacian,
     apply_scaling_generator,
-    inner_w,
-    nonlinearity_eval,
-    potential_weights,
+    pair,
 )
 from .groundstate import GroundState, refine_longdouble
 
@@ -70,7 +69,7 @@ class BorderedSolution:
 
 def _operators(gs: GroundState) -> tuple[Operator, Operator]:
     """Lplus and Lminus on the grid's one discrete -Lap."""
-    q = gs.q
+    q = gs.params.q
     Qpow = np.abs(gs.Q.values) ** (q - 1.0)
     return (Operator.of(gs.grid, 1.0 - q * Qpow),
             Operator.of(gs.grid, 1.0 - Qpow))
@@ -131,10 +130,10 @@ def solve_bordered(gs: GroundState, F: RadialField) -> BorderedSolution:
     grid = gs.grid
     Qv = gs.Q.values
     x1 = gs.rho.values / 4.0
-    denom = float(np.real(inner_w(grid, x1, Qv)))
+    denom = pair(grid, x1, Qv)
     if abs(denom) < 1e-14:
         raise ValueError("bordered system singular: (rho, Q)_2 vanished")
-    beta = -float(np.real(inner_w(grid, x, Qv))) / denom
+    beta = -pair(grid, x, Qv) / denom
     P = x + beta * x1
     res = float(np.linalg.norm(
         op.matvec(P) - beta * 0.25 * grid.nodes ** 2 * Qv - Fv))
@@ -161,16 +160,15 @@ def solve_lminus_orthogonal(gs: GroundState, G: np.ndarray) -> tuple[np.ndarray,
     grid = gs.grid
     Qv = gs.Q.values
     rhov = gs.rho.values
-    qq = float(np.real(inner_w(grid, Qv, Qv)))
-    nu = float(np.real(inner_w(grid, G, Qv))) / qq
+    qq = pair(grid, Qv, Qv)
+    nu = pair(grid, G, Qv) / qq
     Gt = G - nu * Qv
     x = op.solve(Gt)
     for _ in range(2):
         r = Gt - op.matvec(x)
-        r = r - (float(np.real(inner_w(grid, r, Qv))) / qq) * Qv
+        r = r - (pair(grid, r, Qv) / qq) * Qv
         x = x + op.solve(r)
-    x = x - (float(np.real(inner_w(grid, x, rhov)))
-             / float(np.real(inner_w(grid, Qv, rhov)))) * Qv
+    x = x - (pair(grid, x, rhov) / pair(grid, Qv, rhov)) * Qv
     res = float(np.linalg.norm(op.matvec(x) - Gt))
     floor = _residual_floor(op, x, Gt)
     if res > max(100.0 * floor, 1e-8 * np.linalg.norm(Gt)):
@@ -184,10 +182,11 @@ def solve_lminus_orthogonal(gs: GroundState, G: np.ndarray) -> tuple[np.ndarray,
 # --------------------------------------------------------------------------
 
 def branch_forcing(gs: GroundState, params: ProblemParams) -> RadialField:
-    """Leading-order forcing  C1 g(Q) + C2 r^(-2 sigma) Q  of the expansion."""
-    gQ = nonlinearity_eval("g", gs.Q.values, params)
-    V = potential_weights(gs.grid, params.sigma)
-    return RadialField(gs.grid, params.C1 * np.real(gQ) + params.C2 * V * gs.Q.values)
+    """Leading-order forcing  (C1 Q^(p-1) + C2 r^(-2 sigma)) Q  of the
+    expansion: the ``LocalTerms`` perturbation at Q."""
+    Q = gs.Q.values
+    return RadialField(gs.grid,
+                       LocalTerms.of(params, gs.grid).perturbation(Q * Q) * Q)
 
 
 def beta_closed_form(gs: GroundState, params: ProblemParams) -> float:
@@ -227,7 +226,7 @@ def operator_identity_residuals(gs: GroundState) -> dict:
     if gs.rho is None:
         solve_rho(gs)
     grid = gs.grid
-    q = gs.q
+    q = gs.params.q
     Qld = refine_longdouble(gs)
     Qpow = np.abs(Qld) ** (q - 1.0)
 

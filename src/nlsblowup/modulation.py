@@ -26,16 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    LocalTerms,
     ProblemParams,
     RadialField,
     RadialGrid,
     apply_scaling_generator,
     grad_norm_sq,
     integrate,
-    nonlinearity_eval,
     norm_H1,
     pair,
-    potential_weights,
     weighted_norm,
 )
 from .profile import (
@@ -280,9 +279,10 @@ def lyapunov_S(state: ModulationState, params: ProblemParams) -> float:
     """Scaled Lyapunov functional of the remainder.
 
     S = lam^(-10) [ 1/2 ||eps||_H1^2 + b^2 ||y eps||_2^2
-                    - int( F(P+eps) - F(P) - dF(P)(eps) )
-                    - lam^a C1 int( G(P+eps) - G(P) - dG(P)(eps) )
-                    - lam^a (C2/2) || r^-sigma eps ||_2^2 ]
+                    - int( D(P+eps) - D(P) - rate(|P|^2) Re(P conj(eps)) ) ]
+
+    with D and rate the ``LocalTerms`` density and rate at shift lam^a; the
+    potential's part of the bracket is (C2/2) lam^a V |eps|^2.
     """
     grid = state.grid
     eps = state.eps.values
@@ -290,21 +290,11 @@ def lyapunov_S(state: ModulationState, params: ProblemParams) -> float:
     P = P_field.values
     quad = 0.5 * norm_H1(state.eps) ** 2 \
         + state.b ** 2 * weighted_norm(state.eps, grid.nodes ** 2) ** 2
-    remainder_F = (nonlinearity_eval("F", P + eps, params)
-                   - nonlinearity_eval("F", P, params)
-                   - np.real(nonlinearity_eval("f", P, params)
-                             * np.conj(eps)))
-    total = quad - float(np.real(integrate(grid, remainder_F)))
-    if params.C1 != 0.0 or params.C2 != 0.0:
-        shift = state.lam ** params.alpha
-        remainder_G = (nonlinearity_eval("G", P + eps, params)
-                       - nonlinearity_eval("G", P, params)
-                       - np.real(nonlinearity_eval("g", P, params)
-                                 * np.conj(eps)))
-        total -= shift * params.C1 * float(np.real(integrate(grid, remainder_G)))
-        pot = float(np.real(integrate(
-            grid, potential_weights(grid, params.sigma) * np.abs(eps) ** 2)))
-        total -= shift * 0.5 * params.C2 * pot
+    terms = LocalTerms.of(params, grid, state.lam ** params.alpha)
+    remainder = (terms.density(P + eps) - terms.density(P)
+                 - terms.rate(P.real ** 2 + P.imag ** 2)
+                 * np.real(P * np.conj(eps)))
+    total = quad - float(integrate(grid, remainder))
     return float(total / state.lam ** 10)
 
 

@@ -42,20 +42,20 @@ import numpy as np
 from scipy.interpolate import CubicSpline, make_interp_spline
 
 from .core import (
+    LocalTerms,
     ProblemParams,
     RadialField,
     RadialGrid,
     apply_neg_laplacian,
     grad_norm_sq,
     integrate,
-    nonlinearity_eval,
     norm_H1,
-    norm_Lq,
     pair,
     potential_weights,
 )
 from .groundstate import GroundState
-from .linops import solve_bordered, solve_lminus_orthogonal, solve_rho
+from .linops import (branch_forcing, solve_bordered, solve_lminus_orthogonal,
+                     solve_rho)
 
 __all__ = [
     "ProfileEntry",
@@ -142,20 +142,18 @@ class _Build:
                 "profile expansion needs a common scaling order: "
                 "alpha_p == alpha_sigma (choose p = 1 + 4*sigma/N)")
         self.grid = gs.grid
-        self.params = params
         self.alpha = params.alpha
         q, p = params.q, params.p
         self.q, self.p = q, p
         self.cg, self.cV = params.C1, params.C2
         Q = gs.Q.values
-        self.Q = Q
         self.r2q = 0.25 * self.grid.nodes ** 2  # the (r^2/4) multiplier
-        self.Qqm1 = Q ** (q - 1.0)
         self.Qqm2 = _safe_pow(Q, q - 2.0)
         self.Qqm3 = _safe_pow(Q, q - 3.0)
         self.Qpm1 = _safe_pow(Q, p - 1.0)
         self.Qpm2 = _safe_pow(Q, p - 2.0)
         self.V = potential_weights(self.grid, params.sigma)
+        self.forcing = branch_forcing(gs, params).values
         # entry tables filled as the recursion advances
         self.A: dict[tuple[int, int], np.ndarray] = {}
         self.B: dict[tuple[int, int], np.ndarray] = {}
@@ -201,8 +199,7 @@ class _Build:
                     rest += coef_abb * A1 * B2 * self.B[(j3, k3)]
         # perturbation ladder: each appearance costs one power of lam^a
         if (J, K) == (0, 0):
-            gQ = np.real(nonlinearity_eval("g", self.Q, self.params))
-            rest += self.cg * gQ + self.cV * self.V * self.Q
+            rest += self.forcing
         if (J, K - 1) in self.A:
             A1 = self.A[(J, K - 1)]
             rest += self.cg * p * self.Qpm1 * A1 + self.cV * self.V * A1
@@ -385,12 +382,15 @@ def profile_derivatives(expansion: ProfileExpansion, lam: float,
 def residual_Psi(expansion: ProfileExpansion, lam: float, b: float,
                  dlambda_ds: float, db_ds: float) -> tuple[RadialField, float]:
     """Residual of the renormalized equation along supplied velocities,
-    at lam > 0 (as for ``profile_derivatives``).
+    at lam > 0 (as for ``profile_derivatives``):
 
-    Returns (Psi, ||exp(eps*r) Psi||_H1) with eps the expansion's
-    ``eps_weight`` and -Lap the grid's one discrete operator (the one Q and
-    the corrections solve with).  The full nonlinearities are evaluated at
-    the complex P (no truncation), so the norm measures both the collection
+        Psi = i dP/ds - Lap P + (rate(|P|^2) - 1 + theta r^2/4) P,
+
+    with the ``LocalTerms`` rate at shift lam^a.  Returns
+    (Psi, ||exp(eps*r) Psi||_H1) with eps the expansion's ``eps_weight``
+    and -Lap the grid's one discrete operator (the one Q and the
+    corrections solve with).  The full nonlinearities are evaluated at the
+    complex P (no truncation), so the norm measures both the collection
     error O((b^2 + lam^a)^(order+2)) and any violation of the parameter
     equations lam_s = -b lam, b_s = -b^2 + theta.
     """
@@ -400,14 +400,10 @@ def residual_Psi(expansion: ProfileExpansion, lam: float, b: float,
     P = P_field.values
     dPdl, dPdb = profile_derivatives(expansion, lam, b)
     dPds = dlambda_ds * dPdl + db_ds * dPdb
-    Psi = (1j * dPds - apply_neg_laplacian(grid, P) - P
-           + nonlinearity_eval("f", P, params))
-    if params.C1 != 0.0 or params.C2 != 0.0:
-        shift = lam ** params.alpha
-        V = potential_weights(grid, params.sigma)
-        Psi = Psi + shift * (params.C1 * nonlinearity_eval("g", P, params)
-                             + params.C2 * V * P)
-    Psi = Psi + th * 0.25 * grid.nodes ** 2 * P
+    rate = LocalTerms.of(params, grid, lam ** params.alpha).rate(
+        P.real ** 2 + P.imag ** 2)
+    Psi = (1j * dPds - apply_neg_laplacian(grid, P)
+           + (rate - 1.0 + th * 0.25 * grid.nodes ** 2) * P)
     weighted = RadialField(grid,
                            np.exp(expansion.eps_weight * grid.nodes) * Psi)
     return RadialField(grid, Psi), norm_H1(weighted)
@@ -456,12 +452,11 @@ def profile_energy(expansion: ProfileExpansion, lam: float, b: float) -> float:
     With W = P exp(-i b r^2 / 4) (the curvature twist absorbed into the
     gradient term),
 
-      E = ( 1/2 ||grad W||^2 - (1/m) ||P||_m^m
-            - lam^a ( C1/(p+1) ||P||_{p+1}^{p+1}
-                      + C2/2 ||r^-sigma P||_2^2 ) ) / lam^2,
+      E = ( 1/2 ||grad W||^2 - integral of density(P) ) / lam^2,
 
-    which equals the physical energy of rescale_to_physical's output with
-    no interpolation error.  The discrete zero-point defect of the soliton
+    with the ``LocalTerms`` density at shift lam^a, which equals the
+    physical energy of rescale_to_physical's output with no interpolation
+    error.  The discrete zero-point defect of the soliton
     (1/2 ||grad Q||^2 - (1/m)||Q||_m^m, a pure quadrature artifact of order
     h^2 that the continuum Pohozaev identity sends to zero) is subtracted,
     so that E(P_{lam,0,.}) -> 0 as lam -> 0 on every grid; without this the
@@ -474,17 +469,10 @@ def profile_energy(expansion: ProfileExpansion, lam: float, b: float) -> float:
     P_field, _ = eval_profile(expansion, lam, b)
     P = P_field.values
     W = RadialField(grid, P * np.exp(-0.25j * b * grid.nodes ** 2))
-    m = params.mcrit
-    kin = 0.5 * grad_norm_sq(W)
-    crit = norm_Lq(P_field, m) ** m / m
-    defect = 0.5 * expansion.gs.norms["grad"] - expansion.gs.norms["crit"] / m
-    e = kin - crit - defect
-    if params.C1 != 0.0 or params.C2 != 0.0:
-        sub = norm_Lq(P_field, params.p + 1.0) ** (params.p + 1.0)
-        V = potential_weights(grid, params.sigma)
-        pot = float(np.real(integrate(grid, V * np.abs(P) ** 2)))
-        e -= lam ** params.alpha * (params.C1 / (params.p + 1.0) * sub
-                                    + 0.5 * params.C2 * pot)
+    density = LocalTerms.of(params, grid, lam ** params.alpha).density(P)
+    defect = (0.5 * expansion.gs.norms["grad"]
+              - expansion.gs.norms["crit"] / params.mcrit)
+    e = 0.5 * grad_norm_sq(W) - float(integrate(grid, density)) - defect
     return float(e / lam ** 2)
 
 

@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .groundstate import GroundState
 from .profile import ProfileExpansion, profile_energy
@@ -269,9 +270,10 @@ def init_params(
     """Energy-matched initial data (lambda1, b1) at rescaled time s1.
 
     lambda1 = sqrt(||y Q||_2^2/(8 E0))/s1; b1 > 0 is the root of
-    E(P_{lambda1, b, 0}) = E0, located by bisection in the bracket
-    [b_app/4, 4 b_app] followed by a secant polish to |E - E0| <= 1e-10 E0.  A missing sign change
-    in the bracket means s1 is too small for the energy balance to hold.
+    E(P_{lambda1, b, 0}) = E0, located by Brent's method in the bracket
+    [b_app/4, 4 b_app].  A missing sign change in the bracket means s1 is
+    too small for the energy balance to hold; a root with
+    |E - E0| > 1e-8 E0 is an error.
     """
 
     lam_app, b_app = app_solutions(groundstate, E0, s1)
@@ -282,40 +284,16 @@ def init_params(
         return profile_energy(expansion, lam1, b) - E0
 
     f_lo, f_hi = f(b_lo), f(b_hi)
-    if f_lo == 0.0:
-        return lam1, b_lo
-    if f_hi == 0.0:
-        return lam1, b_hi
     if f_lo * f_hi > 0.0:
         raise ValueError(
             "init_params: energy residual has no sign change in "
             f"[{b_lo:.3e}, {b_hi:.3e}] (s1={s1} too small for E0={E0})"
         )
-    # bisection to shrink the bracket far enough for a safe secant start
-    for _ in range(40):
-        b_mid = 0.5 * (b_lo + b_hi)
-        f_mid = f(b_mid)
-        if f_mid == 0.0:
-            return lam1, b_mid
-        if f_lo * f_mid < 0.0:
-            b_hi, f_hi = b_mid, f_mid
-        else:
-            b_lo, f_lo = b_mid, f_mid
-    b0, b1 = b_lo, b_hi
-    f0, f1 = f_lo, f_hi
-    for _ in range(20):
-        if f1 == f0:
-            break
-        b2 = b1 - f1 * (b1 - b0) / (f1 - f0)
-        if not (0.0 < b2 < 10.0 * b_app):
-            b2 = 0.5 * (b0 + b1)
-        f2 = f(b2)
-        b0, f0, b1, f1 = b1, f1, b2, f2
-        if abs(f1) <= 1e-10 * abs(E0):
-            break
-    if abs(f1) > 1e-8 * abs(E0):
+    b1 = brentq(f, b_lo, b_hi, xtol=1e-15)  # b to roundoff
+    residual = abs(f(b1))
+    if residual > 1e-8 * abs(E0):
         raise RuntimeError(
-            f"init_params: root polish stalled, |E - E0| = {abs(f1):.3e}"
+            f"init_params: root polish stalled, |E - E0| = {residual:.3e}"
         )
     return lam1, float(b1)
 

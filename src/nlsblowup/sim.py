@@ -1,12 +1,15 @@
 """Radial NLS propagation, dynamic rescaling, and blow-up rate fitting.
 
 The propagator is a Strang splitting: a half-step of exact pointwise
-phase rotation by the local terms (|u|^(q-1) + C1 |u|^(p-1) + C2 V(r)),
-a full Crank-Nicolson step of the grid's one discrete -Lap (fourth-order
-for N = 1, flux form for N = 2, 3), and a second phase
-half-step.  The rotation leaves |u| unchanged, so a march fuses each
-step's trailing half-step into the next one's leading half-step (one
-rotation per step); both substeps conserve the discrete mass.
+phase rotation by the local terms (``core.LocalTerms.rate``:
+|u|^(q-1) + C1 |u|^(p-1) + C2 V(r)), a full Crank-Nicolson step of the
+grid's one discrete -Lap (fourth-order for N = 1, flux form for N = 2, 3),
+and a second phase half-step.  The rotation leaves |u| unchanged, so the
+march (``_Stepper.step``) fuses each step's trailing half-step into the
+next one's leading half-step (one rotation per step), and
+``_Stepper.settle`` applies the last trailing half-step wherever the
+stepped field is read; both substeps conserve the discrete mass.  The
+energy is 1/2 grad_norm_sq minus the integral of ``LocalTerms.density``.
 
 Blow-up runs start from profile data, tie the time step to the gradient
 scale (dt = c_dt * lambda_hat^2, so each step advances rescaled time by
@@ -29,9 +32,9 @@ import numpy as np
 from scipy.fft import dct
 from scipy.optimize import minimize_scalar
 
-from .core import (Operator, ProblemParams, RadialField, RadialGrid,
-                   grad_norm_sq, integrate, make_grid, norm_L2, norm_Lq,
-                   penta_symbol, potential_weights)
+from .core import (LocalTerms, Operator, ProblemParams, RadialField,
+                   RadialGrid, grad_norm_sq, integrate, make_grid, norm_L2,
+                   penta_symbol)
 from .groundstate import GroundState
 from .modulation import TubeExit, decompose, lyapunov_S
 from .profile import (ProfileExpansion, even_spline, eval_profile,
@@ -155,10 +158,13 @@ def _dct4(v: np.ndarray) -> np.ndarray:
 class _Stepper:
     """Cached propagator state for repeated steps on a fixed grid.
 
-    ``rotate`` is the exact flow of the local terms; rotations by a and b
-    compose to one by a + b, since neither changes |v|.  ``linear`` is the
-    Crank-Nicolson substep of the grid's -Lap: where it has a symbol mu
-    (N = 1: diagonal in the quarter-wave cosine basis) two orthonormal
+    ``rotate`` is the exact flow of the grid's ``LocalTerms``; rotations by
+    a and b compose to one by a + b, since neither changes |v|.  ``step``
+    is one Strang step fused first-same-as-last: it rotates once, by its
+    leading half-angle plus the trailing half-angle of the previous step,
+    which stays ``pending`` until the next step or ``settle``.  ``linear``
+    is the Crank-Nicolson substep of the grid's -Lap: where it has a symbol
+    mu (N = 1: diagonal in the quarter-wave cosine basis) two orthonormal
     DCT-IV transforms around the exactly unimodular multiplier
     (1 - i dt mu / 2) / (1 + i dt mu / 2), elsewhere a banded solve of
     1 + z(-Lap) = z(-Lap + 1/z), z = i dt / 2.  It
@@ -171,7 +177,8 @@ class _Stepper:
     def __init__(self, grid: RadialGrid, params: ProblemParams,
                  dt: float) -> None:
         self.grid = grid
-        self.params = params
+        self.terms = LocalTerms.of(params, grid)
+        self.pending = 0.0
         self.spectral = grid.fourth_order
         if self.spectral:
             self._symbol = penta_symbol(grid)
@@ -179,8 +186,6 @@ class _Stepper:
             self._gscale = grid.surface * grid.h
         else:
             self._lap = Operator.of(grid, 0.0)
-        self.potential = (params.C2 * potential_weights(grid, params.sigma)
-                          if params.C2 != 0.0 else None)
         self.set_dt(dt)
 
     def set_dt(self, dt: float) -> None:
@@ -199,16 +204,10 @@ class _Stepper:
 
     def rotate(self, v: np.ndarray, angle: float) -> np.ndarray:
         """Exact flow of the local terms over time ``angle``:
-        v exp(i angle (|v|^(q-1) + C1 |v|^(p-1) + C2 V))."""
+        v exp(i angle rate(|v|^2))."""
         if angle == 0.0:
             return v
-        p = self.params
-        a2 = v.real ** 2 + v.imag ** 2
-        rot = a2 ** (0.5 * (p.q - 1.0))
-        if p.C1 != 0.0:
-            rot += p.C1 * a2 ** (0.5 * (p.p - 1.0))
-        if self.potential is not None:
-            rot += self.potential
+        rot = self.terms.rate(v.real ** 2 + v.imag ** 2)
         rot *= angle
         out = np.empty_like(v)
         np.cos(rot, out=out.real)
@@ -229,25 +228,33 @@ class _Stepper:
         # no finiteness check: a NaN must reach g
         return self._cn.solve(v / self._z - Av, check_finite=False), g
 
+    def step(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """One fused Strang step by dt; returns the field, still owing the
+        pending half-angle, and the g of ``linear``."""
+        v, g = self.linear(self.rotate(v, self.pending + 0.5 * self.dt))
+        self.pending = 0.5 * self.dt
+        return v, g
+
+    def settle(self, v: np.ndarray) -> np.ndarray:
+        """The stepped field: ``v`` rotated by the pending half-angle."""
+        v, self.pending = self.rotate(v, self.pending), 0.0
+        return v
+
 
 def propagate(u: RadialField, dt: float, n_steps: int,
               params: ProblemParams) -> RadialField:
-    """March n_steps Strang steps of size dt, fused first-same-as-last.
-
-    Each step rotates once, by its leading half-angle plus the previous
-    step's trailing one, and the last trailing half-angle is applied at
-    the end.  Raises at the first step whose field is non-finite.
+    """March n_steps Strang steps of size dt, fused first-same-as-last
+    (``_Stepper.step``), settled at the end.  Raises at the first step
+    whose field is non-finite.
     """
 
     stepper = _Stepper(u.grid, params, dt)
     v = u.values.astype(complex)
-    pending = 0.0
     for k in range(n_steps):
-        v, g = stepper.linear(stepper.rotate(v, pending + 0.5 * dt))
+        v, g = stepper.step(v)
         if not math.isfinite(g):
             raise RuntimeError(f"non-finite field at step {k}")
-        pending = 0.5 * dt
-    v = stepper.rotate(v, pending)
+    v = stepper.settle(v)
     if not np.all(np.isfinite(v)):
         raise RuntimeError("non-finite field at final step")
     return RadialField(u.grid, v)
@@ -258,23 +265,18 @@ def propagate(u: RadialField, dt: float, n_steps: int,
 # --------------------------------------------------------------------------
 
 def conserved(u: RadialField, params: ProblemParams) -> tuple[float, float]:
-    """(mass, energy) = (||u||_2^2, E(u)) by quadrature on u's grid.
+    """(mass, energy) = (||u||_2^2, E(u)) by quadrature on u's grid, with
+    E = 1/2 grad_norm_sq(u) - integral of ``LocalTerms.density``(u).
 
-    The kinetic term is ``grad_norm_sq``, the quadratic form of the grid's
-    one discrete -Lap, which the propagator also uses (fourth-order in one
-    dimension), so the semi-discrete flow conserves this energy exactly and
-    any measured drift isolates the time-splitting error.
+    The kinetic term is the quadratic form of the grid's one discrete -Lap,
+    which the propagator also uses (fourth-order in one dimension), so the
+    semi-discrete flow conserves this energy exactly and any measured
+    drift isolates the time-splitting error.
     """
 
-    m = params.mcrit
     mass = norm_L2(u) ** 2
-    energy = 0.5 * grad_norm_sq(u) - norm_Lq(u, m) ** m / m
-    if params.C1 != 0.0:
-        energy -= params.C1 / (params.p + 1.0) * norm_Lq(u, params.p + 1.0) ** (params.p + 1.0)
-    if params.C2 != 0.0:
-        V = potential_weights(u.grid, params.sigma)
-        energy -= 0.5 * params.C2 * float(np.real(
-            integrate(u.grid, V * np.abs(u.values) ** 2)))
+    density = LocalTerms.of(params, u.grid).density(u.values)
+    energy = 0.5 * grad_norm_sq(u) - float(integrate(u.grid, density))
     return mass, energy
 
 
@@ -362,16 +364,14 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
     guess = (lam1, b1, 0.0)
     s_next_snap = s1
     lam_h = lam_hat_regrid = lambda_hat(u, gs)
+    # v owes the stepper's pending half-angle; snapshots and regrids settle
+    # it first, so they see the stepped field.
     stepper = _Stepper(grid, params, config.c_dt * lam_h ** 2)
-    # Trailing phase half-angle of the last step, not yet applied to v: the
-    # next step's leading half-angle joins it (first-same-as-last), and
-    # snapshots and regrids apply it first, so they see the stepped field.
-    pending = 0.0
     t_wall = time.time()
 
     for n_step in range(_MAX_STEPS):
         if s >= s_next_snap - 1e-12:
-            v, pending = stepper.rotate(v, pending), 0.0
+            v = stepper.settle(v)
             field = RadialField(grid, v)
             lam_h = lambda_hat(field, gs)
             mass, energy = conserved(field, params)
@@ -420,7 +420,7 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
             break
 
         if lam_h <= lam_hat_regrid / _RESCALE_FACTOR:
-            v, pending = stepper.rotate(v, pending), 0.0
+            v = stepper.settle(v)
             field = RadialField(grid, v)
             lam_h = lambda_hat(field, gs)
             before = conserved(field, params)
@@ -441,10 +441,9 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
         # the solution keeps focusing.
         stepper.set_dt(config.c_dt * lam_h ** 2)
         dt = stepper.dt
-        v, g = stepper.linear(stepper.rotate(v, pending + 0.5 * dt))
+        v, g = stepper.step(v)
         if not math.isfinite(g):
             raise RuntimeError(f"non-finite field at step {n_step} (t={t:.6g})")
-        pending = 0.5 * dt
         t += dt
         s += dt / lam_h ** 2
         lam_h = math.sqrt(gs.norms["grad"] / g)

@@ -149,6 +149,20 @@ def test_malformed_config_rejected(tmp_path, capsys):
     assert "malformed" in out["error"]
 
 
+@pytest.mark.parametrize("key, value", [("grid_n", "2048"),
+                                        ("sigma", "0.2"),
+                                        ("grid_n", 2048.0)])
+def test_mistyped_config_value_rejected(tmp_path, capsys, key, value):
+    # a value of the wrong type is a domain error naming its key, not a
+    # TypeError from deep inside the pipeline
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out = _run(capsys, ["ground", "--config", str(cfg),
+                              "--out", str(tmp_path)])
+    assert code == 1
+    assert key in out["error"] and out["subcommand"] == "ground"
+
+
 def test_reduced_emits_trajectory(tmp_path, capsys):
     code, out = _run(capsys, ["reduced", "--branch", "balanced",
                               "--grid-n", "1024", "--rmax", "15",

@@ -6,16 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.fft import dct, idct
 from scipy.integrate import quad
 
-from nlsblowup.core import (Branch, Operator, RadialField,
+from nlsblowup.core import (Branch, LocalTerms, Operator, RadialField,
                             apply_neg_laplacian, apply_scaling_generator,
                             grad_norm_sq, integrate, make_grid, make_params,
-                            neg_laplacian_banded, nonlinearity_eval, norm_L2,
-                            norm_Lq, p_from_sigma, penta_symbol,
-                            potential_weights, radial_derivative,
-                            weighted_norm)
+                            neg_laplacian_banded, norm_L2, norm_Lq, pair,
+                            p_from_sigma, penta_symbol, potential_weights,
+                            radial_derivative, weighted_norm)
 
 
 # --------------------------------------------------------------------------
@@ -221,18 +221,50 @@ def test_radial_derivative_and_scaling_generator():
 
 
 # --------------------------------------------------------------------------
-# Nonlinearities
+# The equation's local terms
 # --------------------------------------------------------------------------
 
-def test_nonlinearity_eval_matches_formula():
-    params = make_params(1, None, 0.2, 2.0, "plusminus", 1.0)
-    z = np.array([0.5 + 0.1j, 1.2 - 0.3j])
-    assert np.allclose(nonlinearity_eval("f", z, params),
-                       np.abs(z) ** 4 * z, rtol=1e-13)
-    assert np.allclose(nonlinearity_eval("g", z, params),
-                       np.abs(z) ** 0.8 * z, rtol=1e-13)
-    assert np.allclose(nonlinearity_eval("F", z, params),
-                       np.abs(z) ** 6 / 6.0, rtol=1e-13)
-    with pytest.raises(ValueError):
-        nonlinearity_eval("h", z, params)
+@pytest.mark.parametrize("branch", ["plusminus", "minusplus"])
+def test_local_terms_match_closed_forms(branch):
+    # N = 1, sigma = 0.2: q = 5, p = 1.8, C1 = +-2, C2 = -+1
+    params = make_params(1, None, 0.2, 2.0, branch, 1.0)
+    C1, C2 = params.C1, params.C2
+    grid = make_grid(1, 64, 4.0)
+    V = potential_weights(grid, 0.2)
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    a = np.abs(z)
+    for shift in (1.0, 0.37):
+        terms = LocalTerms.of(params, grid, shift)
+        pert = shift * (C1 * a ** 0.8 + C2 * V)
+        assert np.allclose(terms.perturbation(a ** 2), pert, rtol=1e-13)
+        assert np.allclose(terms.rate(a ** 2), a ** 4 + pert, rtol=1e-13)
+        assert np.allclose(
+            terms.density(z),
+            a ** 6 / 6.0 + shift * (C1 * a ** 2.8 / 2.8 + 0.5 * C2 * V * a ** 2),
+            rtol=1e-13)
+    crit = LocalTerms.of(make_params(1, None, 0.2, 0.0, "critical", 1.0), grid)
+    assert crit.cV is None and crit.c1 == 0.0
+    assert not np.any(crit.perturbation(a ** 2))
+    assert np.array_equal(crit.rate(a ** 2), (a ** 2) ** 2.0)
 
+
+@settings(max_examples=30, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]),
+       branch=st.sampled_from(["plusminus", "minusplus"]),
+       C0=st.floats(0.1, 3.0), shift=st.floats(0.05, 1.0),
+       amp=st.floats(0.3, 1.5), kick=st.floats(-1.0, 1.0))
+def test_rate_is_the_first_variation_of_the_density(N, branch, C0, shift,
+                                                      amp, kick):
+    # d/de int density(u + e v) at e = 0 equals pair(rate(|u|^2) u, v)
+    params = make_params(N, None, 0.2, C0, branch, 1.0)
+    grid = make_grid(N, 256, 8.0)
+    r = grid.nodes
+    u = amp * np.exp(-r ** 2) * (1.0 + 0.5j * r)
+    v = np.exp(-1.5 * r ** 2) * (kick + 1j * (1.0 - r))
+    terms = LocalTerms.of(params, grid, shift)
+    e = 1e-5
+    ddens = (integrate(grid, terms.density(u + e * v))
+             - integrate(grid, terms.density(u - e * v))) / (2.0 * e)
+    first = pair(grid, terms.rate(np.abs(u) ** 2) * u, v)
+    assert ddens == pytest.approx(first, rel=1e-7, abs=1e-9)

@@ -85,7 +85,7 @@ def test_newton_is_independent_of_its_seed(params_critical, n, rmax):
     # n 2048 the residual meets tol one step early, and at n 32768 its
     # roundoff floor hides a last step of 4.5e-13 * Q0 from the line search.
     gs = solve_ground_state(params_critical, make_grid(1, n, rmax))
-    Q, _, _ = _newton_polish(gs.grid, gs.q, _analytic_Q(gs.grid.nodes),
+    Q, _, _ = _newton_polish(gs.grid, params_critical.q, _analytic_Q(gs.grid.nodes),
                              1e-11)
     assert np.max(np.abs(Q - gs.Q.values)) < 1e-14 * gs.Q0
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nlsblowup.core import RadialField, inner_w, make_params, norm_L2
+from nlsblowup.core import RadialField, make_params, norm_L2, pair
 from nlsblowup.linops import (beta_closed_form, branch_forcing,
                               coercivity_spectrum, lminus_unconstrained_min,
                               lplus_unconstrained_min,
@@ -57,22 +57,26 @@ def test_bordered_solution_solves_system(gs_profile, params_unbalanced):
     target = F.values + 0.25 * sol.beta * grid.nodes ** 2 * gs_profile.Q.values
     rel = norm_L2(RadialField(grid, img - target)) / max(norm_L2(F), 1e-30)
     assert rel < 1e-6
-    q_comp = abs(inner_w(grid, sol.P.values, gs_profile.Q.values))
+    q_comp = abs(pair(grid, sol.P.values, gs_profile.Q.values))
     assert q_comp < 1e-8 * norm_L2(sol.P) * norm_L2(gs_profile.Q)
 
 
-def test_beta_affine_in_coupling(gs_profile, omega_profile):
-    # beta depends affinely on C0; three collinear samples pin the line
-    betas = []
+@pytest.mark.parametrize("branch", ["plusminus", "minusplus"])
+def test_beta_affine_in_coupling(gs_profile, omega_profile, branch):
+    # beta depends affinely on C0, in closed form and from the bordered
+    # solve of branch_forcing alike; three collinear samples pin each line
+    closed, bordered = [], []
     for ratio in (0.5, 1.0, 2.0):
-        params = make_params(1, None, 0.2, ratio * omega_profile,
-                             "plusminus", 1.0)
-        betas.append(beta_closed_form(gs_profile, params))
-    slope1 = (betas[1] - betas[0]) / 0.5
-    slope2 = (betas[2] - betas[1]) / 1.0
-    assert slope1 == pytest.approx(slope2, rel=1e-12)
-    # vanishes at the balance point by construction of omega
-    assert abs(betas[1]) < 1e-10 * abs(betas[2])
+        params = make_params(1, None, 0.2, ratio * omega_profile, branch, 1.0)
+        closed.append(beta_closed_form(gs_profile, params))
+        bordered.append(solve_bordered(
+            gs_profile, branch_forcing(gs_profile, params)).beta)
+    for betas in (closed, bordered):
+        slope1 = (betas[1] - betas[0]) / 0.5
+        slope2 = (betas[2] - betas[1]) / 1.0
+        assert slope1 == pytest.approx(slope2, rel=1e-12)
+    # the closed form vanishes at the balance point by construction of omega
+    assert abs(closed[1]) < 1e-10 * abs(closed[2])
 
 
 def test_beta_sign_flips_across_branches(gs_profile, omega_profile):
@@ -82,10 +86,11 @@ def test_beta_sign_flips_across_branches(gs_profile, omega_profile):
     assert beta_closed_form(gs_profile, mp) < 0.0
 
 
-def test_bordered_beta_matches_closed_form(gs_profile, params_unbalanced):
-    F = branch_forcing(gs_profile, params_unbalanced)
-    sol = solve_bordered(gs_profile, F)
-    closed = beta_closed_form(gs_profile, params_unbalanced)
+@pytest.mark.parametrize("branch", ["plusminus", "minusplus"])
+def test_bordered_beta_matches_closed_form(gs_profile, omega_profile, branch):
+    params = make_params(1, None, 0.2, 2.0 * omega_profile, branch, 1.0)
+    sol = solve_bordered(gs_profile, branch_forcing(gs_profile, params))
+    closed = beta_closed_form(gs_profile, params)
     assert sol.beta == pytest.approx(closed, rel=1e-4)
 
 
