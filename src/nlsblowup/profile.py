@@ -8,18 +8,27 @@ The renormalized flow is reduced to a stationary hierarchy by the ansatz
 
 where a is the common scaling order of the two small perturbations
 (subcritical power and inverse-power potential).  Substituting the ansatz
-into the renormalized equation, expanding the nonlinearities around Q to
-third real-Frechet order, and collecting the coefficient of each monomial
-yields, per index pair (j, k):
+into the renormalized equation and collecting the coefficient of each
+monomial yields, per index pair (j, k):
 
   * a real bordered system  Lplus P_{j,k}^+ - beta_{j,k} (r^2/4) Q = REST,
     solved by ``linops.solve_bordered`` (this fixes beta_{j,k});
   * an imaginary system     Lminus P_{j,k}^- = G,
     solvable only if (G, Q)_2 = 0.
 
-The driving terms REST and G reference earlier entries; they couple
-within one j+k level only downward in j, so levels are processed in
-increasing j+k and decreasing j inside each level.
+REST is the real part of the coefficient of b^(2j) mu^(k+1), mu = lam^a,
+and G the imaginary part of the coefficient of b^(2j+1) mu^(k+1), in
+
+    i dP/ds + (theta r^2/4 + rate(|P|^2)) P,   lam_s = -b lam,
+                                               b_s = -b^2 + theta,
+
+with the ``LocalTerms`` rate expanded in Taylor series about |P|^2 = Q^2.
+Both are read off one truncated series in (b, mu) over the entries and
+beta's solved so far; the unknown entry and its beta are not in it yet,
+so their linear part (Lplus or Lminus, and beta (r^2/4) Q) drops out.
+Within one j+k level the right-hand sides reference entries only of
+larger j, so levels are processed in increasing j+k and decreasing j
+inside each level.
 
 Solvability of the imaginary system is arranged by prescribing the
 soliton component (P_{j,k}^+, Q)_2 = c_{j,k}: the defect
@@ -36,6 +45,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +61,9 @@ from .core import (
     integrate,
     norm_H1,
     pair,
-    potential_weights,
 )
 from .groundstate import GroundState
-from .linops import (branch_forcing, solve_bordered, solve_lminus_orthogonal,
-                     solve_rho)
+from .linops import solve_bordered, solve_lminus_orthogonal, solve_rho
 
 __all__ = [
     "ProfileEntry",
@@ -121,189 +129,123 @@ class ProfileExpansion:
 # Monomial collection
 # --------------------------------------------------------------------------
 
-def _safe_pow(base: np.ndarray, expo: float) -> np.ndarray:
-    """base**expo for a nonnegative decaying profile; negative exponents
-    are cut off where the base underflows (the terms they multiply decay
-    faster, so the true contribution there is far below roundoff)."""
-    if expo >= 0.0:
-        return base ** expo
-    out = np.zeros_like(base)
-    mask = base > 1e-250
-    out[mask] = base[mask] ** expo
+def _taylor(Q: np.ndarray, expo: float, k: int) -> np.ndarray:
+    """k-th Taylor coefficient of a2^expo at a2 = Q^2.  A negative power
+    is cut off where a2 underflows (the X^k it multiplies decays faster,
+    so the true contribution there is far below roundoff)."""
+    binom = math.prod((expo - i) / (i + 1) for i in range(k))
+    a2 = Q * Q
+    if expo >= k:
+        return binom * a2 ** (expo - k)
+    out = np.zeros_like(a2)
+    mask = a2 > 1e-250
+    out[mask] = binom * a2[mask] ** (expo - k)
     return out
 
 
-class _Build:
-    """Workspace shared by the per-entry assembly routines."""
+def _mul(f: dict, g: dict, top: tuple[int, int]) -> dict:
+    """Product of two (b, mu) series, truncated to the powers <= top."""
+    out: dict = defaultdict(float)
+    for (m1, n1), c1 in f.items():
+        for (m2, n2), c2 in g.items():
+            if m1 + m2 <= top[0] and n1 + n2 <= top[1]:
+                out[(m1 + m2, n1 + n2)] += c1 * c2
+    return out
 
-    def __init__(self, gs: GroundState, params: ProblemParams):
-        if params.alpha is None:
-            raise ValueError(
-                "profile expansion needs a common scaling order: "
-                "alpha_p == alpha_sigma (choose p = 1 + 4*sigma/N)")
-        self.grid = gs.grid
-        self.alpha = params.alpha
-        q, p = params.q, params.p
-        self.q, self.p = q, p
-        self.cg, self.cV = params.C1, params.C2
-        Q = gs.Q.values
-        self.r2q = 0.25 * self.grid.nodes ** 2  # the (r^2/4) multiplier
-        self.Qqm2 = _safe_pow(Q, q - 2.0)
-        self.Qqm3 = _safe_pow(Q, q - 3.0)
-        self.Qpm1 = _safe_pow(Q, p - 1.0)
-        self.Qpm2 = _safe_pow(Q, p - 2.0)
-        self.V = potential_weights(self.grid, params.sigma)
-        self.forcing = branch_forcing(gs, params).values
-        # entry tables filled as the recursion advances
-        self.A: dict[tuple[int, int], np.ndarray] = {}
-        self.B: dict[tuple[int, int], np.ndarray] = {}
-        self.beta: dict[tuple[int, int], float] = {}
 
-    # -- real part: coefficient of b^(2J) lam^((K+1)a) -------------------
-
-    def assemble_real(self, J: int, K: int) -> np.ndarray:
-        q, p, a = self.q, self.p, self.alpha
-        rest = np.zeros(self.grid.n)
-        # transport of the previous imaginary entry by the scale flow
-        if J >= 1 and (J - 1, K) in self.B:
-            rest += (2 * J - 1 + (K + 1) * a) * self.B[(J - 1, K)]
-        # theta feedback through the curvature parameter
-        for (j2, k2), bet in self.beta.items():
-            j1, k1 = J - j2, K - 1 - k2
-            if (j1, k1) in self.B:
-                rest -= (2 * j1 + 1) * bet * self.B[(j1, k1)]
-            if (j1, k1) in self.A:
-                rest += bet * self.r2q * self.A[(j1, k1)]
-        # quadratic terms of the critical nonlinearity
-        coef_aa = 0.5 * q * (q - 1.0) * self.Qqm2
-        coef_bb = 0.5 * (q - 1.0) * self.Qqm2
-        for (j1, k1), A1 in self.A.items():
-            j2, k2 = J - j1, K - 1 - k1
-            if (j2, k2) in self.A:
-                rest += coef_aa * A1 * self.A[(j2, k2)]
-        for (j1, k1), B1 in self.B.items():
-            j2, k2 = J - 1 - j1, K - 1 - k1
-            if (j2, k2) in self.B:
-                rest += coef_bb * B1 * self.B[(j2, k2)]
-        # cubic terms of the critical nonlinearity
-        coef_aaa = q * (q - 1.0) * (q - 2.0) / 6.0 * self.Qqm3
-        coef_abb = 0.5 * (q - 1.0) * (q - 2.0) * self.Qqm3
-        for (j1, k1), A1 in self.A.items():
-            for (j2, k2), A2 in self.A.items():
-                j3, k3 = J - j1 - j2, K - 2 - k1 - k2
-                if (j3, k3) in self.A:
-                    rest += coef_aaa * A1 * A2 * self.A[(j3, k3)]
-            for (j2, k2), B2 in self.B.items():
-                j3, k3 = J - 1 - j1 - j2, K - 2 - k1 - k2
-                if (j3, k3) in self.B:
-                    rest += coef_abb * A1 * B2 * self.B[(j3, k3)]
-        # perturbation ladder: each appearance costs one power of lam^a
-        if (J, K) == (0, 0):
-            rest += self.forcing
-        if (J, K - 1) in self.A:
-            A1 = self.A[(J, K - 1)]
-            rest += self.cg * p * self.Qpm1 * A1 + self.cV * self.V * A1
-        coef_gaa = 0.5 * p * (p - 1.0) * self.Qpm2 * self.cg
-        coef_gbb = 0.5 * (p - 1.0) * self.Qpm2 * self.cg
-        for (j1, k1), A1 in self.A.items():
-            j2, k2 = J - j1, K - 2 - k1
-            if (j2, k2) in self.A:
-                rest += coef_gaa * A1 * self.A[(j2, k2)]
-        for (j1, k1), B1 in self.B.items():
-            j2, k2 = J - 1 - j1, K - 2 - k1
-            if (j2, k2) in self.B:
-                rest += coef_gbb * B1 * self.B[(j2, k2)]
-        # (third-order terms of the perturbation first enter at j+k = 3,
-        # beyond the supported order)
-        return rest
-
-    # -- imaginary part: coefficient of b^(2J+1) lam^((K+1)a) ------------
-
-    def assemble_imag(self, J: int, K: int, Pp_JK: np.ndarray) -> np.ndarray:
-        q, p, a = self.q, self.p, self.alpha
-        G = -(2 * J + (K + 1) * a) * Pp_JK
-        # theta feedback acting on the real entries
-        for (j1, k1), A1 in self.A.items():
-            if j1 < 1:
-                continue
-            j2, k2 = J + 1 - j1, K - 1 - k1
-            if (j2, k2) in self.beta:
-                G += 2 * j1 * self.beta[(j2, k2)] * A1
-        # theta times the quadratic potential acting on imaginary entries
-        for (j2, k2), bet in self.beta.items():
-            j1, k1 = J - j2, K - 1 - k2
-            if (j1, k1) in self.B:
-                G += bet * self.r2q * self.B[(j1, k1)]
-        # mixed quadratic and cubic terms of the critical nonlinearity
-        coef_ab = (q - 1.0) * self.Qqm2
-        for (j1, k1), A1 in self.A.items():
-            j2, k2 = J - j1, K - 1 - k1
-            if (j2, k2) in self.B:
-                G += coef_ab * A1 * self.B[(j2, k2)]
-        coef_aab = 0.5 * (q - 1.0) * (q - 2.0) * self.Qqm3
-        coef_bbb = 0.5 * (q - 1.0) * self.Qqm3
-        for (j1, k1), A1 in self.A.items():
-            for (j2, k2), A2 in self.A.items():
-                j3, k3 = J - j1 - j2, K - 2 - k1 - k2
-                if (j3, k3) in self.B:
-                    G += coef_aab * A1 * A2 * self.B[(j3, k3)]
-        for (j1, k1), B1 in self.B.items():
-            for (j2, k2), B2 in self.B.items():
-                j3, k3 = J - 1 - j1 - j2, K - 2 - k1 - k2
-                if (j3, k3) in self.B:
-                    G += coef_bbb * B1 * B2 * self.B[(j3, k3)]
-        # perturbation ladder
-        if (J, K - 1) in self.B:
-            B1 = self.B[(J, K - 1)]
-            G += self.cg * self.Qpm1 * B1 + self.cV * self.V * B1
-        coef_gab = (p - 1.0) * self.Qpm2 * self.cg
-        for (j1, k1), A1 in self.A.items():
-            j2, k2 = J - j1, K - 2 - k1
-            if (j2, k2) in self.B:
-                G += coef_gab * A1 * self.B[(j2, k2)]
-        return G
+def _at(f: dict, g: dict, key: tuple[int, int]):
+    """Coefficient of b^m mu^n, (m, n) = key, in the product of f and g."""
+    m, n = key
+    return sum((c * g[(m - i, n - l)] for (i, l), c in f.items()
+                if (m - i, n - l) in g), 0.0)
 
 
 def build_profile(gs: GroundState, params: ProblemParams,
                   order: int = 2) -> ProfileExpansion:
-    """Build the expansion table up to j + k <= order (order <= 2).
+    """Build the expansion table up to j + k <= order (order <= MAX_ORDER).
 
     Entries are produced level by level in increasing j + k and, inside
     a level, in decreasing j (the imaginary equation at (j, k) references
-    the real entry at (j+1, k-1) of the same level).
+    the real entry at (j+1, k-1) of the same level).  Each right-hand
+    side is one coefficient of the equation's series in (b, lam^a),
+    evaluated over the entries solved so far.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if order > MAX_ORDER:
         raise ValueError(
-            f"monomial collection supports order <= {MAX_ORDER} "
-            f"(third-order perturbation terms are not tabulated)")
+            f"profile expansion supports order <= {MAX_ORDER}, the orders "
+            f"whose residual slope is certified")
+    if params.alpha is None:
+        raise ValueError(
+            "profile expansion needs a common scaling order: "
+            "alpha_p == alpha_sigma (choose p = 1 + 4*sigma/N)")
     if gs.rho is None:
         solve_rho(gs)
-    ctx = _Build(gs, params)
     grid = gs.grid
+    a = params.alpha
     Qv = gs.Q.values
     rho = gs.rho.values
     rho_Q = pair(grid, rho, Qv)
-    entries: dict[tuple[int, int], ProfileEntry] = {}
+    r2q = 0.25 * grid.nodes ** 2
+    terms = LocalTerms.of(params, grid)
+    crit = [_taylor(Qv, 0.5 * (terms.q - 1.0), k) for k in range(order + 2)]
+    pert = ([terms.c1 * _taylor(Qv, 0.5 * (terms.p - 1.0), k)
+             for k in range(order + 1)] if terms.c1 != 0.0 else [])
+    # P - Q and theta as {(m, n): c} for the terms c i^m b^m mu^n with c
+    # real, so products stay real and conj(P) has (-1)^m c; an entry is
+    # stored times (-1)^j, the i^(2j) it sits under.
+    w: dict[tuple[int, int], np.ndarray] = {}
+    theta: dict[tuple[int, int], float] = {}
 
+    def coefficient(m: int, n: int) -> np.ndarray:
+        """The c at (m, n) of  i dP/ds + (theta r^2/4 + rate(|P|^2)) P,
+        with lam_s = -b lam, b_s = -b^2 + theta and the rate expanded in
+        X = |P|^2 - Q^2 as sum_k (crit_k + mu pert_k) X^k + mu cV."""
+        top = (m, n)
+        X = _mul(w, {(i, l): (-1) ** i * c for (i, l), c in w.items()}, top)
+        for (i, l), c in w.items():  # X = |P|^2 - Q^2 = 2Q Re w + |w|^2
+            if i % 2 == 0:
+                X[(i, l)] += 2.0 * Qv * c
+        mult: dict = defaultdict(float)  # theta r^2/4 + rate(|P|^2)
+        Xk: dict = {(0, 0): 1.0}
+        for k in range(n + 1):
+            for (i, l), x in Xk.items():
+                mult[(i, l)] += crit[k] * x
+                if k < len(pert):
+                    mult[(i, l + 1)] += pert[k] * x
+            Xk = _mul(Xk, X, top)
+        if terms.cV is not None:
+            mult[(0, 1)] += terms.cV
+        for key, t in theta.items():
+            mult[key] += t * r2q
+        flow = {(2, 0): 1.0, **theta}  # b_s
+        dP = {(i - 1, l): -i * c for (i, l), c in w.items() if i}  # i dP/db
+        out = np.zeros(grid.n)
+        out += _at(mult, {(0, 0): Qv, **w}, top) + _at(dP, flow, top)
+        # i mu_s dP/dmu with mu_s = -a b mu
+        return out - a * n * w.get((m - 1, n), 0.0)
+
+    entries: dict[tuple[int, int], ProfileEntry] = {}
     for level in range(order + 1):
         for j in range(level, -1, -1):
             k = level - j
-            rest = ctx.assemble_real(j, k)
-            sol = solve_bordered(gs, RadialField(grid, rest))
+            sign = (-1) ** j
+            sol = solve_bordered(
+                gs, RadialField(grid, sign * coefficient(2 * j, k + 1)))
             Pp_hat, beta_hat = sol.P.values, sol.beta
-            G_hat = ctx.assemble_imag(j, k, Pp_hat)
-            denom = 2 * j + (k + 1) * ctx.alpha
+            w[(2 * j, k + 1)] = sign * Pp_hat
+            G_hat = sign * coefficient(2 * j + 1, k + 1)
+            denom = 2 * j + (k + 1) * a
             c = pair(grid, G_hat, Qv) / denom
             t = c / rho_Q
             Pp = Pp_hat + t * rho
             beta = beta_hat + 4.0 * t
             G = G_hat - denom * t * rho
             Pm, nu = solve_lminus_orthogonal(gs, G)
-            ctx.A[(j, k)] = Pp
-            ctx.B[(j, k)] = Pm
-            ctx.beta[(j, k)] = beta
+            w[(2 * j, k + 1)] = sign * Pp
+            w[(2 * j + 1, k + 1)] = sign * Pm
+            theta[(2 * j, k + 1)] = sign * beta
             entries[(j, k)] = ProfileEntry(
                 j=j, k=k,
                 Pp=RadialField(grid, Pp), Pm=RadialField(grid, Pm),

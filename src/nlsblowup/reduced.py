@@ -109,24 +109,20 @@ def integrate_reduced(
     """Integrate lambda' = -b lambda, b' = -b^2 + theta(lambda, b).
 
     theta is ``expansion.theta``; DOP853 runs at rtol 1e-10, atol 1e-13.
-    ``s_range`` is either (s0, s1) or a full increasing array of output
-    points.  If lambda decays to the floor (default
+    The trajectory is ``n_points`` samples of [s0, s1], s_range = (s0, s1)
+    with s0 < s1.  If lambda decays to the floor (default
     max(1e-12, 1e-9 * lambda_init)) integration stops and the trajectory
-    is returned truncated with ``truncated=True``; it then ends exactly at
-    the floor event.  A truncated (s0, s1) request returns ``n_points``
-    samples of the dense output spread over [s0, s_event]; a truncated
-    array request returns its points before the event followed by the
-    event.
+    is returned truncated with ``truncated=True``: ``n_points`` samples of
+    the dense output spread over [s0, s_event], ending exactly at the
+    floor event.
     """
 
     s_arr = np.asarray(s_range, dtype=float)
-    if s_arr.ndim != 1 or s_arr.size < 2:
-        raise ValueError("s_range needs at least (s0, s1)")
-    if np.any(np.diff(s_arr) <= 0):
-        raise ValueError("s_range must be increasing")
+    if s_arr.shape != (2,) or not s_arr[0] < s_arr[1]:
+        raise ValueError("s_range must be (s0, s1) with s0 < s1")
     if lambda_init <= 0.0:
         raise ValueError("lambda_init must be positive")
-    s_eval = np.linspace(s_arr[0], s_arr[-1], n_points) if s_arr.size == 2 else s_arr
+    s0, s1 = s_arr
 
     theta_fn = expansion.theta
     floor = lambda_floor if lambda_floor is not None else max(1e-12, 1e-9 * lambda_init)
@@ -144,10 +140,10 @@ def integrate_reduced(
 
     sol = solve_ivp(
         rhs,
-        (s_eval[0], s_eval[-1]),
+        (s0, s1),
         [lambda_init, b_init, 0.0],
         method="DOP853",
-        t_eval=s_eval,
+        t_eval=np.linspace(s0, s1, n_points),
         rtol=1e-10,
         atol=1e-13,
         dense_output=True,
@@ -160,9 +156,8 @@ def integrate_reduced(
     s_grid, y = sol.t, sol.y
     if truncated:
         s_event, y_event = sol.t_events[0][0], sol.y_events[0][0]
-        if s_arr.size == 2:
-            s_grid = np.linspace(s_eval[0], s_event, n_points)
-            y = sol.sol(s_grid)
+        s_grid = np.linspace(s0, s_event, n_points)
+        y = sol.sol(s_grid)
         keep = s_grid < s_event
         s_grid = np.append(s_grid[keep], s_event)
         y = np.column_stack([y[:, keep], y_event])
@@ -263,7 +258,6 @@ def alpha_lt1_solutions(beta01: float, alpha: float, s):
 
 def init_params(
     expansion: ProfileExpansion,
-    groundstate: GroundState,
     E0: float,
     s1: float,
 ) -> tuple[float, float]:
@@ -276,7 +270,7 @@ def init_params(
     |E - E0| > 1e-8 E0 is an error.
     """
 
-    lam_app, b_app = app_solutions(groundstate, E0, s1)
+    lam_app, b_app = app_solutions(expansion.gs, E0, s1)
     lam1 = float(lam_app)
     b_lo, b_hi = float(b_app) / 4.0, 4.0 * float(b_app)
 
@@ -305,7 +299,7 @@ def initial_params(expansion: ProfileExpansion, E0: float,
     power-law solution (which needs beta00 > 0)."""
 
     if classify_regime(expansion) == "balanced":
-        return init_params(expansion, expansion.gs, E0, s1)
+        return init_params(expansion, E0, s1)
     lam1, b1 = power_law_solutions(expansion, s1)
     return float(lam1), float(b1)
 

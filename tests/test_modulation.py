@@ -104,9 +104,9 @@ def test_lyapunov_scales_like_remainder(expansion_balanced, params_balanced):
 
 
 def test_energy_inequality_nonnegative_margin(expansion_balanced,
-                                              params_balanced, gs_profile):
+                                              params_balanced):
     from nlsblowup.reduced import init_params
-    lam1, b1 = init_params(expansion_balanced, gs_profile, 1.0, 30.0)
+    lam1, b1 = init_params(expansion_balanced, 1.0, 30.0)
     u = _pure_profile_field(expansion_balanced, lam1, b1, 0.0)
     state = decompose(u, expansion_balanced, (lam1, 0.0, 0.0))
     margin = energy_inequality_check(state, params_balanced, 1.0)

@@ -96,12 +96,33 @@ def test_residual_decreases_with_order(gs_profile, params_balanced):
     assert norms[1] < 0.5 * norms[0]
 
 
-def test_residual_slope_certifies_order_zero(gs_profile, params_balanced):
-    exp0 = build_profile(gs_profile, params_balanced, order=0)
-    rows = psi_slope_sweep(exp0)
+@pytest.fixture(scope="module")
+def soliton_by_dimension(gs_profile):
+    """(ground state, sigma) per N: N = 1 on the profile grid, N = 2 and 3
+    at n = 4096, rmax 20, sigma 0.3."""
+    out = {1: (gs_profile, 0.2)}
+    for N in (2, 3):
+        critical = make_params(N, None, 0.3, 0.0, "critical", 1.0)
+        out[N] = (solve_ground_state(critical, make_grid(N, 4096, 20.0)), 0.3)
+    return out
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("ratio", [1.0, 2.0])
+@pytest.mark.parametrize("branch", ["plusminus", "minusplus"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_residual_slope_certifies_order(soliton_by_dimension, N, branch,
+                                        ratio, order):
+    # criterion 5's gate: the weighted residual of the order-J expansion
+    # falls like x^(J+2) along the reduced flow, at C0 = ratio * omega
+    gs, sigma = soliton_by_dimension[N]
+    critical = make_params(N, None, sigma, 0.0, "critical", 1.0)
+    params = make_params(N, None, sigma, ratio * compute_omega(gs, critical),
+                         branch, 1.0)
+    rows = psi_slope_sweep(build_profile(gs, params, order=order))
     slope = fit_loglog_slope([r["x"] for r in rows],
                              [r["weighted_norm"] for r in rows])
-    assert slope >= 1.9
+    assert slope >= order + 2 - 0.1
 
 
 def test_rescale_preserves_mass(expansion_balanced):
@@ -113,9 +134,8 @@ def test_rescale_preserves_mass(expansion_balanced):
     assert norm_L2(u) == pytest.approx(norm_L2(P), rel=1e-6)
 
 
-def test_profile_energy_matches_initialization(expansion_balanced,
-                                               gs_profile):
-    lam1, b1 = init_params(expansion_balanced, gs_profile, 1.0, 30.0)
+def test_profile_energy_matches_initialization(expansion_balanced):
+    lam1, b1 = init_params(expansion_balanced, 1.0, 30.0)
     assert profile_energy(expansion_balanced, lam1, b1) == pytest.approx(
         1.0, rel=1e-8)
 

@@ -48,9 +48,16 @@ def test_time_grid_is_integral_of_lambda_squared():
     assert np.max(np.abs(traj.t_grid - t_quad)) < 1e-5 * t_quad[-1]
 
 
+def test_s_range_is_two_increasing_points():
+    law = _theta_law(lambda lam, b: 0.0)
+    for bad in ([5.0], [5.0, 5.0], [25.0, 5.0], [5.0, 10.0, 25.0]):
+        with pytest.raises(ValueError, match="s_range"):
+            integrate_reduced(law, bad, 0.4, 0.1)
+
+
 def test_balanced_flow_tracks_app_solution(expansion_balanced, gs_profile):
     E0, s1 = 1.0, 30.0
-    lam1, b1 = init_params(expansion_balanced, gs_profile, E0, s1)
+    lam1, b1 = init_params(expansion_balanced, E0, s1)
     traj = integrate_reduced(expansion_balanced, [s1, 300.0], lam1, b1,
                              n_points=300)
     lam_app, b_app = app_solutions(gs_profile, E0, traj.s_grid)
@@ -60,8 +67,8 @@ def test_balanced_flow_tracks_app_solution(expansion_balanced, gs_profile):
     assert ratio_b == pytest.approx(1.0, abs=0.03)
 
 
-def test_lambda_floor_event(expansion_balanced, gs_profile):
-    lam1, b1 = init_params(expansion_balanced, gs_profile, 1.0, 30.0)
+def test_lambda_floor_event(expansion_balanced):
+    lam1, b1 = init_params(expansion_balanced, 1.0, 30.0)
     traj = integrate_reduced(expansion_balanced, [30.0, 1e6], lam1, b1,
                              lambda_floor=5e-3)
     assert traj.truncated
@@ -70,7 +77,7 @@ def test_lambda_floor_event(expansion_balanced, gs_profile):
 
 def test_init_params_energy_matched(expansion_balanced, gs_profile):
     E0, s1 = 1.0, 30.0
-    lam1, b1 = init_params(expansion_balanced, gs_profile, E0, s1)
+    lam1, b1 = init_params(expansion_balanced, E0, s1)
     assert profile_energy(expansion_balanced, lam1, b1) == pytest.approx(
         E0, rel=1e-8)
     # leading order: lambda1 * s1 = sqrt(virial / (8 E0)), b1 = 1/s1
