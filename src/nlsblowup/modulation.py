@@ -15,11 +15,14 @@ field on the profile family decomposes with eps = 0.  The three scalar
 parameters are found by a Newton iteration on the condition vector; the
 Jacobian is assembled analytically (spline derivatives for the sampled
 field, monomial derivatives for P) with a finite-difference fallback, and
-tube membership is judged on the converged remainder.
+tube membership is judged on the converged remainder.  Each iterate
+evaluates the profile and the conditions once, and the converged iterate's
+remainder is the one returned.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +42,7 @@ from .core import (
 )
 from .profile import (
     ProfileExpansion,
+    _resample,
     eval_profile,
     even_spline,
     profile_derivatives,
@@ -71,7 +75,12 @@ _NEWTON_MAX_ITER = 50
 
 @dataclass
 class ModulationState:
-    """Decomposition result; ``eps`` lives on the renormalized grid."""
+    """Decomposition result; ``eps`` lives on the renormalized grid.
+
+    ``iterations`` counts the condition evaluations of the Newton run
+    (finite-difference Jacobian columns included) and ``fd_jacobian``
+    says whether the finite-difference Jacobian took over.
+    """
 
     lam: float
     b: float
@@ -83,19 +92,12 @@ class ModulationState:
     eps_H1: float
     eps_P: float
     orth: tuple[float, float, float]
+    iterations: int = 0
+    fd_jacobian: bool = False
 
     @property
     def grid(self) -> RadialGrid:
         return self.expansion.grid
-
-
-def _renormalized(spline, grid: RadialGrid, N: int, lam: float, b: float,
-                  gamma: float, rmax_src: float) -> np.ndarray:
-    """Sample lam^(N/2) u(lam y) exp(i(b/4)y^2 - i gamma) on ``grid``."""
-    y = grid.nodes
-    x = lam * y
-    vals = np.where(x <= rmax_src, spline(x), 0.0 + 0.0j)
-    return lam ** (0.5 * N) * vals * np.exp(0.25j * b * y ** 2 - 1j * gamma)
 
 
 def _remainder(u: RadialField, expansion: ProfileExpansion, lam: float,
@@ -114,9 +116,10 @@ def _remainder(u: RadialField, expansion: ProfileExpansion, lam: float,
                                      u.grid)
     except ValueError as exc:  # scale under-resolved on the field grid
         raise TubeExit(str(exc)) from exc
-    D = u.values - P_phys.values
-    eps = _renormalized(even_spline(RadialField(u.grid, D)), grid, grid.N,
-                        lam, b, gamma, u.grid.nodes[-1])
+    D = RadialField(u.grid, u.values - P_phys.values)
+    y = grid.nodes
+    eps = _resample(even_spline(D), u.grid.nodes[-1], lam * y, y,
+                    lam ** (0.5 * grid.N), -b, -gamma)
     return eps, P
 
 
@@ -152,12 +155,10 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
     N = grid.N
     y = grid.nodes
     y2 = y ** 2
-    rho = gs.rho.values if gs.rho is not None else None
-    if rho is None:
-        from .linops import solve_rho
-        rho = solve_rho(gs).values
-    spline = even_spline(u)
+    rho = gs.rho.values
     rmax_src = u.grid.nodes[-1]
+    # u's spline, built when an analytic Jacobian first needs it
+    spline = functools.cache(lambda: even_spline(u))
 
     if guess is None:
         guess = _default_guess(u, expansion)
@@ -166,8 +167,11 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
         raise ValueError("guess scale must be positive")
 
     m = np.array([lam_g, b_g, gamma_g])
+    evaluations = 0
 
     def conditions(mvec):
+        nonlocal evaluations
+        evaluations += 1
         lam, b, gamma = mvec
         eps, P = _remainder(u, expansion, lam, b, gamma)
         LamP = apply_scaling_generator(grid, P)
@@ -179,12 +183,12 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
     def jacobian(mvec, P, eps, LamP):
         lam, b, gamma = mvec
         dPdl, dPdb = profile_derivatives(expansion, lam, b)
-        T = _renormalized(spline, grid, N, lam, b, gamma, rmax_src)
         x = lam * y
-        dspl = np.where(x <= rmax_src, spline(x, 1), 0.0 + 0.0j)
+        amp = lam ** (0.5 * N)
+        T = _resample(spline(), rmax_src, x, y, amp, -b, -gamma)
+        dT = _resample(spline(), rmax_src, x, y, amp, -b, -gamma, nu=1)
         # lam d/dlam of the renormalized sample = (N/2 + lam y d/dx) T
-        dTdl = ((0.5 * N) * T + lam ** (0.5 * N) * x * dspl
-                * np.exp(0.25j * b * y2 - 1j * mvec[2])) / lam
+        dTdl = ((0.5 * N) * T + x * dT) / lam
         dTdb = 0.25j * y2 * T
         dTdg = -1j * T
         de = (dTdl - dPdl, dTdb - dPdb, dTdg)
@@ -249,7 +253,6 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
 
     lam, b, gamma = float(m[0]), float(m[1]), float(m[2])
     gamma = gamma_g + math.remainder(gamma - gamma_g, 2.0 * math.pi)
-    R, P, eps, _ = conditions(np.array([lam, b, gamma]))
     eps_field = RadialField(grid, eps)
     eps_H1 = norm_H1(eps_field)
     if eps_H1 >= _TUBE_DELTA:
@@ -258,7 +261,8 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
     return ModulationState(
         lam=lam, b=b, gamma=gamma, eps=eps_field, t=t, s=s,
         expansion=expansion, eps_H1=eps_H1,
-        eps_P=pair(grid, eps, P), orth=tuple(float(r) for r in R))
+        eps_P=pair(grid, eps, P), orth=tuple(float(r) for r in R),
+        iterations=evaluations, fd_jacobian=use_fd)
 
 
 def reconstruct(state: ModulationState, grid: RadialGrid) -> RadialField:

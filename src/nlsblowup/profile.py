@@ -43,13 +43,15 @@ to the expansion's order.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, make_interp_spline
+from scipy.interpolate import PPoly, make_interp_spline
+from scipy.linalg import lapack
 
 from .core import (
     LocalTerms,
@@ -355,14 +357,71 @@ def residual_Psi(expansion: ProfileExpansion, lam: float, b: float,
 # Physical-space form and energy
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
+def _slope_factor(n: int) -> tuple:
+    """``dgttrf`` factor of the slope system of the cubic spline through n
+    uniform nodes (i + 1/2) h and their mirror images, on the half line.
+
+    Row 0 folds in the mirror (odd slopes): 3 s_0 + s_1; rows 1..n-2 are
+    (1, 4, 1); the last is CubicSpline's not-a-knot row 2 s_(n-2) + s_(n-1).
+    The unknowns are h times the slopes, so one factor serves every h.
+    """
+    d = np.full(n, 4.0)
+    d[0], d[-1] = 3.0, 1.0
+    dl = np.ones(n - 1)
+    dl[-1] = 2.0
+    *factor, _ = lapack.dgttrf(dl, d, np.ones(n - 1))
+    return tuple(factor)
+
+
 def even_spline(f: RadialField, *, k: int = 3):
-    """Spline of degree k for a radial field on its even extension across r = 0."""
-    xs = np.concatenate([-f.grid.nodes[::-1], f.grid.nodes])
+    """Spline of degree k for a radial field on its even extension across r = 0.
+
+    k = 3 is the not-a-knot cubic spline of the 2n-point even extension
+    (``CubicSpline``'s, to roundoff), solved on the half line with a
+    tridiagonal factor cached per point count; it returns a complex
+    ``PPoly`` on the breakpoints -h/2, nodes..., whose first piece is the
+    even cubic across r = 0.  Other k interpolate the extension with
+    ``make_interp_spline``.
+    """
+    nodes = f.grid.nodes
     vals = np.asarray(f.values, dtype=complex)
-    ys = np.concatenate([vals[::-1], vals])
-    if k == 3:
-        return CubicSpline(xs, ys)
-    return make_interp_spline(xs, ys, k=k)
+    if k != 3:
+        xs = np.concatenate([-nodes[::-1], nodes])
+        return make_interp_spline(xs, np.concatenate([vals[::-1], vals]), k=k)
+    n, h = vals.size, f.grid.h
+    dy = np.diff(vals)
+    rhs = np.empty(n, dtype=complex)
+    rhs[0] = 3.0 * dy[0]
+    rhs[1:-1] = 3.0 * (dy[:-1] + dy[1:])
+    rhs[-1] = 0.5 * (dy[-2] + 5.0 * dy[-1])
+    cols = np.empty((n, 2), order="F")
+    cols[:, 0], cols[:, 1] = rhs.real, rhs.imag
+    x, _ = lapack.dgttrs(*_slope_factor(n), cols, overwrite_b=1)
+    s = (x[:, 0] + 1j * x[:, 1]) / h
+    # Hermite pieces from the left slope s_l, right slope s and secant m of
+    # each interval; the first, [-h/2, h/2], has the mirrored slope -s_0
+    c = np.empty((4, n), dtype=complex)
+    s_l = c[2]
+    s_l[0], s_l[1:] = -s[0], s[:-1]
+    c[3, 0], c[3, 1:] = vals[0], vals[:-1]
+    m = np.concatenate(([0.0], dy)) / h
+    t = (s_l + s - 2.0 * m) / h
+    c[0] = t / h
+    c[1] = (m - s_l) / h - t
+    return PPoly.construct_fast(c, np.concatenate(([-nodes[0]], nodes)))
+
+
+def _resample(spline, rmax: float, q: np.ndarray, y: np.ndarray, amp: float,
+              b: float, gamma: float, nu: int = 0) -> np.ndarray:
+    """amp * spline(q, nu) * exp(-i(b/4) y^2 + i gamma) at the increasing
+    points q <= rmax (the source's last node) and 0 beyond: the spline and
+    the phase are evaluated on the source's support only."""
+    m = int(np.searchsorted(q, rmax, side="right"))
+    out = np.zeros(q.size, dtype=complex)
+    out[:m] = spline(q[:m], nu) * (
+        amp * np.exp(-0.25j * b * y[:m] ** 2 + 1j * gamma))
+    return out
 
 
 def rescale_to_physical(P: RadialField, lam: float, b: float, gamma: float,
@@ -370,8 +429,8 @@ def rescale_to_physical(P: RadialField, lam: float, b: float, gamma: float,
     """Rescaled field lam^(-N/2) P(x/lam) exp(-i(b/4)|x|^2/lam^2 + i gamma).
 
     P lives on its own (renormalized) grid; the result is interpolated to
-    ``grid`` with a cubic spline on the even extension of P across the
-    origin, and set to zero beyond the source domain (where P has decayed
+    ``grid`` with ``even_spline`` of P, evaluated only at the nodes with
+    x/lam inside the source domain and zero beyond it (where P has decayed
     to roundoff).  The phase is applied exactly at the target nodes.
     """
     src = P.grid
@@ -381,11 +440,9 @@ def rescale_to_physical(P: RadialField, lam: float, b: float, gamma: float,
         raise ValueError(
             f"scale under-resolved: lam = {lam:.3e} below 4 grid spacings "
             f"({4.0 * grid.h:.3e})")
-    spline = even_spline(P)
     y = grid.nodes / lam
-    out = np.where(y <= src.nodes[-1], spline(y), 0.0 + 0.0j)
-    out *= lam ** (-0.5 * grid.N) * np.exp(-0.25j * b * y ** 2 + 1j * gamma)
-    return RadialField(grid, out)
+    return RadialField(grid, _resample(even_spline(P), src.nodes[-1], y, y,
+                                       lam ** (-0.5 * grid.N), b, gamma))
 
 
 def profile_energy(expansion: ProfileExpansion, lam: float, b: float) -> float:

@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from nlsblowup.core import RadialField, make_params, norm_H1, norm_L2
-from nlsblowup.modulation import (ModulationState, TubeExit, decompose,
-                                  energy_inequality_check, hat_epsilon,
-                                  lyapunov_S, reconstruct)
+from nlsblowup import modulation
+from nlsblowup.core import (RadialField, apply_scaling_generator, make_params,
+                            norm_H1, norm_L2, pair)
+from nlsblowup.modulation import (ModulationState, TubeExit, _remainder,
+                                  decompose, energy_inequality_check,
+                                  hat_epsilon, lyapunov_S, reconstruct)
 from nlsblowup.profile import build_profile, eval_profile, rescale_to_physical
 from nlsblowup.reduced import classify_regime
 
@@ -46,6 +48,38 @@ def test_orthogonality_conditions_enforced(expansion_balanced):
     up = RadialField(u.grid, u.values + bump * np.exp(0.3j))
     state = decompose(up, expansion_balanced, (0.2, 0.0, 0.3))
     assert max(abs(o) for o in state.orth) < 1e-9
+
+
+def test_decompose_evaluates_the_profile_once_per_iterate(expansion_balanced,
+                                                          monkeypatch):
+    lam, b, gamma = 0.2, 0.05, 0.9
+    u = _pure_profile_field(expansion_balanced, lam, b, gamma)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eval_profile(*args, **kwargs)
+    monkeypatch.setattr(modulation, "eval_profile", counted)
+    state = decompose(u, expansion_balanced, (lam, b, gamma))
+    assert len(calls) == 1
+    assert state.iterations == 1 and not state.fd_jacobian
+
+    # a perturbed field iterates; the returned remainder, conditions and
+    # pairing are those of the returned parameters
+    bump = 1e-3 * np.exp(-(u.grid.nodes / 0.2) ** 2)
+    up = RadialField(u.grid, u.values + bump * np.exp(0.3j))
+    calls.clear()
+    state = decompose(up, expansion_balanced, (0.21, 0.04, 0.8))
+    assert state.iterations == len(calls) > 1
+    grid = expansion_balanced.grid
+    eps, P = _remainder(up, expansion_balanced, state.lam, state.b,
+                        state.gamma)
+    R = (pair(grid, eps, 1j * apply_scaling_generator(grid, P)),
+         pair(grid, eps, grid.nodes ** 2 * P),
+         pair(grid, eps, 1j * expansion_balanced.gs.rho.values))
+    assert np.max(np.abs(state.eps.values - eps)) < 1e-12
+    assert np.max(np.abs(np.subtract(state.orth, R))) < 1e-12
+    assert state.eps_P == pytest.approx(pair(grid, eps, P), abs=1e-12)
 
 
 def test_guess_independence(expansion_balanced):

@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from nlsblowup.core import make_grid, make_params, norm_L2
+from nlsblowup.core import RadialField, make_grid, make_params, norm_L2
 from nlsblowup.groundstate import compute_omega, solve_ground_state
-from nlsblowup.profile import (build_profile, eval_profile,
+from nlsblowup.profile import (build_profile, eval_profile, even_spline,
                                fit_loglog_slope, profile_derivatives,
                                profile_energy, psi_slope_sweep,
                                rescale_to_physical, residual_Psi,
@@ -132,6 +133,49 @@ def test_rescale_preserves_mass(expansion_balanced):
     grid = make_grid(1, 4096, 6.4)
     u = rescale_to_physical(P, lam, b, 0.7, grid)
     assert norm_L2(u) == pytest.approx(norm_L2(P), rel=1e-6)
+
+
+def _bump(r, kind):
+    f = np.exp(-r ** 2) * (1.0 + 0.5 * np.cos(3.0 * r))
+    return f * np.exp(0.7j * r ** 2) if kind == "complex" else f
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [8, 64, 4096])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_even_spline_is_the_not_a_knot_cubic_of_the_even_extension(N, n,
+                                                                  kind):
+    grid = make_grid(N, n, 6.0)
+    r, h = grid.nodes, grid.h
+    vals = _bump(r, kind)
+    ref = CubicSpline(np.concatenate([-r[::-1], r]),
+                      np.concatenate([vals[::-1], vals]))
+    spline = even_spline(RadialField(grid, vals))
+    # across r = 0, the interior, and the last cell
+    q = np.concatenate([np.linspace(0.0, 0.5 * h, 5, endpoint=False),
+                        np.linspace(r[0], r[-2], 301),
+                        np.linspace(r[-2], r[-1], 5)])
+    scale = np.max(np.abs(vals))
+    for nu in (0, 1):
+        err = np.max(np.abs(spline(q, nu) - ref(q, nu)))
+        assert err <= 1e-13 * scale, (nu, err)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_rescale_to_physical_evaluates_only_the_source_support(N):
+    src = make_grid(N, 512, 6.0)
+    P = RadialField(src, _bump(src.nodes, "complex"))
+    lam, b, gamma = 0.3, 0.05, 0.7
+    grid = make_grid(N, 2048, 4.0)       # x/lam reaches 13.3 > 6
+    u = rescale_to_physical(P, lam, b, gamma, grid)
+    y = grid.nodes / lam
+    inside = y <= src.nodes[-1]
+    assert 0 < np.count_nonzero(inside) < grid.n
+    assert np.all(u.values[~inside] == 0.0)
+    ref = (even_spline(P)(y) * lam ** (-0.5 * N)
+           * np.exp(-0.25j * b * y ** 2 + 1j * gamma))[inside]
+    err = np.max(np.abs(u.values[inside] - ref))
+    assert err <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_profile_energy_matches_initialization(expansion_balanced):
