@@ -40,9 +40,8 @@ from .profile import (ProfileExpansion, build_profile, fit_loglog_slope,
                       psi_slope_sweep)
 from .reduced import (app_solutions, classify_regime, initial_params,
                       integrate_reduced, power_law_solutions, rate_exponent)
-from .sim import (SimConfig, SnapshotSeries, energy_positivity_check,
-                  fit_blowup_rate, initial_datum, lower_bound_check,
-                  simulate_blowup)
+from .sim import (SimConfig, SnapshotSeries, fit_blowup_rate,
+                  lower_bound_check, simulate_blowup)
 
 __all__ = ["main", "run", "DomainError"]
 
@@ -359,13 +358,12 @@ def _profile_stage(cfg: dict, c0_ratio: Optional[float] = None
 
 
 def _simulate_stage(cfg: dict, expansion: ProfileExpansion):
-    """Evolve cfg's run from ``expansion``: its SimConfig, the snapshot
-    series and the rate exponent of the series' regime."""
+    """Evolve cfg's run from ``expansion``: the snapshot series and the
+    rate exponent of the series' regime."""
     sim_cfg = SimConfig(params=expansion.params,
                         **{name: cfg[key] for key, name in _SIM_FIELDS.items()})
     series = simulate_blowup(sim_cfg, expansion, cfg["E0"], cfg["s1"])
-    return sim_cfg, series, rate_exponent(series.regime,
-                                          expansion.params.alpha)
+    return series, rate_exponent(series.regime, expansion.params.alpha)
 
 
 # --------------------------------------------------------------------------
@@ -400,8 +398,8 @@ def _pipe_ground(cfg: dict, rundir: Path) -> dict:
 
 def _pipe_linops(cfg: dict, rundir: Path) -> dict:
     gs, omega = _solve_primary(cfg)
-    residuals = operator_identity_residuals(gs)
     rho = solve_rho(gs)
+    residuals = operator_identity_residuals(gs)
     report = {
         "identity_residuals": residuals,
         "omega": omega,
@@ -501,8 +499,7 @@ def _pipe_reduced(cfg: dict, rundir: Path) -> dict:
 
 def _pipe_simulate(cfg: dict, rundir: Path) -> dict:
     gs, _, expansion = _profile_stage(cfg)
-    params = expansion.params
-    sim_cfg, series, expected_exponent = _simulate_stage(cfg, expansion)
+    series, expected_exponent = _simulate_stage(cfg, expansion)
     _write_snapshots(rundir / "snapshots.csv", series)
 
     drifts = [sn.drift for sn in series.snapshots]
@@ -532,19 +529,17 @@ def _pipe_simulate(cfg: dict, rundir: Path) -> dict:
         "expected_coefficient": expected_coefficient,
     })
 
-    u0, lam1, b1 = initial_datum(sim_cfg, expansion, cfg["E0"], cfg["s1"])
-    e0_val, e0_pos = energy_positivity_check(u0, params)
-    lb_inf = lower_bound_check(series, fit, params)
+    lb_inf = lower_bound_check(series, fit, expansion.params)
     verdicts = {
-        "initial_energy": e0_val,
-        "energy_positive": bool(e0_pos),
+        "initial_energy": series.energy0,
+        "energy_positive": series.energy0 > 0.0,
         "lower_bound_infimum": lb_inf,
         "lower_bound_positive": bool(lb_inf > 0.0),
         "max_drift": conservation["max_drift"],
         "tube_exit": series.tube_exit,
         "truncated": series.truncated,
         "abort_reason": series.abort_reason,
-        "lambda1": lam1, "b1": b1,
+        "lambda1": series.lam1, "b1": series.b1,
     }
     _write_json(rundir / "verdicts.json", verdicts)
     return {"exponent": fit.exponent, "coefficient": fit.coefficient,
@@ -605,7 +600,7 @@ def _sweep_cell(cell: dict) -> dict:
     try:
         _, _, expansion = _profile_stage(cell, cell["c0_ratio"])
         row["regime"] = classify_regime(expansion)
-        _, series, row["expected_exponent"] = _simulate_stage(cell, expansion)
+        series, row["expected_exponent"] = _simulate_stage(cell, expansion)
         row["tube_exit"] = series.tube_exit
         fit = fit_blowup_rate(series)
         row["exponent"] = fit.exponent

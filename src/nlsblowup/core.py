@@ -266,10 +266,6 @@ class RadialField:
             raise ValueError("field values must match the grid size")
 
 
-def _values_of(f: RadialField | np.ndarray) -> np.ndarray:
-    return f.values if isinstance(f, RadialField) else np.asarray(f)
-
-
 def _check_finite(v: np.ndarray) -> None:
     if not np.all(np.isfinite(v)):
         raise ValueError("field has non-finite samples")
@@ -292,7 +288,7 @@ def pair(grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> float:
 
 def norm_L2(f: RadialField) -> float:
     """L^2 norm with the radial measure."""
-    v = _values_of(f)
+    v = f.values
     _check_finite(v)
     g = f.grid
     return math.sqrt(float(g.surface * np.sum(g.quad_weights * np.abs(v) ** 2)))
@@ -300,7 +296,7 @@ def norm_L2(f: RadialField) -> float:
 
 def norm_Lq(f: RadialField, q: float) -> float:
     """L^q norm with the radial measure."""
-    v = _values_of(f)
+    v = f.values
     _check_finite(v)
     g = f.grid
     return float(g.surface * np.sum(g.quad_weights * np.abs(v) ** q)) ** (1.0 / q)
@@ -313,7 +309,7 @@ def grad_norm_sq(f: RadialField) -> float:
     same operator that ``apply_neg_laplacian`` applies.
     """
     g = f.grid
-    v = _values_of(f)
+    v = f.values
     _check_finite(v)
     return float(np.real(integrate(g, np.conj(v) * apply_neg_laplacian(g, v))))
 
@@ -329,7 +325,7 @@ def weighted_norm(f: RadialField, weight: np.ndarray) -> float:
     ``weight`` holds node values; it multiplies |f|^2 inside the integral.
     """
     g = f.grid
-    v = _values_of(f)
+    v = f.values
     _check_finite(v)
     w = np.asarray(weight)
     if np.any(w < 0):

@@ -93,6 +93,8 @@ _NEWTON_TOL = 1e-11
 # Newton stops at its residual target only after one: a residual near its
 # roundoff floor cannot see the error such a step removes.
 _FULL_STEP = 1e-8
+# Newton gives up after this many iterations.
+_NEWTON_MAX_ITER = 60
 
 
 def _petviashvili(grid: RadialGrid, q: float,
@@ -128,8 +130,7 @@ def _linearized_solve(grid: RadialGrid, q: float, Q: np.ndarray,
 
 
 def _newton_polish(grid: RadialGrid, q: float, guess: np.ndarray,
-                   tol: float, max_iter: int = 60
-                   ) -> tuple[np.ndarray, float, int]:
+                   tol: float) -> tuple[np.ndarray, float, int]:
     """Damped Newton from ``guess``; returns the field, its sup-norm
     residual and the number of linearized solves."""
     Q = guess.copy()
@@ -137,7 +138,7 @@ def _newton_polish(grid: RadialGrid, q: float, guess: np.ndarray,
     best = np.max(np.abs(res))
     solves = 0
     small = False
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         scale = np.max(np.abs(Q))
         if small and best <= tol * scale:
             break

@@ -75,10 +75,10 @@ def _operators(gs: GroundState) -> tuple[Operator, Operator]:
             Operator.of(gs.grid, 1.0 - Qpow))
 
 
-def _solve_refined(op: Operator, rhs: np.ndarray,
-                   refine: int = 2) -> np.ndarray:
+def _solve_refined(op: Operator, rhs: np.ndarray) -> np.ndarray:
+    """Banded solve followed by two sweeps of iterative refinement."""
     x = op.solve(rhs)
-    for _ in range(refine):
+    for _ in range(2):
         x = x + op.solve(rhs - op.matvec(x))
     return x
 
@@ -293,25 +293,24 @@ def _symmetric_band(gs: GroundState, which: str) -> np.ndarray:
     return ab
 
 
-def _bottom_eigenvalues(gs: GroundState, which: str,
-                        count: int = 1) -> np.ndarray:
-    """The ``count`` smallest eigenvalues of Lplus or Lminus alone, by
-    deterministic banded bisection on the symmetrized banded form (no
-    eigenvectors, so no dense n x n matrix)."""
+def _bottom_eigenvalue(gs: GroundState, which: str) -> float:
+    """The smallest eigenvalue of Lplus or Lminus alone, by deterministic
+    banded bisection on the symmetrized banded form (no eigenvectors, so
+    no dense n x n matrix)."""
     from scipy.linalg import eig_banded
-    return eig_banded(_symmetric_band(gs, which), lower=False,
-                      eigvals_only=True, select="i",
-                      select_range=(0, count - 1))
+    return float(eig_banded(_symmetric_band(gs, which), lower=False,
+                            eigvals_only=True, select="i",
+                            select_range=(0, 0))[0])
 
 
 def lplus_unconstrained_min(gs: GroundState) -> float:
     """Smallest eigenvalue of Lplus alone (negative: one unstable mode)."""
-    return float(_bottom_eigenvalues(gs, "plus")[0])
+    return _bottom_eigenvalue(gs, "plus")
 
 
 def lminus_unconstrained_min(gs: GroundState) -> float:
     """Smallest eigenvalue of Lminus alone (zero: its kernel is Q)."""
-    return float(_bottom_eigenvalues(gs, "minus")[0])
+    return _bottom_eigenvalue(gs, "minus")
 
 
 # Quadratic penalty on the constraint directions, and the shift-invert

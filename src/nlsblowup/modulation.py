@@ -16,8 +16,9 @@ parameters are found by a Newton iteration on the condition vector; the
 Jacobian is assembled analytically (spline derivatives for the sampled
 field, monomial derivatives for P) with a finite-difference fallback, and
 tube membership is judged on the converged remainder.  Each iterate
-evaluates the profile and the conditions once, and the converged iterate's
-remainder is the one returned.
+evaluates the profile and the conditions once, and the returned state
+carries the converged iterate's P and remainder, which ``reconstruct``
+and ``lyapunov_S`` read.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ import numpy as np
 
 from .core import (
     LocalTerms,
-    ProblemParams,
     RadialField,
     RadialGrid,
     apply_scaling_generator,
-    grad_norm_sq,
     integrate,
     norm_H1,
     pair,
@@ -75,7 +74,9 @@ _NEWTON_MAX_ITER = 50
 
 @dataclass
 class ModulationState:
-    """Decomposition result; ``eps`` lives on the renormalized grid.
+    """Decomposition result (lam, b, gamma, P, eps): ``P`` is the profile
+    P(lam, b) of the converged iterate and ``eps`` the remainder, both on
+    the renormalized grid.
 
     ``iterations`` counts the condition evaluations of the Newton run
     (finite-difference Jacobian columns included) and ``fd_jacobian``
@@ -85,9 +86,8 @@ class ModulationState:
     lam: float
     b: float
     gamma: float
+    P: RadialField
     eps: RadialField
-    t: float
-    s: float
     expansion: ProfileExpansion
     eps_H1: float
     eps_P: float
@@ -123,26 +123,14 @@ def _remainder(u: RadialField, expansion: ProfileExpansion, lam: float,
     return eps, P
 
 
-def _default_guess(u: RadialField,
-                   expansion: ProfileExpansion) -> tuple[float, float, float]:
-    gs = expansion.gs
-    gn = grad_norm_sq(u)
-    if gn <= 0.0:
-        raise TubeExit("field has no gradient energy; no scale defined")
-    lam = math.sqrt(gs.norms["grad"] / gn)
-    gamma = float(np.angle(u.values[0]))
-    return lam, 0.0, gamma
-
-
 def decompose(u: RadialField, expansion: ProfileExpansion,
-              guess: tuple[float, float, float] | None = None, *,
-              t: float = 0.0, s: float = 0.0) -> ModulationState:
+              guess: tuple[float, float, float]) -> ModulationState:
     """Solve the three orthogonality conditions for (lam, b, gamma).
 
-    ``guess`` is (lam, b, gamma); when omitted it is derived from the
-    gradient-ratio scale and the central phase.  Tube membership is judged
-    after convergence: TubeExit is raised when the Newton iteration fails
-    or when the converged remainder has ||eps||_H1 >= ``_TUBE_DELTA``.
+    ``guess`` is the Newton seed (lam, b, gamma), lam > 0; there is no
+    default seed.  Tube membership is judged after convergence: TubeExit
+    is raised when the Newton iteration fails or when the converged
+    remainder has ||eps||_H1 >= ``_TUBE_DELTA``.
 
     The remainder is the renormalized resample of D = u - P_(lam,b,gamma)
     in physical space (see ``_remainder``); P itself is never resampled.
@@ -160,8 +148,6 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
     # u's spline, built when an analytic Jacobian first needs it
     spline = functools.cache(lambda: even_spline(u))
 
-    if guess is None:
-        guess = _default_guess(u, expansion)
     lam_g, b_g, gamma_g = float(guess[0]), float(guess[1]), float(guess[2])
     if lam_g <= 0.0:
         raise ValueError("guess scale must be positive")
@@ -259,7 +245,7 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
         raise TubeExit(f"tube exit: H1 distance {eps_H1:.4f} >= delta "
                        f"{_TUBE_DELTA}")
     return ModulationState(
-        lam=lam, b=b, gamma=gamma, eps=eps_field, t=t, s=s,
+        lam=lam, b=b, gamma=gamma, P=RadialField(grid, P), eps=eps_field,
         expansion=expansion, eps_H1=eps_H1,
         eps_P=pair(grid, eps, P), orth=tuple(float(r) for r in R),
         iterations=evaluations, fd_jacobian=use_fd)
@@ -267,8 +253,7 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
 
 def reconstruct(state: ModulationState, grid: RadialGrid) -> RadialField:
     """Physical field lam^(-N/2)(P+eps)(x/lam) e^(-i(b/4)|x|^2/lam^2+i gamma)."""
-    P_field, _ = eval_profile(state.expansion, state.lam, state.b)
-    total = RadialField(state.grid, P_field.values + state.eps.values)
+    total = RadialField(state.grid, state.P.values + state.eps.values)
     return rescale_to_physical(total, state.lam, state.b, state.gamma, grid)
 
 
@@ -279,19 +264,20 @@ def hat_epsilon(state: ModulationState) -> RadialField:
                        state.eps.values * np.exp(-0.25j * state.b * y2))
 
 
-def lyapunov_S(state: ModulationState, params: ProblemParams) -> float:
-    """Scaled Lyapunov functional of the remainder.
+def lyapunov_S(state: ModulationState) -> float:
+    """Scaled Lyapunov functional of the state's remainder.
 
     S = lam^(-10) [ 1/2 ||eps||_H1^2 + b^2 ||y eps||_2^2
                     - int( D(P+eps) - D(P) - rate(|P|^2) Re(P conj(eps)) ) ]
 
-    with D and rate the ``LocalTerms`` density and rate at shift lam^a; the
-    potential's part of the bracket is (C2/2) lam^a V |eps|^2.
+    with P the state's profile, D and rate the ``LocalTerms`` density and
+    rate of the expansion's params at shift lam^a; the potential's part of
+    the bracket is (C2/2) lam^a V |eps|^2.
     """
     grid = state.grid
+    params = state.expansion.params
     eps = state.eps.values
-    P_field, _ = eval_profile(state.expansion, state.lam, state.b)
-    P = P_field.values
+    P = state.P.values
     quad = 0.5 * norm_H1(state.eps) ** 2 \
         + state.b ** 2 * weighted_norm(state.eps, grid.nodes ** 2) ** 2
     terms = LocalTerms.of(params, grid, state.lam ** params.alpha)
@@ -302,14 +288,14 @@ def lyapunov_S(state: ModulationState, params: ProblemParams) -> float:
     return float(total / state.lam ** 10)
 
 
-def energy_inequality_check(state: ModulationState, params: ProblemParams,
-                            E0: float) -> float:
+def energy_inequality_check(state: ModulationState, E0: float) -> float:
     """Ratio (b^2 + ||hat eps||_H1^2) / (lam^2 E0)   (balanced regime)
     or    (b^2 + ||hat eps||_H1^2) / lam^alpha       (otherwise),
 
-    the regime being ``reduced.classify_regime`` of the state's expansion.
-    Bounded along admissible blow-up trajectories.  A balanced check with
-    E0 <= 0 is rejected: positive energy is part of the balanced regime.
+    the regime being ``reduced.classify_regime`` of the state's expansion
+    and alpha that of its params.  Bounded along admissible blow-up
+    trajectories.  A balanced check with E0 <= 0 is rejected: positive
+    energy is part of the balanced regime.
     """
     num = state.b ** 2 + norm_H1(hat_epsilon(state)) ** 2
     if classify_regime(state.expansion) == "balanced":
@@ -318,4 +304,4 @@ def energy_inequality_check(state: ModulationState, params: ProblemParams,
                 "balanced energy inequality needs E0 > 0 "
                 f"(got {E0}); zero-energy collapse is excluded")
         return float(num / (state.lam ** 2 * E0))
-    return float(num / state.lam ** params.alpha)
+    return float(num / state.lam ** state.expansion.params.alpha)

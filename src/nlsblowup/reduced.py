@@ -66,10 +66,9 @@ def _resubstitution_residual(
     theta_fn: Callable[[float, float], float],
     s_lo: float,
     s_hi: float,
-    *,
-    probes: int = 101,
 ) -> float:
-    """Max normalized ODE residual of the dense output.
+    """Max normalized ODE residual of the dense output at 101 evenly
+    spaced probes.
 
     Derivatives are taken with a 6th-order central stencil on the
     continuous interpolant.  The half-width scales with the local s (the
@@ -81,7 +80,7 @@ def _resubstitution_residual(
     if span <= 0.0:
         return 0.0
     worst = 0.0
-    for s in np.linspace(s_lo, s_hi, probes):
+    for s in np.linspace(s_lo, s_hi, 101):
         h = min(0.02 * max(abs(s), 0.5), span / 8.0,
                 (s - s_lo) / 3.0, (s_hi - s) / 3.0)
         if h <= 0.0:

@@ -126,12 +126,14 @@ class Snapshot:
 
 @dataclass
 class SnapshotSeries:
-    """A blow-up run: snapshots plus run-level records.  ``regime`` is
+    """A blow-up run: snapshots plus run-level records.  ``lam1`` and
+    ``b1`` are the initial datum's parameters (``initial_datum``),
+    ``mass0`` and ``energy0`` its ``conserved`` values, and ``regime`` is
     ``reduced.classify_regime`` of the run's expansion."""
 
     snapshots: list[Snapshot]
-    E0: float
-    s1: float
+    lam1: float
+    b1: float
     mass0: float
     energy0: float
     regime: str
@@ -362,7 +364,7 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
     v = u.values.astype(complex)
     mass0, energy0 = conserved(u, params)
 
-    series = SnapshotSeries(snapshots=[], E0=E0, s1=s1, mass0=mass0,
+    series = SnapshotSeries(snapshots=[], lam1=lam1, b1=b1, mass0=mass0,
                             energy0=energy0,
                             regime=classify_regime(expansion))
     energy_ref = energy0
@@ -400,13 +402,13 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
                 series.truncated = True
                 break
             try:
-                state = decompose(field, expansion, guess, s=s, t=t)
+                state = decompose(field, expansion, guess)
             except TubeExit as exc:
                 series.tube_exit = True
                 series.truncated = True
                 series.abort_reason = str(exc)
                 break
-            lyap = lyapunov_S(state, params)
+            lyap = lyapunov_S(state)
             series.snapshots.append(Snapshot(
                 t=t, s=s, lam=state.lam, b=state.b, gamma=state.gamma,
                 eps_H1=state.eps_H1, eps_P=state.eps_P, lam_hat=lam_h,

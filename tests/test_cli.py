@@ -12,7 +12,9 @@ import pytest
 
 from nlsblowup.cli import run
 from nlsblowup.core import make_grid, make_params
-from nlsblowup.groundstate import solve_ground_state
+from nlsblowup.groundstate import compute_omega, solve_ground_state
+from nlsblowup.profile import build_profile
+from nlsblowup.reduced import initial_params
 
 GROUND_ARGS = ["ground", "--N", "1", "--sigma", "0.2",
                "--grid-n", "2048", "--rmax", "25"]
@@ -201,6 +203,30 @@ def test_simulate_without_rate_fit_is_a_domain_error(tmp_path, capsys):
     assert code == 1
     assert "rate fit" in out["error"]
     assert "conservation drift" in out["error"]
+
+
+def test_simulate_verdicts_record_the_initial_datum(tmp_path, capsys):
+    # a coarse balanced run that reaches a rate fit, so verdicts.json is
+    # written; the fitted exponent means nothing at these settings
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"profile_n": 2048, "profile_rmax": 18,
+                               "grid_n": 1024, "dt_c": 1e-2,
+                               "drift_abort": 1e-2, "s1": 30}))
+    code, out = _run(capsys, ["simulate", "--config", str(cfg),
+                              "--out", str(tmp_path)])
+    assert code == 0, out
+    rundir = Path(out["outdir"])
+    verdicts = json.loads((rundir / "verdicts.json").read_text())
+    conservation = json.loads((rundir / "conservation.json").read_text())
+    crit = make_params(1, None, 0.2, 0.0, "critical", 1.0)
+    gs = solve_ground_state(crit, make_grid(1, 2048, 18.0))
+    params = make_params(1, None, 0.2, compute_omega(gs, crit), "plusminus",
+                         1.0)
+    expansion = build_profile(gs, params, order=2)
+    assert (verdicts["lambda1"], verdicts["b1"]) == initial_params(
+        expansion, 1.0, 30.0)
+    assert verdicts["initial_energy"] == conservation["energy0"]
+    assert verdicts["energy_positive"]
 
 
 def test_linops_beta_sweep_artifact(tmp_path, capsys):

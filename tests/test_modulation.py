@@ -63,6 +63,15 @@ def test_decompose_evaluates_the_profile_once_per_iterate(expansion_balanced,
     state = decompose(u, expansion_balanced, (lam, b, gamma))
     assert len(calls) == 1
     assert state.iterations == 1 and not state.fd_jacobian
+    # the state carries the converged iterate's profile; reconstruct and
+    # the Lyapunov functional read it instead of evaluating it again
+    assert np.array_equal(
+        state.P.values,
+        eval_profile(expansion_balanced, state.lam, state.b)[0].values)
+    calls.clear()
+    reconstruct(state, u.grid)
+    lyapunov_S(state)
+    assert len(calls) == 0
 
     # a perturbed field iterates; the returned remainder, conditions and
     # pairing are those of the returned parameters
@@ -121,10 +130,10 @@ def test_hat_epsilon_l2_invariance(expansion_balanced):
     assert norm_L2(hat) == pytest.approx(norm_L2(state.eps), rel=1e-6)
 
 
-def test_lyapunov_scales_like_remainder(expansion_balanced, params_balanced):
+def test_lyapunov_scales_like_remainder(expansion_balanced):
     u = _pure_profile_field(expansion_balanced, 0.2, 0.02, 0.0)
     state0 = decompose(u, expansion_balanced, (0.2, 0.0, 0.0))
-    lyap0 = lyapunov_S(state0, params_balanced)
+    lyap0 = lyapunov_S(state0)
     bump = 2e-3 * np.exp(-(u.grid.nodes / 0.12) ** 2)
     # S is coercive on the critical-mass sphere only: a bump that adds mass
     # moves eps along the negative direction of Lplus, so the perturbed
@@ -132,18 +141,17 @@ def test_lyapunov_scales_like_remainder(expansion_balanced, params_balanced):
     up = RadialField(u.grid, u.values + bump)
     up.values *= norm_L2(u) / norm_L2(up)
     state1 = decompose(up, expansion_balanced, (0.2, 0.0, 0.0))
-    lyap1 = lyapunov_S(state1, params_balanced)
+    lyap1 = lyapunov_S(state1)
     assert np.isfinite(lyap0) and np.isfinite(lyap1)
     assert lyap1 > lyap0
 
 
-def test_energy_inequality_nonnegative_margin(expansion_balanced,
-                                              params_balanced):
+def test_energy_inequality_nonnegative_margin(expansion_balanced):
     from nlsblowup.reduced import init_params
     lam1, b1 = init_params(expansion_balanced, 1.0, 30.0)
     u = _pure_profile_field(expansion_balanced, lam1, b1, 0.0)
     state = decompose(u, expansion_balanced, (lam1, 0.0, 0.0))
-    margin = energy_inequality_check(state, params_balanced, 1.0)
+    margin = energy_inequality_check(state, 1.0)
     assert np.isfinite(margin)
 
 
@@ -158,8 +166,9 @@ def test_energy_inequality_follows_the_classified_regime(gs_profile,
     assert classify_regime(expansion) == "balanced"
     grid = expansion.grid
     state = ModulationState(lam=0.1, b=0.05, gamma=0.0,
+                            P=eval_profile(expansion, 0.1, 0.05)[0],
                             eps=RadialField(grid, np.zeros(grid.n, complex)),
-                            t=0.0, s=0.0, expansion=expansion, eps_H1=0.0,
+                            expansion=expansion, eps_H1=0.0,
                             eps_P=0.0, orth=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="needs E0 > 0"):
-        energy_inequality_check(state, params, E0=0.0)
+        energy_inequality_check(state, E0=0.0)

@@ -16,6 +16,7 @@ from nlsblowup.core import (RadialField, apply_neg_laplacian, grad_norm_sq,
                             make_grid, make_params, neg_laplacian_banded,
                             norm_L2, potential_weights)
 from nlsblowup.groundstate import solve_ground_state
+from nlsblowup.reduced import initial_params
 from nlsblowup.sim import (SimConfig, Snapshot, SnapshotSeries, _Stepper,
                            conserved, energy_positivity_check,
                            fit_blowup_rate, initial_datum, lambda_hat,
@@ -249,6 +250,14 @@ def test_snapshot_monotonicity_and_drift(short_run):
     assert max(sn.eps_H1 for sn in series.snapshots) < 0.1
 
 
+def test_series_records_its_initial_datum(short_run, expansion_balanced):
+    config, series = short_run
+    assert (series.lam1, series.b1) == initial_params(expansion_balanced,
+                                                      1.0, 30.0)
+    u0, _, _ = initial_datum(config, expansion_balanced, 1.0, 30.0)
+    assert series.energy0 == conserved(u0, config.params)[1]
+
+
 def test_series_csv_roundtrip(short_run, tmp_path):
     _, series = short_run
     path = tmp_path / "snapshots.csv"
@@ -295,7 +304,7 @@ def _synthetic_series(T=0.8, expo=0.85, coeff=1.3, n=400,
                       eps_P=0.0, lam_hat=lk, grad_norm=1.0 / lk, mass=1.0,
                       energy=1.0, lyap=0.0)
              for tk, lk in zip(t, lam)]
-    return SnapshotSeries(snapshots=snaps, E0=1.0, s1=0.0, mass0=1.0,
+    return SnapshotSeries(snapshots=snaps, lam1=1.0, b1=0.0, mass0=1.0,
                           energy0=1.0, regime=regime)
 
 
