@@ -7,7 +7,9 @@ version included).  The directory holds ``manifest.json`` plus the
 subcommand's artifacts, and a ``latest`` pointer file at the output root is
 refreshed to name it.  Numerics are deterministic and every float is
 serialized with 17 significant digits, so re-running an identical
-configuration reproduces identical artifact bytes.
+configuration reproduces identical artifact bytes.  JSON goes through
+``_json17`` and every CSV through ``_write_csv``: %.17g floats, csv-module
+quoting (QUOTE_MINIMAL) and ``\\r\\n`` line ends.
 
 Exit codes: 0 on success, 1 on a domain error (a machine-readable error
 record is printed to stdout), 2 on a usage error (argparse).
@@ -16,7 +18,6 @@ record is printed to stdout), 2 on a usage error (argparse).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -24,8 +25,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -90,18 +92,29 @@ def _write_json(path: Path, obj: Any) -> None:
     path.write_text(_json17(obj) + "\n")
 
 
-def _fmt(x: Any) -> Any:
+def _cell(x: Any) -> str:
+    """One CSV cell as ``csv.writer`` writes it, a float as %.17g."""
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
-    return x
+    text = "" if x is None else str(x)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _write_csv(path: Path, header: list[str], rows: list) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
+    """Write rows as wide as the header by one % over a per-column line
+    template: %.17g for a column of floats only, else %s fed ``_cell`` text."""
+    cells, k = list(chain.from_iterable(rows)), len(header)
+    specs = ["%.17g"] * k
+    for j in range(k):
+        if not {*map(type, cells[j::k])} <= {float, np.float64}:
+            specs[j] = "%s"
+            cells[j::k] = map(_cell, cells[j::k])
+    line = ",".join(specs) + "\r\n"
+    text = line * (len(cells) // k) % tuple(cells)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        fh.write(",".join(map(_cell, header)) + "\r\n" + text)
 
 
 _SNAPSHOT_COLUMNS = ["t", "s", "lam", "b", "gamma", "eps_H1", "eps_P",
@@ -389,9 +402,8 @@ def _pipe_ground(cfg: dict, rundir: Path) -> dict:
     }
     _write_json(rundir / "ground.json", report)
     Q = gs.Q.values
-    np.savetxt(rundir / "ground.csv",
-               np.column_stack([gs.grid.nodes, np.real(Q), np.imag(Q)]),
-               delimiter=",", header="r,re,im", comments="", fmt="%.17g")
+    _write_csv(rundir / "ground.csv", ["r", "re", "im"],
+               zip(gs.grid.nodes, np.real(Q), np.imag(Q)))
     return {"Q0": gs.Q0, "omega": omega,
             "elliptic_inf": gs.residual_inf}
 

@@ -351,8 +351,11 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
     most recent regrid and normalized by the current energy scale; the
     regrid jumps themselves (marginal-band re-quadrature, not a loss of
     the flow) stay available in regrid_log.
+    Raises ValueError if config.params are not the expansion's params.
     """
 
+    if config.params != expansion.params:
+        raise ValueError("config.params differ from the expansion's params")
     gs = expansion.gs
     params = config.params
     u, lam1, b1 = initial_datum(config, expansion, E0, s1)

@@ -5,12 +5,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from nlsblowup.cli import run
+from nlsblowup.cli import _write_csv, run
 from nlsblowup.core import make_grid, make_params
 from nlsblowup.groundstate import compute_omega, solve_ground_state
 from nlsblowup.profile import build_profile
@@ -60,9 +62,12 @@ def test_field_csv_roundtrip(ground_root):
     assert not data[:, 2].any()
 
 
-@pytest.mark.parametrize("argv", [GROUND_ARGS,
-                                  ["linops", "--grid-n", "2048"]],
-                         ids=["ground", "linops"])
+@pytest.mark.parametrize("argv", [
+    GROUND_ARGS,
+    ["linops", "--grid-n", "2048"],
+    ["profile", "--grid-n", "2048", "--rmax", "18"],
+    ["reduced", "--grid-n", "2048", "--rmax", "18"],
+], ids=["ground", "linops", "profile", "reduced"])
 def test_rerun_reproduces_artifact_bytes(argv, tmp_path, capsys):
     code, out = _run(capsys, argv + ["--out", str(tmp_path)])
     assert code == 0
@@ -73,6 +78,43 @@ def test_rerun_reproduces_artifact_bytes(argv, tmp_path, capsys):
     for name, digest in digests.items():
         assert hashlib.sha256(
             (rundir / name).read_bytes()).hexdigest() == digest
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                   1.7976931348623157e308]
+_PY_FLOATS = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+_FLOATS = st.one_of(_PY_FLOATS, _PY_FLOATS.map(np.float64))
+_TEXT = st.text(st.sampled_from('az09 .-,"\r\n%'), max_size=6)
+_CELLS = st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), _TEXT)
+
+
+@st.composite
+def _tables(draw):
+    k = draw(st.integers(2, 5))
+    header = draw(st.lists(_TEXT, min_size=k, max_size=k))
+    # a column is all floats (one %.17g field) or mixed (a %s field)
+    kinds = draw(st.lists(st.sampled_from([_FLOATS, _CELLS]),
+                          min_size=k, max_size=k))
+    rows = draw(st.lists(st.tuples(*kinds), max_size=20))
+    return header, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables())
+@example(table=(["x", "y%"], []))
+def test_csv_writer_matches_csv_module_bytes(table, tmp_path_factory):
+    # the writer's bytes are those of csv.writer fed %.17g text for every
+    # float cell; a % in a header or a cell comes out as one %
+    header, rows = table
+    root = tmp_path_factory.getbasetemp()
+    _write_csv(root / "table.csv", header, rows)
+    with open(root / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(float(x), ".17g") if isinstance(x, float)
+                          else x for x in row] for row in rows)
+    assert ((root / "table.csv").read_bytes()
+            == (root / "reference.csv").read_bytes())
 
 
 def test_manifest_records_resolved_config(ground_root):

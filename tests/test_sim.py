@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
+from nlsblowup import sim
 from nlsblowup.cli import _write_snapshots
 from nlsblowup.core import (RadialField, apply_neg_laplacian, grad_norm_sq,
                             make_grid, make_params, neg_laplacian_banded,
@@ -273,6 +274,19 @@ def test_series_csv_roundtrip(short_run, tmp_path):
     mods = [float(row["mod_norm"]) for row in rows]
     assert math.isnan(mods[0]) and math.isnan(mods[-1])
     assert all(math.isfinite(m) for m in mods[1:-1])
+
+
+def test_simulate_rejects_params_of_another_equation(
+        expansion_balanced, params_unbalanced, monkeypatch):
+    # the march would use config.params and the lyap column the
+    # expansion's; the mismatch is refused before the initial datum
+    def no_datum(*args):
+        raise AssertionError("simulate_blowup built its initial datum")
+
+    monkeypatch.setattr(sim, "initial_datum", no_datum)
+    config = SimConfig(params=params_unbalanced, n=1024, rmax_factor=64.0)
+    with pytest.raises(ValueError, match="params"):
+        simulate_blowup(config, expansion_balanced, 1.0, 30.0)
 
 
 @pytest.mark.parametrize("name, value", [
