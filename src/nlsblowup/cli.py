@@ -18,6 +18,7 @@ record is printed to stdout), 2 on a usage error (argparse).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -214,7 +215,10 @@ def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
                     help="flat JSON file mirroring the flags; flags override")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (parsing leaves it as it
+    was)."""
     parser = argparse.ArgumentParser(
         prog="nlsblowup",
         description=("Minimal-mass blow-up laboratory for a perturbed "

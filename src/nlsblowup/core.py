@@ -12,7 +12,10 @@ bilinear identities hold exactly in floating point:
   second-order conservative flux form for N = 2, 3; both are exactly
   self-adjoint in the weighted inner product;
 - every banded solve goes through :class:`Operator`, that -Lap plus a
-  diagonal;
+  diagonal, which factors its band once (LAPACK ?gbtrf, or ?gttrf for the
+  tridiagonal flux form) and solves each right-hand side with one
+  triangular sweep (?gbtrs / ?gttrs), bit for bit what
+  ``scipy.linalg.solve_banded`` returns;
 - the squared gradient norm is the Dirichlet form of that operator, so
   <-Lap u, u> equals |grad u|^2 exactly;
 - the inverse-power potential r^(-2*sigma) is represented by exact cell
@@ -27,10 +30,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, lapack
 
 __all__ = [
     "Branch",
@@ -389,11 +393,15 @@ class Operator:
 
     ``ab`` is L in the storage of :func:`neg_laplacian_banded`; ``pot`` is
     a real scalar or node array, made complex by a complex :meth:`shifted`.
+    The band is factored once, on the first :meth:`solve` in each LAPACK
+    type, and the factor lives as long as the operator.
     """
 
     grid: RadialGrid
     pot: np.ndarray | float | complex
     ab: np.ndarray
+    _solvers: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @classmethod
     def of(cls, grid: RadialGrid, pot) -> "Operator":
@@ -409,9 +417,42 @@ class Operator:
         return apply_neg_laplacian(self.grid, x) + self.pot * x
 
     def solve(self, rhs: np.ndarray, *, check_finite: bool = True) -> np.ndarray:
-        """L^-1 rhs by banded LU; ``check_finite`` as in scipy."""
-        return solve_banded((self.u, self.u), self.ab, rhs,
-                            check_finite=check_finite)
+        """L^-1 rhs by one triangular sweep (?gbtrs, or ?gttrs for the
+        tridiagonal band) on the stored LU factor, bit for bit
+        ``scipy.linalg.solve_banded``'s result; ``check_finite`` as there.
+
+        A complex band or rhs is solved in complex.  The first solve in a
+        type factors the band (?gbtrf / ?gttrf) and raises ``LinAlgError``
+        if it is singular.
+        """
+        if check_finite:
+            np.asarray_chkfinite(self.ab)
+            rhs = np.asarray_chkfinite(rhs)
+        t = "z" if np.iscomplexobj(self.ab) or np.iscomplexobj(rhs) else "d"
+        sweep = self._solvers.get(t) or self._factor(t)
+        return sweep(rhs)[0]
+
+    def _factor(self, t: str):
+        """Factor the band in LAPACK type ``t``; returns the sweep."""
+        u = self.u
+        if u == 1:
+            # ?gttrf/?gttrs, not ?gbtrf: only these are bit for bit the
+            # ?gtsv that solve_banded calls for a tridiagonal band
+            *lu, info = getattr(lapack, t + "gttrf")(
+                self.ab[2, :-1], self.ab[1], self.ab[0, 1:])
+            sweep = partial(getattr(lapack, t + "gttrs"), *lu)
+        else:
+            # ?gbtrf needs u extra rows for the fill-in of its pivoting
+            ab = np.zeros((3 * u + 1, self.ab.shape[1]),
+                          dtype=complex if t == "z" else float)
+            ab[u:] = self.ab
+            lu, piv, info = getattr(lapack, t + "gbtrf")(ab, u, u,
+                                                         overwrite_ab=True)
+            sweep = partial(getattr(lapack, t + "gbtrs"), lu, u, u, ipiv=piv)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        self._solvers[t] = sweep
+        return sweep
 
     def shifted(self, s: float | complex) -> "Operator":
         """L - s (a new operator; complex s gives a complex band)."""

@@ -11,7 +11,9 @@ with Lminus Q = 0.  This module builds both as ``core.Operator``s, the
 grid's one discrete -Lap plus a diagonal (exactly self-adjoint in the
 cell-weighted inner product; the fourth-order pentadiagonal stencil for
 N = 1, the tridiagonal flux form for N = 2, 3), solves
-well-posed and bordered systems with iterative refinement, produces the
+well-posed and bordered systems with iterative refinement (each operator
+is factored once per call, and every refinement sweep reuses that
+factor), produces the
 companion profile rho solving  Lplus rho = r^2 Q, and certifies constrained
 positivity of the quadratic form by a preconditioned block eigensolve.
 """
@@ -76,7 +78,8 @@ def _operators(gs: GroundState) -> tuple[Operator, Operator]:
 
 
 def _solve_refined(op: Operator, rhs: np.ndarray) -> np.ndarray:
-    """Banded solve followed by two sweeps of iterative refinement."""
+    """Banded solve followed by two sweeps of iterative refinement; the
+    three solves share the operator's one LU factor."""
     x = op.solve(rhs)
     for _ in range(2):
         x = x + op.solve(rhs - op.matvec(x))

@@ -169,7 +169,9 @@ class _Stepper:
     mu (N = 1: diagonal in the quarter-wave cosine basis) two orthonormal
     DCT-IV transforms around the exactly unimodular multiplier
     (1 - i dt mu / 2) / (1 + i dt mu / 2), elsewhere a banded solve of
-    1 + z(-Lap) = z(-Lap + 1/z), z = i dt / 2.  It
+    1 + z(-Lap) = z(-Lap + 1/z), z = i dt / 2, whose ``Operator`` is
+    factored once per dt (once per run at fixed dt), so each step is one
+    ?gttrs sweep.  It
     conserves g = <v, -Lap v> = grad_norm_sq(v) and returns it from what it
     computes anyway: h * surface * sum mu |w_k|^2 on the cosine coefficients
     w, or the integral of conj(v) (-Lap v) on the banded path.  A NaN

@@ -8,6 +8,7 @@ test that needs it reads the same object.
 from __future__ import annotations
 
 import pytest
+from scipy.linalg import lapack
 
 from nlsblowup.core import make_grid, make_params
 from nlsblowup.groundstate import compute_omega, solve_ground_state
@@ -55,3 +56,16 @@ def expansion_balanced(gs_profile, params_balanced):
 @pytest.fixture(scope="session")
 def expansion_unbalanced(gs_profile, params_unbalanced):
     return build_profile(gs_profile, params_unbalanced, order=2)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Names of the LAPACK band factor routines called while the test
+    runs, one entry per factorization ``core.Operator`` makes."""
+    calls = []
+    for name in ("dgbtrf", "zgbtrf", "dgttrf", "zgttrf"):
+        def counted(*args, _trf=getattr(lapack, name), _name=name, **kw):
+            calls.append(_name)
+            return _trf(*args, **kw)
+        monkeypatch.setattr(lapack, name, counted)
+    return calls

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import dct, idct
 from scipy.integrate import quad
+from scipy.linalg import LinAlgError, solve_banded
 
 from nlsblowup.core import (Branch, LocalTerms, Operator, RadialField,
                             apply_neg_laplacian, apply_scaling_generator,
@@ -177,6 +178,53 @@ def test_grid_operator_form_and_band(N):
     op = Operator.of(grid, 1.0 + 0.5 * np.exp(-grid.nodes ** 2))
     for L in (op, op.shifted(-1.0 / (0.5j * 1e-3))):
         assert np.max(np.abs(L.solve(L.matvec(v)) - v)) < 1e-10
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("case", ["real", "shifted", "pivoting"])
+def test_operator_solve_is_solve_banded_bit_for_bit(N, case):
+    # solve after solve on one operator, its stored factor gives exactly
+    # what a fresh solve_banded gives: the real operators of linops and
+    # the ground state with real rhs, the propagator's complex shift with
+    # complex rhs, and a random band that makes LAPACK pivot; the last rhs
+    # is complex on every band, which is then solved in complex
+    grid = make_grid(N, 400, 9.0)
+    rng = np.random.default_rng(N)
+    op = Operator.of(grid, 1.0 - 5.0 * np.exp(-grid.nodes ** 2))
+    if case == "shifted":
+        op = Operator.of(grid, 0.0).shifted(-1.0 / (0.5j * 1e-3))
+    elif case == "pivoting":
+        op = Operator(grid, 0.0, rng.standard_normal(op.ab.shape))
+    for k in range(4):
+        rhs = rng.standard_normal(grid.n)
+        if case == "shifted" or k == 3:
+            rhs = rhs + 1j * rng.standard_normal(grid.n)
+        x = op.solve(rhs)
+        ref = solve_banded((op.u, op.u), op.ab, rhs)
+        assert x.dtype == ref.dtype
+        assert np.array_equal(x, ref)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_operator_solve_finiteness_and_singular_band(N):
+    grid = make_grid(N, 64, 4.0)
+    op = Operator.of(grid, 1.0)
+    rhs = np.ones(grid.n)
+    rhs[5] = np.nan
+    with pytest.raises(ValueError):
+        op.solve(rhs)
+    # unchecked, a NaN passes through as it does in solve_banded
+    x = op.solve(rhs, check_finite=False)
+    ref = solve_banded((op.u, op.u), op.ab, rhs, check_finite=False)
+    assert np.isnan(x).any()
+    assert np.array_equal(x, ref, equal_nan=True)
+    with pytest.raises(ValueError):
+        Operator.of(grid, np.where(grid.nodes < 1.0, np.inf, 1.0)).solve(
+            np.ones(grid.n))
+    singular = Operator(grid, 0.0, np.zeros_like(op.ab))
+    for _ in range(2):  # a failed factorization is not kept
+        with pytest.raises(LinAlgError):
+            singular.solve(np.ones(grid.n))
 
 
 def test_penta_fourth_order_and_symmetric():

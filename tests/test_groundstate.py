@@ -77,6 +77,13 @@ def test_petviashvili_agrees_with_newton(params_critical):
     assert diff < 1e-8
 
 
+@pytest.mark.parametrize("N, trf", [(1, "dgbtrf"), (2, "dgttrf")])
+def test_petviashvili_factors_its_operator_once(N, trf, factorizations):
+    params = make_params(N, None, 0.2, 0.0, "critical", 1.0)
+    petviashvili_ground_state(params, make_grid(N, 512, 15.0))
+    assert factorizations == [trf]
+
+
 @pytest.mark.parametrize("n, rmax", [(2048, 18.0), (2048, 30.0),
                                      (32768, 30.0)])
 def test_newton_is_independent_of_its_seed(params_critical, n, rmax):

@@ -11,7 +11,7 @@ from nlsblowup.linops import (beta_closed_form, branch_forcing,
                               coercivity_spectrum, lminus_unconstrained_min,
                               lplus_unconstrained_min,
                               operator_identity_residuals, solve_bordered,
-                              solve_rho)
+                              solve_lminus_orthogonal, solve_rho)
 from nlsblowup.linops import _operators, _symmetric_band
 
 
@@ -111,3 +111,21 @@ def test_unconstrained_minima(gs_coarse):
 def test_constrained_coercivity(gs_coarse):
     rho = solve_rho(gs_coarse)
     assert coercivity_spectrum(gs_coarse, rho) > 0.0
+
+
+@pytest.mark.parametrize("solver, factors", [
+    (lambda gs, F: solve_rho(gs), 1),
+    (lambda gs, F: solve_bordered(gs, F), 1),
+    (lambda gs, F: solve_lminus_orthogonal(gs, F.values), 1),
+    (lambda gs, F: coercivity_spectrum(gs, gs.rho), 2),
+], ids=["solve_rho", "solve_bordered", "solve_lminus_orthogonal",
+        "coercivity_spectrum"])
+def test_each_operator_is_factored_once_per_call(gs_coarse, factorizations,
+                                                 solver, factors):
+    # the refinement sweeps and the Lanczos iterations reuse the factor
+    F = RadialField(gs_coarse.grid, gs_coarse.grid.nodes ** 2
+                    * gs_coarse.Q.values)
+    solve_rho(gs_coarse)
+    factorizations.clear()
+    solver(gs_coarse, F)
+    assert factorizations == ["dgbtrf"] * factors

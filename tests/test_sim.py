@@ -178,6 +178,14 @@ def test_fused_march_equals_unfused_steps(N):
     assert np.max(np.abs(fused - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+def test_propagate_factors_its_step_once_per_run(factorizations):
+    # at fixed dt the N = 2 Crank-Nicolson band is factored once, and
+    # every step is one sweep on that factor
+    grid = make_grid(2, 256, 12.0)
+    propagate(RadialField(grid, _wave(grid)), 1e-3, 20, PLUSMINUS[2])
+    assert factorizations == ["zgttrf"]
+
+
 @pytest.mark.parametrize("N", [1, 2])
 def test_linear_returns_the_gradient_norm_it_keeps(N):
     params = PLUSMINUS[N]
