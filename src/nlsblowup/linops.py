@@ -69,12 +69,11 @@ class BorderedSolution:
 # Operators and basic application
 # --------------------------------------------------------------------------
 
-def _operators(gs: GroundState) -> tuple[Operator, Operator]:
-    """Lplus and Lminus on the grid's one discrete -Lap."""
+def _operator(gs: GroundState, which: str) -> Operator:
+    """Lplus (``which`` = "plus") or Lminus on the grid's one discrete -Lap."""
     q = gs.params.q
     Qpow = np.abs(gs.Q.values) ** (q - 1.0)
-    return (Operator.of(gs.grid, 1.0 - q * Qpow),
-            Operator.of(gs.grid, 1.0 - Qpow))
+    return Operator.of(gs.grid, 1.0 - (q * Qpow if which == "plus" else Qpow))
 
 
 def _solve_refined(op: Operator, rhs: np.ndarray) -> np.ndarray:
@@ -104,7 +103,7 @@ def _residual_floor(op: Operator, x: np.ndarray, rhs: np.ndarray) -> float:
 
 def solve_rho(gs: GroundState) -> RadialField:
     """Solve  Lplus rho = r^2 Q  and cache the result on the ground state."""
-    op, _ = _operators(gs)
+    op = _operator(gs, "plus")
     rhs = gs.grid.nodes ** 2 * gs.Q.values
     x = _solve_refined(op, rhs)
     res = float(np.linalg.norm(op.matvec(x) - rhs))
@@ -127,7 +126,7 @@ def solve_bordered(gs: GroundState, F: RadialField) -> BorderedSolution:
     """
     if gs.rho is None:
         solve_rho(gs)
-    op, _ = _operators(gs)
+    op = _operator(gs, "plus")
     Fv = np.asarray(F.values, dtype=float)
     x = _solve_refined(op, Fv)
     grid = gs.grid
@@ -159,7 +158,7 @@ def solve_lminus_orthogonal(gs: GroundState, G: np.ndarray) -> tuple[np.ndarray,
     """
     if gs.rho is None:
         solve_rho(gs)
-    _, op = _operators(gs)
+    op = _operator(gs, "minus")
     grid = gs.grid
     Qv = gs.Q.values
     rhov = gs.rho.values
@@ -240,7 +239,7 @@ def operator_identity_residuals(gs: GroundState) -> dict:
         return apply_neg_laplacian(grid, x) + x - Qpow * x
 
     # refine rho in extended precision against the long-double forcing
-    op_p, _ = _operators(gs)
+    op_p = _operator(gs, "plus")
     r2Qld = grid.nodes.astype(np.longdouble) ** 2 * Qld
     rho = gs.rho.values.astype(np.longdouble)
     for _ in range(2):
@@ -287,8 +286,7 @@ def _symmetric_band(gs: GroundState, which: str) -> np.ndarray:
     applies directly.
     """
     w = gs.grid.quad_weights
-    op_p, op_m = _operators(gs)
-    op = op_p if which == "plus" else op_m
+    op = _operator(gs, which)
     u = op.u
     ab = op.ab[:u + 1].copy()
     for k in range(1, u + 1):
@@ -340,7 +338,8 @@ def coercivity_spectrum(gs: GroundState, rho: RadialField) -> float:
     grid = gs.grid
     n = grid.n
     sq = np.sqrt(grid.quad_weights * grid.surface)
-    blocks = list(zip((slice(0, n), slice(n, 2 * n)), _operators(gs)))
+    blocks = [(slice(0, n), _operator(gs, "plus")),
+              (slice(n, 2 * n), _operator(gs, "minus"))]
 
     # constraint directions in the symmetrized coordinates, orthonormalized
     Z = np.zeros((2 * n, 3))

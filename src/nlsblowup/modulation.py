@@ -16,14 +16,19 @@ parameters are found by a Newton iteration on the condition vector; the
 Jacobian is assembled analytically (spline derivatives for the sampled
 field, monomial derivatives for P) with a finite-difference fallback, and
 tube membership is judged on the converged remainder.  Each iterate
-evaluates the profile and the conditions once, and the returned state
-carries the converged iterate's P and remainder, which ``reconstruct``
-and ``lyapunov_S`` read.
+evaluates the profile, its chirp phase and the pairing directions once,
+and the returned state carries the converged iterate's P and remainder,
+which ``reconstruct`` and ``lyapunov_S`` read.
+
+The field-grid splines of D and u are sampled only at x = lam y <= lam y[-1]
+and are built on the nodes those samples reach plus 64, with the leading
+block of the cached slope factor (``profile._even_cubic``); a spline's end
+condition fades by 2 - sqrt(3) per node inward, so the samples are bit for
+bit those of the spline on the whole field grid.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,9 +46,11 @@ from .core import (
 )
 from .profile import (
     ProfileExpansion,
+    _chirp,
+    _even_cubic,
     _resample,
+    _window,
     eval_profile,
-    even_spline,
     profile_derivatives,
     rescale_to_physical,
 )
@@ -101,13 +108,17 @@ class ModulationState:
 
 
 def _remainder(u: RadialField, expansion: ProfileExpansion, lam: float,
-               b: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """(eps, P) at the parameters (lam, b, gamma).
+               b: float, gamma: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eps, P, phase) at the parameters (lam, b, gamma).
 
     P = P(lam, b) stays exact on its own grid; only the physical-space
     difference D = u - rescale_to_physical(P) is resampled, so a field on
     the profile family has eps = 0 exactly.  (Resampling u itself would
     carry the spline error of the |r|^(2-2 sigma) cusp of the corrections.)
+    ``phase`` is the chirp lam^(N/2) exp(i(b/4) y^2 - i gamma) at the
+    sampled y (lam y on u's grid), which the Jacobian reuses.  D's spline
+    is built on the window of nodes the samples reach (``_window``).
     """
     grid = expansion.grid
     P = eval_profile(expansion, lam, b)[0].values
@@ -118,9 +129,10 @@ def _remainder(u: RadialField, expansion: ProfileExpansion, lam: float,
         raise TubeExit(str(exc)) from exc
     D = RadialField(u.grid, u.values - P_phys.values)
     y = grid.nodes
-    eps = _resample(even_spline(D), u.grid.nodes[-1], lam * y, y,
-                    lam ** (0.5 * grid.N), -b, -gamma)
-    return eps, P
+    x = lam * y
+    phase = _chirp(x, u.grid.nodes[-1], y, lam ** (0.5 * grid.N), -b, -gamma)
+    spline = _even_cubic(D, _window(u.grid, x[phase.size - 1]))
+    return _resample(spline, x, phase), P, phase
 
 
 def decompose(u: RadialField, expansion: ProfileExpansion,
@@ -143,10 +155,10 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
     N = grid.N
     y = grid.nodes
     y2 = y ** 2
-    rho = gs.rho.values
-    rmax_src = u.grid.nodes[-1]
-    # u's spline, built when an analytic Jacobian first needs it
-    spline = functools.cache(lambda: even_spline(u))
+    irho = 1j * gs.rho.values
+    # u's spline, built when an analytic Jacobian first needs it, on the
+    # window of the farthest iterate so far
+    u_spline = None
 
     lam_g, b_g, gamma_g = float(guess[0]), float(guess[1]), float(guess[2])
     if lam_g <= 0.0:
@@ -159,26 +171,27 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
         nonlocal evaluations
         evaluations += 1
         lam, b, gamma = mvec
-        eps, P = _remainder(u, expansion, lam, b, gamma)
-        LamP = apply_scaling_generator(grid, P)
-        R = np.array([pair(grid, eps, 1j * LamP),
-                      pair(grid, eps, y2 * P),
-                      pair(grid, eps, 1j * rho)])
-        return R, P, eps, LamP
+        eps, P, phase = _remainder(u, expansion, lam, b, gamma)
+        # the pairing directions i Lam P, y^2 P, i rho
+        W = (1j * apply_scaling_generator(grid, P), y2 * P, irho)
+        R = np.array([pair(grid, eps, w) for w in W])
+        return R, P, eps, W, phase
 
-    def jacobian(mvec, P, eps, LamP):
+    def jacobian(mvec, P, eps, W, phase):
+        nonlocal u_spline
         lam, b, gamma = mvec
         dPdl, dPdb = profile_derivatives(expansion, lam, b)
         x = lam * y
-        amp = lam ** (0.5 * N)
-        T = _resample(spline(), rmax_src, x, y, amp, -b, -gamma)
-        dT = _resample(spline(), rmax_src, x, y, amp, -b, -gamma, nu=1)
+        K = _window(u.grid, x[phase.size - 1])
+        if u_spline is None or u_spline.c.shape[1] < K:
+            u_spline = _even_cubic(u, K)
+        T = _resample(u_spline, x, phase)
         # lam d/dlam of the renormalized sample = (N/2 + lam y d/dx) T
-        dTdl = ((0.5 * N) * T + x * dT) / lam
-        dTdb = 0.25j * y2 * T
-        dTdg = -1j * T
-        de = (dTdl - dPdl, dTdb - dPdb, dTdg)
-        W = (1j * LamP, y2 * P, 1j * rho)
+        dTdl = (0.5 * N) * T
+        xs = x[:phase.size]
+        dTdl[:phase.size] += xs * (u_spline(xs, 1) * phase)
+        dTdl /= lam
+        de = (dTdl - dPdl, 0.25j * y2 * T - dPdb, -1j * T)
         dW = ((1j * apply_scaling_generator(grid, dPdl), y2 * dPdl, None),
               (1j * apply_scaling_generator(grid, dPdb), y2 * dPdb, None))
         J = np.empty((3, 3))
@@ -207,7 +220,7 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
     prev = np.inf
     stalls = 0
     for _ in range(_NEWTON_MAX_ITER):
-        R, P, eps, LamP = conditions(m)
+        R, P, eps, W, phase = conditions(m)
         rmax_R = float(np.max(np.abs(R)))
         if rmax_R < _NEWTON_TOL:
             converged = True
@@ -219,7 +232,7 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
         else:
             stalls = 0
         prev = rmax_R
-        J = fd_jacobian(m) if use_fd else jacobian(m, P, eps, LamP)
+        J = fd_jacobian(m) if use_fd else jacobian(m, P, eps, W, phase)
         try:
             step = np.linalg.solve(J, R)
         except np.linalg.LinAlgError:

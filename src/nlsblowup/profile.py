@@ -365,6 +365,10 @@ def _slope_factor(n: int) -> tuple:
     Row 0 folds in the mirror (odd slopes): 3 s_0 + s_1; rows 1..n-2 are
     (1, 4, 1); the last is CubicSpline's not-a-knot row 2 s_(n-2) + s_(n-1).
     The unknowns are h times the slopes, so one factor serves every h.
+    The matrix is diagonally dominant but for its last row, so ``dgttrf``
+    never pivots: the LU of a leading K x K block is the leading block of
+    this LU, and a window of K < n rows (see ``_even_cubic``) solves with
+    the sliced factor, with no factorization of its own.
     """
     d = np.full(n, 4.0)
     d[0], d[-1] = 3.0, 1.0
@@ -382,45 +386,86 @@ def even_spline(f: RadialField, *, k: int = 3):
     tridiagonal factor cached per point count; it returns a complex
     ``PPoly`` on the breakpoints -h/2, nodes..., whose first piece is the
     even cubic across r = 0.  Other k interpolate the extension with
-    ``make_interp_spline``.
+    ``make_interp_spline``.  The resamples of ``rescale_to_physical`` and
+    ``modulation`` build the cubic on the window of nodes their samples
+    reach (``_even_cubic``), bit for bit this spline there.
     """
+    if k == 3:
+        return _even_cubic(f, f.grid.n)
     nodes = f.grid.nodes
     vals = np.asarray(f.values, dtype=complex)
-    if k != 3:
-        xs = np.concatenate([-nodes[::-1], nodes])
-        return make_interp_spline(xs, np.concatenate([vals[::-1], vals]), k=k)
+    xs = np.concatenate([-nodes[::-1], nodes])
+    return make_interp_spline(xs, np.concatenate([vals[::-1], vals]), k=k)
+
+
+# Nodes a windowed spline keeps past the last node its samples reach.
+_WINDOW_MARGIN = 64
+
+
+def _window(grid: RadialGrid, reach: float) -> int:
+    """Node count of the windowed spline for samples at r <= reach:
+    #(nodes <= reach) + ``_WINDOW_MARGIN``, or all n when that is more."""
+    k = int(np.searchsorted(grid.nodes, reach, side="right"))
+    return min(grid.n, k + _WINDOW_MARGIN)
+
+
+def _even_cubic(f: RadialField, K: int) -> PPoly:
+    """The cubic ``even_spline`` of f on its first K nodes (K = n: all).
+
+    A window K < n keeps rows 0..K-1 of the slope system: row K-1 stays
+    the interior (1, 4, 1) row, whose right-hand side reads vals[K], and the
+    rows are solved with the leading block of ``_slope_factor(n)``.  The
+    result has pieces up to nodes[K-1] only.  Cutting the system changes
+    the slopes by a factor (2 - sqrt(3)) ~ 0.27 per node inward (de Boor,
+    A Practical Guide to Splines, 1978), so ``_WINDOW_MARGIN`` = 64 nodes
+    past the last sample leave it ~1e-37 relative: far below one ulp, and
+    the spline's values and derivatives there are bit for bit the full
+    spline's.
+    """
+    vals = np.asarray(f.values, dtype=complex)
     n, h = vals.size, f.grid.h
-    dy = np.diff(vals)
-    rhs = np.empty(n, dtype=complex)
+    dy = np.diff(vals[:K + 1])
+    rhs = np.empty(K, dtype=complex)
     rhs[0] = 3.0 * dy[0]
-    rhs[1:-1] = 3.0 * (dy[:-1] + dy[1:])
-    rhs[-1] = 0.5 * (dy[-2] + 5.0 * dy[-1])
-    cols = np.empty((n, 2), order="F")
+    rhs[1:dy.size] = 3.0 * (dy[:-1] + dy[1:])
+    if K == n:  # the not-a-knot row
+        rhs[-1] = 0.5 * (dy[-2] + 5.0 * dy[-1])
+    cols = np.empty((K, 2), order="F")
     cols[:, 0], cols[:, 1] = rhs.real, rhs.imag
-    x, _ = lapack.dgttrs(*_slope_factor(n), cols, overwrite_b=1)
+    dl, d, du, du2, ipiv = _slope_factor(n)
+    x, _ = lapack.dgttrs(dl[:K - 1], d[:K], du[:K - 1], du2[:K - 2],
+                         ipiv[:K], cols, overwrite_b=1)
     s = (x[:, 0] + 1j * x[:, 1]) / h
     # Hermite pieces from the left slope s_l, right slope s and secant m of
     # each interval; the first, [-h/2, h/2], has the mirrored slope -s_0
-    c = np.empty((4, n), dtype=complex)
+    c = np.empty((4, K), dtype=complex)
     s_l = c[2]
     s_l[0], s_l[1:] = -s[0], s[:-1]
-    c[3, 0], c[3, 1:] = vals[0], vals[:-1]
-    m = np.concatenate(([0.0], dy)) / h
+    c[3, 0], c[3, 1:] = vals[0], vals[:K - 1]
+    m = np.concatenate(([0.0], dy[:K - 1])) / h
     t = (s_l + s - 2.0 * m) / h
     c[0] = t / h
     c[1] = (m - s_l) / h - t
-    return PPoly.construct_fast(c, np.concatenate(([-nodes[0]], nodes)))
+    nodes = f.grid.nodes
+    return PPoly.construct_fast(c, np.concatenate(([-nodes[0]], nodes[:K])))
 
 
-def _resample(spline, rmax: float, q: np.ndarray, y: np.ndarray, amp: float,
-              b: float, gamma: float, nu: int = 0) -> np.ndarray:
-    """amp * spline(q, nu) * exp(-i(b/4) y^2 + i gamma) at the increasing
-    points q <= rmax (the source's last node) and 0 beyond: the spline and
-    the phase are evaluated on the source's support only."""
+def _chirp(q: np.ndarray, rmax: float, y: np.ndarray, amp: float, b: float,
+           gamma: float) -> np.ndarray:
+    """amp * exp(-i(b/4) y^2 + i gamma) at the leading points of the
+    increasing q that lie on a source support r <= rmax: the phase of a
+    resample, one entry per sampled point."""
     m = int(np.searchsorted(q, rmax, side="right"))
+    return amp * np.exp(-0.25j * b * y[:m] ** 2 + 1j * gamma)
+
+
+def _resample(spline, q: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """spline(q) * phase at the first phase.size points of q (the sampled
+    ones, see ``_chirp``) and 0 beyond: the spline is evaluated on the
+    source's support only."""
+    m = phase.size
     out = np.zeros(q.size, dtype=complex)
-    out[:m] = spline(q[:m], nu) * (
-        amp * np.exp(-0.25j * b * y[:m] ** 2 + 1j * gamma))
+    out[:m] = spline(q[:m]) * phase
     return out
 
 
@@ -431,7 +476,8 @@ def rescale_to_physical(P: RadialField, lam: float, b: float, gamma: float,
     P lives on its own (renormalized) grid; the result is interpolated to
     ``grid`` with ``even_spline`` of P, evaluated only at the nodes with
     x/lam inside the source domain and zero beyond it (where P has decayed
-    to roundoff).  The phase is applied exactly at the target nodes.
+    to roundoff), and built on the window of source nodes those points
+    reach.  The phase is applied exactly at the target nodes.
     """
     src = P.grid
     if src.N != grid.N:
@@ -441,8 +487,9 @@ def rescale_to_physical(P: RadialField, lam: float, b: float, gamma: float,
             f"scale under-resolved: lam = {lam:.3e} below 4 grid spacings "
             f"({4.0 * grid.h:.3e})")
     y = grid.nodes / lam
-    return RadialField(grid, _resample(even_spline(P), src.nodes[-1], y, y,
-                                       lam ** (-0.5 * grid.N), b, gamma))
+    phase = _chirp(y, src.nodes[-1], y, lam ** (-0.5 * grid.N), b, gamma)
+    spline = _even_cubic(P, _window(src, y[phase.size - 1]))
+    return RadialField(grid, _resample(spline, y, phase))
 
 
 def profile_energy(expansion: ProfileExpansion, lam: float, b: float) -> float:

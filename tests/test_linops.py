@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from scipy.linalg import eig_banded
 
-from nlsblowup.core import RadialField, make_params, norm_L2, pair
+from nlsblowup.core import Operator, RadialField, make_params, norm_L2, pair
 from nlsblowup.linops import (beta_closed_form, branch_forcing,
                               coercivity_spectrum, lminus_unconstrained_min,
                               lplus_unconstrained_min,
                               operator_identity_residuals, solve_bordered,
                               solve_lminus_orthogonal, solve_rho)
-from nlsblowup.linops import _operators, _symmetric_band
+from nlsblowup.linops import _operator, _symmetric_band
 
 
 def _apply(gs, which, v):
     """L+ (which = 0) or L- (which = 1) of gs applied to the field v."""
-    return RadialField(gs.grid, _operators(gs)[which].matvec(v.values))
+    op = _operator(gs, ("plus", "minus")[which])
+    return RadialField(gs.grid, op.matvec(v.values))
 
 
 def test_lplus_on_soliton_analytic(gs_profile):
@@ -129,3 +130,31 @@ def test_each_operator_is_factored_once_per_call(gs_coarse, factorizations,
     factorizations.clear()
     solver(gs_coarse, F)
     assert factorizations == ["dgbtrf"] * factors
+
+
+@pytest.mark.parametrize("solver, built", [
+    (lambda gs, F: solve_rho(gs), ["plus"]),
+    (lambda gs, F: solve_bordered(gs, F), ["plus"]),
+    (lambda gs, F: solve_lminus_orthogonal(gs, F.values), ["minus"]),
+    (lambda gs, F: _symmetric_band(gs, "plus"), ["plus"]),
+    (lambda gs, F: _symmetric_band(gs, "minus"), ["minus"]),
+    (lambda gs, F: coercivity_spectrum(gs, gs.rho), ["plus", "minus"]),
+], ids=["solve_rho", "solve_bordered", "solve_lminus_orthogonal",
+        "symmetric_band_plus", "symmetric_band_minus", "coercivity_spectrum"])
+def test_each_solver_builds_only_the_operators_it_uses(gs_coarse, monkeypatch,
+                                                       solver, built):
+    q = gs_coarse.params.q
+    Qpow = np.abs(gs_coarse.Q.values) ** (q - 1.0)
+    pots = {"plus": 1.0 - q * Qpow, "minus": 1.0 - Qpow}
+    of = Operator.of.__func__
+    seen = []
+
+    def counted(cls, grid, pot):
+        seen.extend(k for k, v in pots.items() if np.array_equal(pot, v))
+        return of(cls, grid, pot)
+    F = RadialField(gs_coarse.grid, gs_coarse.grid.nodes ** 2
+                    * gs_coarse.Q.values)
+    solve_rho(gs_coarse)
+    monkeypatch.setattr(Operator, "of", classmethod(counted))
+    solver(gs_coarse, F)
+    assert seen == built

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from nlsblowup import modulation
-from nlsblowup.core import (RadialField, apply_scaling_generator, make_params,
-                            norm_H1, norm_L2, pair)
+from scipy.linalg import lapack
+
+from nlsblowup import modulation, profile
+from nlsblowup.core import (RadialField, apply_scaling_generator, make_grid,
+                            make_params, norm_H1, norm_L2, pair)
 from nlsblowup.modulation import (ModulationState, TubeExit, _remainder,
                                   decompose, energy_inequality_check,
                                   hat_epsilon, lyapunov_S, reconstruct)
@@ -81,14 +83,63 @@ def test_decompose_evaluates_the_profile_once_per_iterate(expansion_balanced,
     state = decompose(up, expansion_balanced, (0.21, 0.04, 0.8))
     assert state.iterations == len(calls) > 1
     grid = expansion_balanced.grid
-    eps, P = _remainder(up, expansion_balanced, state.lam, state.b,
-                        state.gamma)
+    eps, P, _ = _remainder(up, expansion_balanced, state.lam, state.b,
+                           state.gamma)
     R = (pair(grid, eps, 1j * apply_scaling_generator(grid, P)),
          pair(grid, eps, grid.nodes ** 2 * P),
          pair(grid, eps, 1j * expansion_balanced.gs.rho.values))
     assert np.max(np.abs(state.eps.values - eps)) < 1e-12
     assert np.max(np.abs(np.subtract(state.orth, R))) < 1e-12
     assert state.eps_P == pytest.approx(pair(grid, eps, P), abs=1e-12)
+
+
+def _tube_cases(expansion):
+    """An exact, a biased and a phase-shifted tube state on a field grid
+    that reaches past lam * y[-1], as the tube benchmark builds them."""
+    grid = make_grid(1, 16384, 12.0)
+    lam, b, gamma, shift = 0.23, -0.06, 2.1, 0.45
+    P, _ = eval_profile(expansion, lam, b)
+    u = rescale_to_physical(P, lam, b, gamma, grid)
+    shifted = RadialField(grid, u.values * np.exp(1j * shift))
+    return [(u, (lam, b, gamma)), (u, (lam * 1.05, b + 0.01, gamma + 0.1)),
+            (shifted, (lam, b, gamma + shift))]
+
+
+def test_windowed_splines_decompose_bit_for_bit(expansion_balanced,
+                                                monkeypatch):
+    cases = _tube_cases(expansion_balanced)
+    states = [decompose(u, expansion_balanced, g) for u, g in cases]
+    assert any(s.iterations > 1 for s in states)   # the Jacobian ran
+    # the reference: every spline on all of its nodes
+    monkeypatch.setattr(profile, "_WINDOW_MARGIN", 10 ** 9)
+    for (u, g), s in zip(cases, states):
+        ref = decompose(u, expansion_balanced, g)
+        for name in ("lam", "b", "gamma", "eps_H1", "eps_P", "orth",
+                     "iterations", "fd_jacobian"):
+            assert np.array_equal(getattr(s, name), getattr(ref, name)), name
+        assert np.array_equal(s.P.values, ref.P.values)
+        assert np.array_equal(s.eps.values, ref.eps.values)
+
+
+def test_decompose_solves_a_window_of_the_cached_slope_factor(
+        expansion_balanced, factorizations, monkeypatch):
+    u, guess = _tube_cases(expansion_balanced)[1]
+    rows = []
+
+    def counted(dl, d, *args, _trs=lapack.dgttrs, **kw):
+        rows.append(d.size)
+        return _trs(dl, d, *args, **kw)
+    monkeypatch.setattr(lapack, "dgttrs", counted)
+    for n in (u.grid.n, expansion_balanced.grid.n):
+        profile._slope_factor(n)
+    factorizations.clear()
+    state = decompose(u, expansion_balanced, guess)
+    assert factorizations == []
+    # D's spline solves the rows its samples lam * y <= lam * y[-1] reach
+    reach = state.lam * expansion_balanced.grid.nodes[-1]
+    assert reach < u.grid.nodes[-1]
+    assert profile._window(u.grid, reach) in rows
+    assert max(rows) < u.grid.n
 
 
 def test_guess_independence(expansion_balanced):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from nlsblowup.core import RadialField, make_grid, make_params, norm_L2
@@ -15,6 +16,7 @@ from nlsblowup.profile import (build_profile, eval_profile, even_spline,
                                profile_energy, psi_slope_sweep,
                                rescale_to_physical, residual_Psi,
                                theta_value)
+from nlsblowup.profile import _WINDOW_MARGIN, _even_cubic, _window
 from nlsblowup.reduced import init_params
 
 
@@ -159,6 +161,33 @@ def test_even_spline_is_the_not_a_knot_cubic_of_the_even_extension(N, n,
     for nu in (0, 1):
         err = np.max(np.abs(spline(q, nu) - ref(q, nu)))
         assert err <= 1e-13 * scale, (nu, err)
+
+
+@settings(max_examples=120, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]), n=st.integers(8, 4096),
+       kind=st.sampled_from(["noise", "smooth"]),
+       at=st.floats(0.0, 1.2), seed=st.integers(0, 2 ** 32 - 1))
+@example(N=1, n=4096, kind="noise", at=1.0, seed=0)     # at the last node
+@example(N=3, n=4096, kind="noise", at=0.3, seed=1)     # deep inside
+def test_windowed_spline_is_the_full_spline_bit_for_bit(N, n, kind, at, seed):
+    # samples r <= reach of the spline built on _window(reach) nodes are
+    # those of the full spline, to the last bit, for values and slopes
+    grid = make_grid(N, n, 6.0)
+    r = grid.nodes
+    rng = np.random.default_rng(seed)
+    vals = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            if kind == "noise" else _bump(r, "complex"))
+    f = RadialField(grid, vals)
+    reach = at * r[-1]
+    K = _window(grid, reach)
+    assert K == min(n, np.count_nonzero(r <= reach) + _WINDOW_MARGIN)
+    top = min(reach, r[-1])
+    q = np.sort(np.concatenate([rng.uniform(0.0, top, 200), r[r <= top],
+                                [0.0, top]]))
+    window, full = _even_cubic(f, K), even_spline(f)
+    assert window.x[-1] == r[K - 1]
+    for nu in (0, 1):
+        assert np.array_equal(window(q, nu), full(q, nu)), nu
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
