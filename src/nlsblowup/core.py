@@ -419,14 +419,14 @@ class Operator:
     def solve(self, rhs: np.ndarray, *, check_finite: bool = True) -> np.ndarray:
         """L^-1 rhs by one triangular sweep (?gbtrs, or ?gttrs for the
         tridiagonal band) on the stored LU factor, bit for bit
-        ``scipy.linalg.solve_banded``'s result; ``check_finite`` as there.
+        ``scipy.linalg.solve_banded``'s result; ``check_finite`` checks
+        the rhs.
 
         A complex band or rhs is solved in complex.  The first solve in a
-        type factors the band (?gbtrf / ?gttrf) and raises ``LinAlgError``
-        if it is singular.
+        type factors the band (?gbtrf / ?gttrf); it raises ``ValueError``
+        if the band is not finite and ``LinAlgError`` if it is singular.
         """
         if check_finite:
-            np.asarray_chkfinite(self.ab)
             rhs = np.asarray_chkfinite(rhs)
         t = "z" if np.iscomplexobj(self.ab) or np.iscomplexobj(rhs) else "d"
         sweep = self._solvers.get(t) or self._factor(t)
@@ -434,6 +434,7 @@ class Operator:
 
     def _factor(self, t: str):
         """Factor the band in LAPACK type ``t``; returns the sweep."""
+        np.asarray_chkfinite(self.ab)
         u = self.u
         if u == 1:
             # ?gttrf/?gttrs, not ?gbtrf: only these are bit for bit the

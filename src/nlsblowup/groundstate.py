@@ -20,7 +20,7 @@ computations clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,7 +61,9 @@ class GroundState:
     iterations keys: seed_sweeps = Petviashvili sweeps of the seed
                      newton      = Newton linearized solves
     rho is the decaying solution of the bordered companion problem
-    (filled in by linops.solve_rho).
+    (filled in by linops.solve_rho); operators holds the linearized
+    operators Lplus and Lminus, keyed "plus" and "minus", each built by
+    linops on first use and kept with its LU factor.
     """
 
     params: ProblemParams
@@ -73,6 +75,8 @@ class GroundState:
     iterations: dict
     rho: RadialField | None = None
     Q_ld: np.ndarray | None = None  # extended-precision refinement cache
+    operators: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
 
 def default_rmax(N: int) -> float:

@@ -10,12 +10,13 @@ parts,
 with Lminus Q = 0.  This module builds both as ``core.Operator``s, the
 grid's one discrete -Lap plus a diagonal (exactly self-adjoint in the
 cell-weighted inner product; the fourth-order pentadiagonal stencil for
-N = 1, the tridiagonal flux form for N = 2, 3), solves
-well-posed and bordered systems with iterative refinement (each operator
-is factored once per call, and every refinement sweep reuses that
-factor), produces the
-companion profile rho solving  Lplus rho = r^2 Q, and certifies constrained
-positivity of the quadratic form by a preconditioned block eigensolve.
+N = 1, the tridiagonal flux form for N = 2, 3), once per ground state:
+each operator is cached on the ``GroundState`` and factored on its first
+solve, and every later solve and refinement sweep reuses that factor.  It
+solves well-posed and bordered systems with iterative refinement, produces
+the companion profile rho solving  Lplus rho = r^2 Q, finds the bottom of
+each operator's spectrum and certifies constrained positivity of the
+quadratic form, both by one shift-invert Lanczos eigensolve.
 """
 
 from __future__ import annotations
@@ -70,10 +71,16 @@ class BorderedSolution:
 # --------------------------------------------------------------------------
 
 def _operator(gs: GroundState, which: str) -> Operator:
-    """Lplus (``which`` = "plus") or Lminus on the grid's one discrete -Lap."""
-    q = gs.params.q
-    Qpow = np.abs(gs.Q.values) ** (q - 1.0)
-    return Operator.of(gs.grid, 1.0 - (q * Qpow if which == "plus" else Qpow))
+    """Lplus (``which`` = "plus") or Lminus on the grid's one discrete -Lap,
+    built once per ground state and cached on it, so its LU factor (made by
+    its first solve) serves every later solve."""
+    op = gs.operators.get(which)
+    if op is None:
+        q = gs.params.q
+        Qpow = np.abs(gs.Q.values) ** (q - 1.0)
+        op = gs.operators[which] = Operator.of(
+            gs.grid, 1.0 - (q * Qpow if which == "plus" else Qpow))
+    return op
 
 
 def _solve_refined(op: Operator, rhs: np.ndarray) -> np.ndarray:
@@ -278,30 +285,13 @@ def _tail_taper(grid) -> np.ndarray:
     return 1.0 - t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def _symmetric_band(gs: GroundState, which: str) -> np.ndarray:
-    """Upper-banded storage of the diagonal similarity W^(1/2) L W^(-1/2).
-
-    The weighted eigenproblem (W L) x = lam W x is equivalent to the
-    standard symmetric banded problem for this matrix, so banded bisection
-    applies directly.
-    """
-    w = gs.grid.quad_weights
-    op = _operator(gs, which)
-    u = op.u
-    ab = op.ab[:u + 1].copy()
-    for k in range(1, u + 1):
-        ab[u - k, k:] *= np.sqrt(w[:-k] / w[k:])
-    return ab
-
-
 def _bottom_eigenvalue(gs: GroundState, which: str) -> float:
-    """The smallest eigenvalue of Lplus or Lminus alone, by deterministic
-    banded bisection on the symmetrized banded form (no eigenvectors, so
-    no dense n x n matrix)."""
-    from scipy.linalg import eig_banded
-    return float(eig_banded(_symmetric_band(gs, which), lower=False,
-                            eigvals_only=True, select="i",
-                            select_range=(0, 0))[0])
+    """The smallest eigenvalue of Lplus or Lminus alone, by shift-invert
+    Lanczos about min(pot) - 1: -Lap is positive semi-definite in the
+    weighted inner product, so that shift lies strictly below the
+    spectrum."""
+    op = _operator(gs, which)
+    return _lowest_eigenvalue(gs, [op], float(np.min(op.pot)) - 1.0)
 
 
 def lplus_unconstrained_min(gs: GroundState) -> float:
@@ -326,20 +316,14 @@ def coercivity_spectrum(gs: GroundState, rho: RadialField) -> float:
 
     The constraints are enforced by a quadratic penalty on the (smooth)
     constraint directions; the penalty bias is O(|S z|^2 / penalty) ~ 1e-5,
-    far below the certified margin.  The bottom of the penalized operator
-    is found by shift-invert Lanczos, with the rank-3 penalty inverted
-    through the Woodbury identity on top of banded LU solves.
+    far below the certified margin.
 
     A positive value certifies coercivity of the discrete quadratic form on
     the constrained subspace.
     """
-    from scipy.sparse.linalg import eigsh
-
     grid = gs.grid
     n = grid.n
     sq = np.sqrt(grid.quad_weights * grid.surface)
-    blocks = [(slice(0, n), _operator(gs, "plus")),
-              (slice(n, 2 * n), _operator(gs, "minus"))]
 
     # constraint directions in the symmetrized coordinates, orthonormalized
     Z = np.zeros((2 * n, 3))
@@ -347,39 +331,48 @@ def coercivity_spectrum(gs: GroundState, rho: RadialField) -> float:
     Z[:n, 1] = sq * grid.nodes ** 2 * gs.Q.values
     Z[n:, 2] = sq * rho.values
     Z, _ = np.linalg.qr(Z)
+    return _lowest_eigenvalue(
+        gs, [_operator(gs, "plus"), _operator(gs, "minus")], _SHIFT, Z)
 
-    # S = W^(1/2) L W^(-1/2) blockwise, applied and shift-inverted through
-    # the banded operators themselves
-    def s_matvec(x):
-        out = np.empty_like(x)
-        for sl, op in blocks:
-            out[sl] = sq * op.matvec(x[sl] / sq)
-        return out
 
-    def a_matvec(x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return s_matvec(x) + _PENALTY * (Z @ (Z.T @ x))
+def _lowest_eigenvalue(gs: GroundState, ops: list[Operator], sigma: float,
+                       Z: np.ndarray | None = None) -> float:
+    """Smallest eigenvalue of S = W^(1/2) L W^(-1/2), L the block diagonal
+    of ``ops``, plus _PENALTY Z Z^T if ``Z`` (orthonormal columns) is given,
+    by shift-invert Lanczos about ``sigma`` below that eigenvalue.
 
-    shifted = [(sl, op.shifted(_SHIFT)) for sl, op in blocks]
+    (S - sigma)^-1 is applied through each operator's shifted banded
+    factor, with the penalty inverted through the Woodbury identity.  In
+    this mode ARPACK applies only that inverse, never S itself.
+    """
+    from scipy.sparse.linalg import eigsh
+
+    grid = gs.grid
+    n = grid.n
+    sq = np.sqrt(grid.quad_weights * grid.surface)
+    shifted = [(slice(k * n, (k + 1) * n), op.shifted(sigma))
+               for k, op in enumerate(ops)]
 
     def t0_solve(b):
+        b = np.asarray(b, dtype=float).reshape(-1)
         out = np.empty_like(b)
         for sl, op in shifted:
             out[sl] = sq * op.solve(b[sl] / sq)
         return out
 
-    G = np.column_stack([t0_solve(Z[:, j]) for j in range(3)])
-    K = np.linalg.inv(np.eye(3) / _PENALTY + Z.T @ G)
+    opinv = t0_solve
+    if Z is not None:
+        G = np.column_stack([t0_solve(Z[:, j]) for j in range(Z.shape[1])])
+        K = np.linalg.inv(np.eye(Z.shape[1]) / _PENALTY + Z.T @ G)
 
-    def opinv(b):
-        b = np.asarray(b, dtype=float).reshape(-1)
-        y = t0_solve(b)
-        return y - G @ (K @ (Z.T @ y))
+        def opinv(b):
+            y = t0_solve(b)
+            return y - G @ (K @ (Z.T @ y))
 
-    dim = 2 * n
-    A = LinearOperator((dim, dim), matvec=a_matvec, dtype=float)
+    dim = n * len(ops)
     OPinv = LinearOperator((dim, dim), matvec=opinv, dtype=float)
-    vals = eigsh(A, k=1, sigma=_SHIFT, OPinv=OPinv, which="LM",
+    # OPinv stands in for A too: it gives eigsh the shape and dtype
+    vals = eigsh(OPinv, k=1, sigma=sigma, OPinv=OPinv, which="LM",
                  v0=np.ones(dim),  # ARPACK's default start is random
                  return_eigenvectors=False, tol=1e-10, maxiter=2000)
     return float(vals[0])

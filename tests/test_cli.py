@@ -285,6 +285,16 @@ def test_linops_beta_sweep_artifact(tmp_path, capsys):
     assert abs(float(mid["beta_closed_form"])) < 1e-8
 
 
+def test_linops_at_its_default_grid(tmp_path, capsys):
+    # n = 32768: every operator is factored once and each bottom
+    # eigenvalue is a shift-invert solve, so the default grid is cheap
+    code, out = _run(capsys, ["linops", "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((Path(out["outdir"]) / "linops.json").read_text())
+    assert abs(report["lplus_unconstrained_min"] + 8.0) < 1e-5
+    assert abs(report["lminus_unconstrained_min"]) < 1e-8
+
+
 def test_sweep_empty_grid(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"sigma_values": [],

@@ -227,6 +227,34 @@ def test_operator_solve_finiteness_and_singular_band(N):
             singular.solve(np.ones(grid.n))
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_operator_checks_its_band_once(N, monkeypatch):
+    grid = make_grid(N, 64, 4.0)
+    # a non-finite band raises on the first solve, checked or not, and
+    # leaves no factor behind
+    bad = Operator.of(grid, np.where(grid.nodes < 1.0, np.nan, 1.0))
+    for check in (True, False, True):
+        with pytest.raises(ValueError):
+            bad.solve(np.ones(grid.n), check_finite=check)
+    assert not bad._solvers
+    # a finite band is checked when it is factored, each rhs on each solve
+    op = Operator.of(grid, 1.0)
+    chkfinite = np.asarray_chkfinite
+    checked = []
+
+    def counted(a, *args, **kw):
+        checked.append("band" if a is op.ab else "rhs")
+        return chkfinite(a, *args, **kw)
+    monkeypatch.setattr(np, "asarray_chkfinite", counted)
+    for _ in range(3):
+        op.solve(np.ones(grid.n))
+    assert checked == ["rhs", "band", "rhs", "rhs"]
+    rhs = np.ones(grid.n)
+    rhs[5] = np.inf
+    with pytest.raises(ValueError):
+        op.solve(rhs)
+
+
 def test_penta_fourth_order_and_symmetric():
     errs = []
     for n in (512, 1024):

@@ -2,23 +2,45 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-from scipy.linalg import eig_banded
+from scipy.linalg import eigvalsh
 
-from nlsblowup.core import Operator, RadialField, make_params, norm_L2, pair
+from nlsblowup.core import (Operator, RadialField, make_grid, make_params,
+                            norm_L2, pair)
+from nlsblowup.groundstate import (compute_omega, default_rmax,
+                                   solve_ground_state)
 from nlsblowup.linops import (beta_closed_form, branch_forcing,
                               coercivity_spectrum, lminus_unconstrained_min,
                               lplus_unconstrained_min,
                               operator_identity_residuals, solve_bordered,
                               solve_lminus_orthogonal, solve_rho)
-from nlsblowup.linops import _operator, _symmetric_band
+from nlsblowup.linops import _operator
+from nlsblowup.profile import build_profile
 
 
 def _apply(gs, which, v):
     """L+ (which = 0) or L- (which = 1) of gs applied to the field v."""
     op = _operator(gs, ("plus", "minus")[which])
     return RadialField(gs.grid, op.matvec(v.values))
+
+
+def _symmetrized(gs, which):
+    """Dense W^(1/2) L W^(-1/2) of Lplus or Lminus, read off the band."""
+    op = _operator(gs, which)
+    u, n = op.u, gs.grid.n
+    # ab[u + i - j, j] = L[i, j]: diagonal d = j - i is row u - d of ab
+    L = sum(np.diag(op.ab[u - d, max(d, 0):n + min(d, 0)], d)
+            for d in range(-u, u + 1))
+    sw = np.sqrt(gs.grid.quad_weights)
+    return sw[:, None] * L / sw[None, :]
+
+
+def _fresh(gs):
+    """The ground state with none of linops' caches filled in."""
+    return dataclasses.replace(gs, rho=None, Q_ld=None)
 
 
 def test_lplus_on_soliton_analytic(gs_profile):
@@ -104,9 +126,19 @@ def test_unconstrained_minima(gs_coarse):
     assert abs(lminus_unconstrained_min(gs_coarse)) < 1e-8
     img = _apply(gs_coarse, 1, gs_coarse.Q)
     assert norm_L2(img) < 1e-9 * norm_L2(gs_coarse.Q)
-    second = eig_banded(_symmetric_band(gs_coarse, "minus"), lower=False,
-                        eigvals_only=True, select="i", select_range=(1, 1))
+    second = eigvalsh(_symmetrized(gs_coarse, "minus"),
+                      subset_by_index=[1, 1])
     assert second[0] > 0.5
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_bottom_eigenvalues_match_dense_reference(N):
+    params = make_params(N, None, 0.2, 0.0, "critical", 1.0)
+    gs = solve_ground_state(params, make_grid(N, 512, default_rmax(N)))
+    for which, bottom in (("plus", lplus_unconstrained_min),
+                          ("minus", lminus_unconstrained_min)):
+        ref = eigvalsh(_symmetrized(gs, which), subset_by_index=[0, 0])[0]
+        assert abs(bottom(gs) - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 def test_constrained_coercivity(gs_coarse):
@@ -114,37 +146,58 @@ def test_constrained_coercivity(gs_coarse):
     assert coercivity_spectrum(gs_coarse, rho) > 0.0
 
 
-@pytest.mark.parametrize("solver, factors", [
-    (lambda gs, F: solve_rho(gs), 1),
-    (lambda gs, F: solve_bordered(gs, F), 1),
-    (lambda gs, F: solve_lminus_orthogonal(gs, F.values), 1),
-    (lambda gs, F: coercivity_spectrum(gs, gs.rho), 2),
+@pytest.mark.parametrize("solver, first, again", [
+    (lambda gs, F: solve_rho(gs), 1, 0),
+    (lambda gs, F: solve_bordered(gs, F), 1, 0),
+    (lambda gs, F: solve_lminus_orthogonal(gs, F.values), 2, 0),
+    (lambda gs, F: coercivity_spectrum(gs, solve_rho(gs)), 3, 2),
 ], ids=["solve_rho", "solve_bordered", "solve_lminus_orthogonal",
         "coercivity_spectrum"])
 def test_each_operator_is_factored_once_per_call(gs_coarse, factorizations,
-                                                 solver, factors):
-    # the refinement sweeps and the Lanczos iterations reuse the factor
-    F = RadialField(gs_coarse.grid, gs_coarse.grid.nodes ** 2
-                    * gs_coarse.Q.values)
-    solve_rho(gs_coarse)
+                                                 solver, first, again):
+    # Lplus and Lminus are factored at most once per ground state: the
+    # first call factors those it solves with (rho is an Lplus solve), and
+    # the refinement sweeps and every later call reuse them;
+    # coercivity_spectrum's Lanczos iterations reuse the two shifted
+    # operators it factors per call
+    gs = _fresh(gs_coarse)
+    F = RadialField(gs.grid, gs.grid.nodes ** 2 * gs.Q.values)
+    solver(gs, F)
+    assert factorizations == ["dgbtrf"] * first
     factorizations.clear()
-    solver(gs_coarse, F)
-    assert factorizations == ["dgbtrf"] * factors
+    solver(gs, F)
+    assert factorizations == ["dgbtrf"] * again
+
+
+def test_profile_build_factors_each_operator_once(gs_coarse, factorizations):
+    params_critical = make_params(1, None, 0.2, 0.0, "critical", 1.0)
+    omega = compute_omega(gs_coarse, params_critical)
+    params = make_params(1, None, 0.2, 2.0 * omega, "plusminus", 1.0)
+    gs = _fresh(gs_coarse)
+    build_profile(gs, params, order=2)
+    assert factorizations == ["dgbtrf"] * 2
+    factorizations.clear()
+    solve_bordered(gs, branch_forcing(gs, params))
+    assert factorizations == []
 
 
 @pytest.mark.parametrize("solver, built", [
     (lambda gs, F: solve_rho(gs), ["plus"]),
     (lambda gs, F: solve_bordered(gs, F), ["plus"]),
-    (lambda gs, F: solve_lminus_orthogonal(gs, F.values), ["minus"]),
-    (lambda gs, F: _symmetric_band(gs, "plus"), ["plus"]),
-    (lambda gs, F: _symmetric_band(gs, "minus"), ["minus"]),
-    (lambda gs, F: coercivity_spectrum(gs, gs.rho), ["plus", "minus"]),
+    (lambda gs, F: solve_lminus_orthogonal(gs, F.values), ["plus", "minus"]),
+    (lambda gs, F: lplus_unconstrained_min(gs), ["plus"]),
+    (lambda gs, F: lminus_unconstrained_min(gs), ["minus"]),
+    (lambda gs, F: coercivity_spectrum(gs, solve_rho(gs)), ["plus", "minus"]),
 ], ids=["solve_rho", "solve_bordered", "solve_lminus_orthogonal",
-        "symmetric_band_plus", "symmetric_band_minus", "coercivity_spectrum"])
+        "lplus_unconstrained_min", "lminus_unconstrained_min",
+        "coercivity_spectrum"])
 def test_each_solver_builds_only_the_operators_it_uses(gs_coarse, monkeypatch,
                                                        solver, built):
-    q = gs_coarse.params.q
-    Qpow = np.abs(gs_coarse.Q.values) ** (q - 1.0)
+    # each operator is built at most once per ground state, however often
+    # the solvers run on it
+    gs = _fresh(gs_coarse)
+    q = gs.params.q
+    Qpow = np.abs(gs.Q.values) ** (q - 1.0)
     pots = {"plus": 1.0 - q * Qpow, "minus": 1.0 - Qpow}
     of = Operator.of.__func__
     seen = []
@@ -152,9 +205,8 @@ def test_each_solver_builds_only_the_operators_it_uses(gs_coarse, monkeypatch,
     def counted(cls, grid, pot):
         seen.extend(k for k, v in pots.items() if np.array_equal(pot, v))
         return of(cls, grid, pot)
-    F = RadialField(gs_coarse.grid, gs_coarse.grid.nodes ** 2
-                    * gs_coarse.Q.values)
-    solve_rho(gs_coarse)
+    F = RadialField(gs.grid, gs.grid.nodes ** 2 * gs.Q.values)
     monkeypatch.setattr(Operator, "of", classmethod(counted))
-    solver(gs_coarse, F)
+    solver(gs, F)
+    solver(gs, F)
     assert seen == built
