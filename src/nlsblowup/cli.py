@@ -148,7 +148,7 @@ def _write_snapshots(path: Path, series: SnapshotSeries) -> None:
 
 # Flags shared by every subcommand; None means "apply the subcommand default".
 _SHARED_DEFAULTS: dict[str, Any] = {
-    "N": 1, "p": None, "sigma": 0.2, "C0": None, "branch": "balanced",
+    "N": 1, "sigma": 0.2, "C0": None, "branch": "balanced",
     "E0": 1.0, "s1": 10.0, "order": 2, "grid_n": None, "rmax": None,
     "dt_c": None, "out": "runs", "seed": 0, "rmax_factor": None,
     "lambda_floor": None, "profile_n": 8192, "profile_rmax": 20.0,
@@ -182,10 +182,8 @@ _SIM_FIELDS = {"grid_n": "n", "rmax_factor": "rmax_factor", "dt_c": "c_dt",
 
 def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--N", type=int, default=None, help="dimension (1-3)")
-    sp.add_argument("--p", type=float, default=None,
-                    help="subcritical exponent (default: matched to sigma)")
     sp.add_argument("--sigma", type=float, default=None,
-                    help="inverse-power strength of the potential")
+                    help="inverse-power strength; sets p = 1 + 4*sigma/N")
     sp.add_argument("--C0", type=float, default=None,
                     help="coupling magnitude (plusminus/minusplus branches)")
     sp.add_argument("--branch", default=None,
@@ -329,7 +327,7 @@ def _finish(rundir: Path, subcommand: str, cfg: dict, t0: float) -> None:
 # --------------------------------------------------------------------------
 
 def _critical_params(cfg: dict):
-    return make_params(cfg["N"], cfg["p"], cfg["sigma"], 0.0, "critical",
+    return make_params(cfg["N"], None, cfg["sigma"], 0.0, "critical",
                        cfg["E0"])
 
 
@@ -352,7 +350,7 @@ def _resolve_branch_params(cfg: dict, omega: float,
         C0 = cfg["C0"]
     if branch == "balanced":
         branch = "plusminus"
-    return make_params(cfg["N"], cfg["p"], cfg["sigma"], C0, branch,
+    return make_params(cfg["N"], None, cfg["sigma"], C0, branch,
                        cfg["E0"])
 
 
@@ -428,7 +426,7 @@ def _pipe_linops(cfg: dict, rundir: Path) -> dict:
     branch = "minusplus" if cfg["branch"] == "minusplus" else "plusminus"
     rows = []
     for ratio in (0.5, 0.75, 1.0, 1.5, 2.0):
-        params_c = make_params(cfg["N"], cfg["p"], cfg["sigma"],
+        params_c = make_params(cfg["N"], None, cfg["sigma"],
                                ratio * omega, branch, cfg["E0"])
         sol = solve_bordered(gs, branch_forcing(gs, params_c))
         closed = beta_closed_form(gs, params_c)

@@ -1,5 +1,8 @@
 """Parameters, radial grids, quadrature, norms, and the equation's local terms.
 
+The power exponent p and the scaling order alpha derive from sigma, so the
+two perturbations always act at one common order (:class:`ProblemParams`).
+
 Everything downstream works with radial fields sampled on a staggered grid
 that excludes the origin.  The discrete calculus is chosen so that the key
 bilinear identities hold exactly in floating point:
@@ -42,7 +45,6 @@ __all__ = [
     "RadialGrid",
     "RadialField",
     "make_params",
-    "p_from_sigma",
     "make_grid",
     "integrate",
     "pair",
@@ -87,33 +89,33 @@ class Branch(enum.Enum):
                          f"{[m.value for m in cls]}")
 
 
-def p_from_sigma(N: int, sigma: float) -> float:
-    """Exponent p for which both perturbations carry the same scaling order."""
-    return 1.0 + 4.0 * sigma / N
-
-
 @dataclass
 class ProblemParams:
-    """Validated problem parameters with derived scaling orders.
+    """Validated problem parameters: the five independent inputs.
 
-    alpha_p = 2 - N(p-1)/2 and alpha_sigma = 2 - 2*sigma are the smallness
-    orders (in the collapsing scale) of the power perturbation and of the
-    potential perturbation.  alpha is set when the two coincide.  The
-    threshold omega, where the two perturbations cancel each other's
-    leading effect, depends on the soliton profile and is returned by
-    ``groundstate.compute_omega``; a run's regime is
+    The two perturbations can cancel each other's leading effect only at a
+    common order in the collapsing scale, so p = 1 + 4*sigma/N and that
+    order alpha = 2 - N(p-1)/2 (= 2 - 2*sigma) derive from sigma.  The
+    threshold omega, where they cancel, depends on the soliton profile and
+    is returned by ``groundstate.compute_omega``; a run's regime is
     ``reduced.classify_regime`` of its expansion.
     """
 
     N: int
-    p: float
     sigma: float
     C0: float
     branch: Branch
     E0: float
-    alpha_p: float
-    alpha_sigma: float
-    alpha: float | None
+
+    @property
+    def p(self) -> float:
+        """Exponent 1 + 4*sigma/N of the subcritical power perturbation."""
+        return 1.0 + 4.0 * self.sigma / self.N
+
+    @property
+    def alpha(self) -> float:
+        """Common scaling order 2 - N(p-1)/2 of the two perturbations."""
+        return 2.0 - self.N * (self.p - 1.0) / 2.0
 
     @property
     def q(self) -> float:
@@ -150,11 +152,11 @@ def make_params(
     branch: Branch | str,
     E0: float,
 ) -> ProblemParams:
-    """Validate and derive the full parameter record.
+    """Validate the inputs and return the parameter record.
 
-    If ``p`` is None it is derived from sigma so that both perturbations
-    carry the same scaling order: p = 1 + 4*sigma/N.  sigma must lie in
-    (0, min(N/4, 1)).  alpha is None unless alpha_p == alpha_sigma.
+    sigma must lie in (0, min(N/4, 1)), which puts p = 1 + 4*sigma/N in
+    (1, 1 + 4/N).  ``p`` may be None or that value (within 1e-12): any
+    other p would give the two perturbations unequal scaling orders.
     """
     if N not in (1, 2, 3):
         raise ValueError(f"dimension N must be 1, 2, or 3, got {N}")
@@ -165,23 +167,15 @@ def make_params(
     if not (0.0 < sigma < sigma_cap):
         raise ValueError(
             f"sigma={sigma} outside the admissible window (0, {sigma_cap})")
-
-    if p is None:
-        p = p_from_sigma(N, sigma)
-    if not (1.0 < p < 1.0 + 4.0 / N):
-        raise ValueError(
-            f"p={p} outside the subcritical window (1, {1.0 + 4.0 / N})")
     if C0 < 0.0:
         raise ValueError(f"C0 must be >= 0, got {C0}")
 
-    alpha_p = 2.0 - N * (p - 1.0) / 2.0
-    alpha_sigma = 2.0 - 2.0 * sigma
-    alpha = alpha_p if abs(alpha_p - alpha_sigma) <= 1e-12 else None
-
-    return ProblemParams(
-        N=N, p=float(p), sigma=float(sigma), C0=float(C0), branch=branch,
-        E0=float(E0), alpha_p=alpha_p, alpha_sigma=alpha_sigma, alpha=alpha,
-    )
+    params = ProblemParams(N=N, sigma=float(sigma), C0=float(C0),
+                           branch=branch, E0=float(E0))
+    if p is not None and abs(p - params.p) > 1e-12:
+        raise ValueError(f"p={p} gives unequal scaling orders; p must be "
+                         f"1 + 4*sigma/N = {params.p}")
+    return params
 
 
 # --------------------------------------------------------------------------

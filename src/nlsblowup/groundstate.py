@@ -61,9 +61,7 @@ class GroundState:
     iterations keys: seed_sweeps = Petviashvili sweeps of the seed
                      newton      = Newton linearized solves
     rho is the decaying solution of the bordered companion problem
-    (filled in by linops.solve_rho); operators holds the linearized
-    operators Lplus and Lminus, keyed "plus" and "minus", each built by
-    linops on first use and kept with its LU factor.
+    (filled in by linops.solve_rho); operators caches ``operator``'s results.
     """
 
     params: ProblemParams
@@ -77,6 +75,18 @@ class GroundState:
     Q_ld: np.ndarray | None = None  # extended-precision refinement cache
     operators: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+
+    def operator(self, which: str) -> Operator:
+        """Lplus (``which`` = "plus") or Lminus about this Q, built on first
+        use and kept with the LU factor its first solve makes, which every
+        later solve and refinement sweep reuses."""
+        op = self.operators.get(which)
+        if op is None:
+            q = self.params.q
+            Qpow = np.abs(self.Q.values) ** (q - 1.0)
+            op = self.operators[which] = Operator.of(
+                self.grid, 1.0 - (q * Qpow if which == "plus" else Qpow))
+        return op
 
 
 def default_rmax(N: int) -> float:
@@ -127,12 +137,6 @@ def _elliptic_residual(grid: RadialGrid, q: float,
     return apply_neg_laplacian(grid, u) + u - np.abs(u) ** (q - 1.0) * u
 
 
-def _linearized_solve(grid: RadialGrid, q: float, Q: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
-    """Solve (-Lap + 1 - q Q^(q-1)) x = rhs with the grid's -Lap."""
-    return Operator.of(grid, 1.0 - q * np.abs(Q) ** (q - 1.0)).solve(rhs)
-
-
 def _newton_polish(grid: RadialGrid, q: float, guess: np.ndarray,
                    tol: float) -> tuple[np.ndarray, float, int]:
     """Damped Newton from ``guess``; returns the field, its sup-norm
@@ -146,7 +150,7 @@ def _newton_polish(grid: RadialGrid, q: float, guess: np.ndarray,
         scale = np.max(np.abs(Q))
         if small and best <= tol * scale:
             break
-        step = _linearized_solve(grid, q, Q, -res)
+        step = Operator.of(grid, 1.0 - q * np.abs(Q) ** (q - 1.0)).solve(-res)
         solves += 1
         small = np.max(np.abs(step)) <= _FULL_STEP * scale
         lam = 1.0
@@ -224,18 +228,17 @@ def refine_longdouble(gs: GroundState) -> np.ndarray:
     1/h^3 (Laplacian of the scaling generator), which dominates identity
     residuals on fine grids.  Three rounds of iterative refinement --
     extended-precision residual, double-precision banded correction -- push
-    the noise floor down to long-double rounding.  Result is cached.
+    the noise floor down to long-double rounding, each round on the ground
+    state's Lplus factor (the O(eps*|Q|) corrections cannot tell it from the
+    refined iterate's Lplus).  Result is cached.
     """
     if gs.Q_ld is not None:
         return gs.Q_ld
-    grid = gs.grid
-    q = gs.params.q
+    op = gs.operator("plus")
     Qld = gs.Q.values.astype(np.longdouble)
     for _ in range(3):
-        res = _elliptic_residual(grid, q, Qld)
-        delta = _linearized_solve(grid, q, Qld.astype(float),
-                                  -res.astype(float))
-        Qld = Qld + delta.astype(np.longdouble)
+        res = _elliptic_residual(gs.grid, gs.params.q, Qld)
+        Qld = Qld + op.solve(-res.astype(float)).astype(np.longdouble)
     gs.Q_ld = Qld
     return Qld
 
@@ -259,8 +262,8 @@ def petviashvili_ground_state(params: ProblemParams,
 def compute_omega(gs: GroundState, params: ProblemParams) -> float:
     """Coupling threshold at which the two perturbations balance.
 
-    omega = (p+1)/2 * ||r^-sigma Q||_2^2 / ||Q||_{p+1}^{p+1}, with p from
-    ``params``; neither argument is modified.
+    omega = (p+1)/2 * ||r^-sigma Q||_2^2 / ||Q||_{p+1}^{p+1}, with p
+    derived from ``params.sigma``; neither argument is modified.
     """
     if not gs.norms:
         raise ValueError("ground-state norm cache is empty")

@@ -7,16 +7,16 @@ parts,
     Lplus  = -Lap + 1 - (1 + 4/N) Q^(4/N)
     Lminus = -Lap + 1 - Q^(4/N) ,
 
-with Lminus Q = 0.  This module builds both as ``core.Operator``s, the
-grid's one discrete -Lap plus a diagonal (exactly self-adjoint in the
-cell-weighted inner product; the fourth-order pentadiagonal stencil for
-N = 1, the tridiagonal flux form for N = 2, 3), once per ground state:
-each operator is cached on the ``GroundState`` and factored on its first
-solve, and every later solve and refinement sweep reuses that factor.  It
-solves well-posed and bordered systems with iterative refinement, produces
-the companion profile rho solving  Lplus rho = r^2 Q, finds the bottom of
-each operator's spectrum and certifies constrained positivity of the
-quadratic form, both by one shift-invert Lanczos eigensolve.
+with Lminus Q = 0.  Both are ``core.Operator``s, the grid's one discrete
+-Lap plus a diagonal (exactly self-adjoint in the cell-weighted inner
+product; the fourth-order pentadiagonal stencil for N = 1, the tridiagonal
+flux form for N = 2, 3), built once per ground state by
+``GroundState.operator`` and factored on their first solve; every later
+solve and refinement sweep reuses that factor.  This module solves
+well-posed and bordered systems with iterative refinement, produces the
+companion profile rho solving  Lplus rho = r^2 Q, finds the bottom of each
+operator's spectrum and certifies constrained positivity of the quadratic
+form, both by one shift-invert Lanczos eigensolve.
 """
 
 from __future__ import annotations
@@ -70,19 +70,6 @@ class BorderedSolution:
 # Operators and basic application
 # --------------------------------------------------------------------------
 
-def _operator(gs: GroundState, which: str) -> Operator:
-    """Lplus (``which`` = "plus") or Lminus on the grid's one discrete -Lap,
-    built once per ground state and cached on it, so its LU factor (made by
-    its first solve) serves every later solve."""
-    op = gs.operators.get(which)
-    if op is None:
-        q = gs.params.q
-        Qpow = np.abs(gs.Q.values) ** (q - 1.0)
-        op = gs.operators[which] = Operator.of(
-            gs.grid, 1.0 - (q * Qpow if which == "plus" else Qpow))
-    return op
-
-
 def _solve_refined(op: Operator, rhs: np.ndarray) -> np.ndarray:
     """Banded solve followed by two sweeps of iterative refinement; the
     three solves share the operator's one LU factor."""
@@ -110,7 +97,7 @@ def _residual_floor(op: Operator, x: np.ndarray, rhs: np.ndarray) -> float:
 
 def solve_rho(gs: GroundState) -> RadialField:
     """Solve  Lplus rho = r^2 Q  and cache the result on the ground state."""
-    op = _operator(gs, "plus")
+    op = gs.operator("plus")
     rhs = gs.grid.nodes ** 2 * gs.Q.values
     x = _solve_refined(op, rhs)
     res = float(np.linalg.norm(op.matvec(x) - rhs))
@@ -133,7 +120,7 @@ def solve_bordered(gs: GroundState, F: RadialField) -> BorderedSolution:
     """
     if gs.rho is None:
         solve_rho(gs)
-    op = _operator(gs, "plus")
+    op = gs.operator("plus")
     Fv = np.asarray(F.values, dtype=float)
     x = _solve_refined(op, Fv)
     grid = gs.grid
@@ -165,7 +152,7 @@ def solve_lminus_orthogonal(gs: GroundState, G: np.ndarray) -> tuple[np.ndarray,
     """
     if gs.rho is None:
         solve_rho(gs)
-    op = _operator(gs, "minus")
+    op = gs.operator("minus")
     grid = gs.grid
     Qv = gs.Q.values
     rhov = gs.rho.values
@@ -246,7 +233,7 @@ def operator_identity_residuals(gs: GroundState) -> dict:
         return apply_neg_laplacian(grid, x) + x - Qpow * x
 
     # refine rho in extended precision against the long-double forcing
-    op_p = _operator(gs, "plus")
+    op_p = gs.operator("plus")
     r2Qld = grid.nodes.astype(np.longdouble) ** 2 * Qld
     rho = gs.rho.values.astype(np.longdouble)
     for _ in range(2):
@@ -290,7 +277,7 @@ def _bottom_eigenvalue(gs: GroundState, which: str) -> float:
     Lanczos about min(pot) - 1: -Lap is positive semi-definite in the
     weighted inner product, so that shift lies strictly below the
     spectrum."""
-    op = _operator(gs, which)
+    op = gs.operator(which)
     return _lowest_eigenvalue(gs, [op], float(np.min(op.pot)) - 1.0)
 
 
@@ -332,7 +319,7 @@ def coercivity_spectrum(gs: GroundState, rho: RadialField) -> float:
     Z[n:, 2] = sq * rho.values
     Z, _ = np.linalg.qr(Z)
     return _lowest_eigenvalue(
-        gs, [_operator(gs, "plus"), _operator(gs, "minus")], _SHIFT, Z)
+        gs, [gs.operator("plus"), gs.operator("minus")], _SHIFT, Z)
 
 
 def _lowest_eigenvalue(gs: GroundState, ops: list[Operator], sigma: float,

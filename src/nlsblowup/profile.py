@@ -6,10 +6,10 @@ The renormalized flow is reduced to a stationary hierarchy by the ansatz
                                  + i b^(2j+1) lam^((k+1)a) P_{j,k}^- )
     theta(lam, b) = sum_{j+k<=J} b^(2j) lam^((k+1)a) beta_{j,k}
 
-where a is the common scaling order of the two small perturbations
-(subcritical power and inverse-power potential).  Substituting the ansatz
-into the renormalized equation and collecting the coefficient of each
-monomial yields, per index pair (j, k):
+where a = ``params.alpha`` is the scaling order the two small perturbations
+(subcritical power and inverse-power potential) share, as p = 1 + 4*sigma/N.
+Substituting the ansatz into the renormalized equation and collecting the
+coefficient of each monomial yields, per index pair (j, k):
 
   * a real bordered system  Lplus P_{j,k}^+ - beta_{j,k} (r^2/4) Q = REST,
     solved by ``linops.solve_bordered`` (this fixes beta_{j,k});
@@ -178,10 +178,6 @@ def build_profile(gs: GroundState, params: ProblemParams,
         raise ValueError(
             f"profile expansion supports order <= {MAX_ORDER}, the orders "
             f"whose residual slope is certified")
-    if params.alpha is None:
-        raise ValueError(
-            "profile expansion needs a common scaling order: "
-            "alpha_p == alpha_sigma (choose p = 1 + 4*sigma/N)")
     if gs.rho is None:
         solve_rho(gs)
     grid = gs.grid

@@ -204,16 +204,15 @@ def classify_regime(expansion: ProfileExpansion) -> str:
     return "power-law" if beta00 > 0.0 else "subthreshold"
 
 
-def rate_exponent(regime: str, alpha: Optional[float]) -> float:
+def rate_exponent(regime: str, alpha: float) -> float:
     """Exponent q of the blow-up rate lambda ~ (T - t)^q of a regime from
-    ``classify_regime``: 1 when balanced, 2/(4 - alpha) for the power law."""
+    ``classify_regime``: 1 when balanced, 2/(4 - alpha) for the power law,
+    alpha the perturbations' common scaling order."""
 
     if regime == "balanced":
         return 1.0
     if regime != "power-law":
         raise ValueError(f"the {regime!r} regime has no blow-up rate")
-    if alpha is None:
-        raise ValueError("the power-law rate needs a single scaling exponent")
     return 2.0 / (4.0 - alpha)
 
 

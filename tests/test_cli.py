@@ -151,6 +151,34 @@ def test_usage_error_exit_code(tmp_path):
     assert exc.value.code == 2
 
 
+def test_exponent_flag_is_gone(tmp_path, capsys):
+    # p derives from sigma: --p is a usage error and a config file's "p"
+    # an unknown key
+    with pytest.raises(SystemExit) as exc:
+        run(["ground", "--p", "1.5", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 1.5}))
+    code, out = _run(capsys, ["ground", "--config", str(cfg),
+                              "--out", str(tmp_path)])
+    assert code == 1
+    assert out["error"].rsplit(": ", 1)[1].split(", ") == ["p"]
+
+
+def test_validate_reads_configs_that_carry_p(ground_root, tmp_path, capsys):
+    # run roots written while p was a flag hold "p": null in each manifest
+    src = next(ground_root.glob("ground-*"))
+    old = tmp_path / src.name
+    old.mkdir()
+    (old / "ground.json").write_bytes((src / "ground.json").read_bytes())
+    manifest = json.loads((src / "manifest.json").read_text())
+    manifest["config"]["p"] = None
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    code, out = _run(capsys, ["validate", "--out", str(tmp_path)])
+    assert code == 0
+    assert out["validated"] == [src.name]
+
+
 def test_branch_requires_coupling(tmp_path, capsys):
     code, out = _run(capsys, ["reduced", "--branch", "plusminus",
                               "--grid-n", "512", "--rmax", "15",

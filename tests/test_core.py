@@ -15,7 +15,7 @@ from nlsblowup.core import (Branch, LocalTerms, Operator, RadialField,
                             apply_neg_laplacian, apply_scaling_generator,
                             grad_norm_sq, integrate, make_grid, make_params,
                             neg_laplacian_banded, norm_L2, norm_Lq, pair,
-                            p_from_sigma, penta_symbol, potential_weights,
+                            penta_symbol, potential_weights,
                             radial_derivative, weighted_norm)
 
 
@@ -36,14 +36,30 @@ def test_matched_exponent_and_alpha():
     params = make_params(1, None, 0.2, 1.0, "plusminus", 1.0)
     assert params.p == pytest.approx(1.8, abs=1e-15)
     assert params.alpha == pytest.approx(1.6, abs=1e-15)
-    assert p_from_sigma(2, 0.3) == pytest.approx(1.6, abs=1e-15)
+    p = make_params(2, None, 0.3, 1.0, "plusminus", 1.0).p
+    assert p == pytest.approx(1.6, abs=1e-15)
 
 
-def test_mismatched_orders_allowed_without_common_alpha():
-    params = make_params(1, 1.5, 0.2, 1.0, "plusminus", 1.0)
-    assert params.alpha is None
-    assert params.alpha_p == pytest.approx(1.75)
-    assert params.alpha_sigma == pytest.approx(1.6)
+def test_unequal_orders_rejected():
+    # the perturbations cancel only at a common scaling order, so an
+    # explicit p must be the one sigma fixes
+    with pytest.raises(ValueError, match="unequal scaling orders"):
+        make_params(1, 1.5, 0.2, 1.0, "plusminus", 1.0)
+    assert make_params(1, 1.8, 0.2, 1.0, "plusminus", 1.0).p == 1.8
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]),
+       frac=st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
+def test_orders_derive_from_sigma(N, frac):
+    # p and alpha are the record's one expression each, bit for bit, and
+    # the sigma window puts p inside the subcritical window
+    sigma = frac * min(N / 4.0, 1.0)
+    params = make_params(N, None, sigma, 1.0, "plusminus", 1.0)
+    p = 1.0 + 4.0 * sigma / N
+    assert params.p == p and params.alpha == 2.0 - N * (p - 1.0) / 2.0
+    assert abs(params.alpha - (2.0 - 2.0 * sigma)) <= 1e-12
+    assert 1.0 < params.p < 1.0 + 4.0 / N
 
 
 def test_sigma_windows():

@@ -17,19 +17,18 @@ from nlsblowup.linops import (beta_closed_form, branch_forcing,
                               lplus_unconstrained_min,
                               operator_identity_residuals, solve_bordered,
                               solve_lminus_orthogonal, solve_rho)
-from nlsblowup.linops import _operator
 from nlsblowup.profile import build_profile
 
 
 def _apply(gs, which, v):
     """L+ (which = 0) or L- (which = 1) of gs applied to the field v."""
-    op = _operator(gs, ("plus", "minus")[which])
+    op = gs.operator(("plus", "minus")[which])
     return RadialField(gs.grid, op.matvec(v.values))
 
 
 def _symmetrized(gs, which):
     """Dense W^(1/2) L W^(-1/2) of Lplus or Lminus, read off the band."""
-    op = _operator(gs, which)
+    op = gs.operator(which)
     u, n = op.u, gs.grid.n
     # ab[u + i - j, j] = L[i, j]: diagonal d = j - i is row u - d of ab
     L = sum(np.diag(op.ab[u - d, max(d, 0):n + min(d, 0)], d)
@@ -151,13 +150,15 @@ def test_constrained_coercivity(gs_coarse):
     (lambda gs, F: solve_bordered(gs, F), 1, 0),
     (lambda gs, F: solve_lminus_orthogonal(gs, F.values), 2, 0),
     (lambda gs, F: coercivity_spectrum(gs, solve_rho(gs)), 3, 2),
+    (lambda gs, F: operator_identity_residuals(gs), 1, 0),
 ], ids=["solve_rho", "solve_bordered", "solve_lminus_orthogonal",
-        "coercivity_spectrum"])
+        "coercivity_spectrum", "operator_identity_residuals"])
 def test_each_operator_is_factored_once_per_call(gs_coarse, factorizations,
                                                  solver, first, again):
     # Lplus and Lminus are factored at most once per ground state: the
     # first call factors those it solves with (rho is an Lplus solve), and
-    # the refinement sweeps and every later call reuse them;
+    # the refinement sweeps (refine_longdouble's too) and every later call
+    # reuse them;
     # coercivity_spectrum's Lanczos iterations reuse the two shifted
     # operators it factors per call
     gs = _fresh(gs_coarse)
@@ -188,9 +189,10 @@ def test_profile_build_factors_each_operator_once(gs_coarse, factorizations):
     (lambda gs, F: lplus_unconstrained_min(gs), ["plus"]),
     (lambda gs, F: lminus_unconstrained_min(gs), ["minus"]),
     (lambda gs, F: coercivity_spectrum(gs, solve_rho(gs)), ["plus", "minus"]),
+    (lambda gs, F: operator_identity_residuals(gs), ["plus"]),
 ], ids=["solve_rho", "solve_bordered", "solve_lminus_orthogonal",
         "lplus_unconstrained_min", "lminus_unconstrained_min",
-        "coercivity_spectrum"])
+        "coercivity_spectrum", "operator_identity_residuals"])
 def test_each_solver_builds_only_the_operators_it_uses(gs_coarse, monkeypatch,
                                                        solver, built):
     # each operator is built at most once per ground state, however often
