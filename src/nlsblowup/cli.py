@@ -2,14 +2,16 @@
 
 Every invocation writes one directory under ``--out`` named
 ``<subcommand>-<hash>``, where the hash is the first 12 hex digits of the
-sha256 of the resolved configuration (defaults materialized, seed and tool
-version included).  The directory holds ``manifest.json`` plus the
-subcommand's artifacts, and a ``latest`` pointer file at the output root is
-refreshed to name it.  Numerics are deterministic and every float is
-serialized with 17 significant digits, so re-running an identical
-configuration reproduces identical artifact bytes.  JSON goes through
-``_json17`` and every CSV through ``_write_csv``: %.17g floats, csv-module
-quoting (QUOTE_MINIMAL) and ``\\r\\n`` line ends.
+sha256 of the resolved configuration: the settings the subcommand reads
+(``_READS``, defaults materialized), the seed and the tool version.  A
+subcommand takes only those settings, as flags or config-file keys.  The
+directory holds ``manifest.json`` plus the subcommand's artifacts, and a
+``latest`` pointer file at the output root is refreshed to name it.
+Numerics are deterministic and every float is serialized with 17
+significant digits, so re-running an identical configuration reproduces
+identical artifact bytes.  JSON goes through ``_json17`` and every CSV
+through ``_write_csv``: %.17g floats, csv-module quoting (QUOTE_MINIMAL)
+and ``\\r\\n`` line ends.
 
 Exit codes: 0 on success, 1 on a domain error (a machine-readable error
 record is printed to stdout), 2 on a usage error (argparse).
@@ -18,6 +20,7 @@ record is printed to stdout), 2 on a usage error (argparse).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -38,12 +41,12 @@ from .groundstate import (GroundState, compute_omega, default_rmax,
                           pohozaev_residuals, solve_ground_state)
 from .linops import (beta_closed_form, branch_forcing, coercivity_spectrum,
                      lminus_unconstrained_min, lplus_unconstrained_min,
-                     operator_identity_residuals, solve_bordered, solve_rho)
+                     operator_identity_residuals, solve_bordered)
 from .profile import (ProfileExpansion, build_profile, fit_loglog_slope,
                       psi_slope_sweep)
 from .reduced import (app_solutions, classify_regime, initial_params,
                       integrate_reduced, power_law_solutions, rate_exponent)
-from .sim import (SimConfig, SnapshotSeries, fit_blowup_rate,
+from .sim import (SimConfig, Snapshot, SnapshotSeries, fit_blowup_rate,
                   lower_bound_check, simulate_blowup)
 
 __all__ = ["main", "run", "DomainError"]
@@ -118,8 +121,7 @@ def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
         fh.write(",".join(map(_cell, header)) + "\r\n" + text)
 
 
-_SNAPSHOT_COLUMNS = ["t", "s", "lam", "b", "gamma", "eps_H1", "eps_P",
-                     "lam_hat", "grad_norm", "mass", "energy", "lyap", "drift"]
+_SNAPSHOT_COLUMNS = [f.name for f in dataclasses.fields(Snapshot)]
 
 
 def _write_snapshots(path: Path, series: SnapshotSeries) -> None:
@@ -146,77 +148,80 @@ def _write_snapshots(path: Path, series: SnapshotSeries) -> None:
 # Configuration plumbing
 # --------------------------------------------------------------------------
 
-# Flags shared by every subcommand; None means "apply the subcommand default".
-_SHARED_DEFAULTS: dict[str, Any] = {
-    "N": 1, "sigma": 0.2, "C0": None, "branch": "balanced",
-    "E0": 1.0, "s1": 10.0, "order": 2, "grid_n": None, "rmax": None,
-    "dt_c": None, "out": "runs", "seed": 0, "rmax_factor": None,
-    "lambda_floor": None, "profile_n": 8192, "profile_rmax": 20.0,
-    "snapshot_ds": None, "drift_abort": None,
+# Every setting: its type (a tuple lists the allowed words), its default and
+# its help.  A None default is picked per subcommand by _default, and only
+# such a key may be null in a config file.  List-valued keys are config-file
+# keys only; every other key is also a flag.
+_SETTINGS: dict[str, tuple[Any, Any, str]] = {
+    "N": (int, 1, "dimension (1-3)"),
+    "sigma": (float, 0.2, "inverse-power strength; sets p = 1 + 4*sigma/N"),
+    "C0": (float, None, "coupling magnitude (plusminus/minusplus branches)"),
+    "branch": (("plusminus", "minusplus", "balanced", "critical"),
+               "balanced", "sign branch; balanced sets plusminus with C0=omega"),
+    "E0": (float, 1.0, "target energy"),
+    "s1": (float, 10.0, "initial rescaled time"),
+    "order": (int, 2, "profile expansion order J"),
+    "grid_n": (int, None, "points on the subcommand's primary grid"),
+    "rmax": (float, None, "radius of the soliton/profile grid"),
+    "profile_n": (int, 8192, "points on the profile grid"),
+    "profile_rmax": (float, 20.0, "radius of the profile grid"),
+    "dt_c": (float, None, "rescaled time step"),
+    "rmax_factor": (float, None, "evolution domain size in gradient lengths"),
+    "lambda_floor": (float, None, "stop when the gradient scale reaches this"),
+    "snapshot_ds": (float, None, "rescaled time between decompositions"),
+    "drift_abort": (float, None, "relative conservation drift abort"),
+    "sigma_values": (list, None, "sigma axis of the sweep"),
+    "C0_over_omega_values": (list, None, "C0/omega axis of the sweep"),
+    "E0_values": (list, None, "E0 axis of the sweep"),
+    "seed": (int, 0, "recorded in the manifest and the run-directory hash; "
+                     "nothing is random"),
+    "out": (str, "runs", "output root directory"),
 }
 
-# Primary-grid defaults: the soliton grid for elliptic subcommands, the
-# profile grid for expansion-based ones.  simulate's primary grid is the
-# evolution grid, whose defaults live on SimConfig.
-_GRID_DEFAULTS = {
-    "ground": (32768, None),     # rmax None -> default_rmax(N)
-    "linops": (32768, None),
-    "profile": (8192, 20.0),
-    "reduced": (8192, 20.0),
+# The settings each subcommand's pipeline reads.
+_GROUND = ("N", "sigma", "grid_n", "rmax", "seed", "out")
+_SIMULATE = ("N", "sigma", "C0", "branch", "E0", "s1", "order", "profile_n",
+             "profile_rmax", "grid_n", "dt_c", "rmax_factor", "lambda_floor",
+             "snapshot_ds", "drift_abort", "seed", "out")
+_READS = {
+    "ground": _GROUND,
+    "linops": _GROUND + ("branch",),
+    "profile": _GROUND + ("C0", "branch", "order"),
+    "reduced": _GROUND + ("C0", "branch", "order", "E0", "s1",
+                          "lambda_floor"),
+    "simulate": _SIMULATE,
+    "validate": ("seed", "out"),
+    "sweep": tuple(k for k in _SIMULATE if k != "C0") + (
+        "sigma_values", "C0_over_omega_values", "E0_values"),
 }
 
-# Config-file keys that only sweep reads: the axes of its grid.
-_SWEEP_AXES = ("sigma_values", "C0_over_omega_values", "E0_values")
-
-# Config-file keys that take integers; "branch" and "out" take strings, the
-# sweep axes lists of numbers and every other key a number.
-_INT_KEYS = ("N", "order", "grid_n", "seed", "profile_n")
-
-
-# Flags of the runs that evolve (simulate, each sweep cell) and the SimConfig
-# fields they set; a missing flag takes the field's default.
+# Settings of the runs that evolve (simulate, each sweep cell) and the
+# SimConfig fields they set; an unset one takes the field's default.
 _SIM_FIELDS = {"grid_n": "n", "rmax_factor": "rmax_factor", "dt_c": "c_dt",
                "lambda_floor": "lambda_floor", "snapshot_ds": "snapshot_ds",
                "drift_abort": "drift_abort"}
 
 
-def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--N", type=int, default=None, help="dimension (1-3)")
-    sp.add_argument("--sigma", type=float, default=None,
-                    help="inverse-power strength; sets p = 1 + 4*sigma/N")
-    sp.add_argument("--C0", type=float, default=None,
-                    help="coupling magnitude (plusminus/minusplus branches)")
-    sp.add_argument("--branch", default=None,
-                    choices=["plusminus", "minusplus", "balanced", "critical"],
-                    help="sign branch; balanced sets plusminus with C0=omega")
-    sp.add_argument("--E0", type=float, default=None, help="target energy")
-    sp.add_argument("--s1", type=float, default=None,
-                    help="initial rescaled time")
-    sp.add_argument("--order", type=int, default=None,
-                    help="profile expansion order J")
-    sp.add_argument("--grid-n", type=int, default=None, dest="grid_n",
-                    help="points on the subcommand's primary grid")
-    sp.add_argument("--rmax", type=float, default=None,
-                    help="radius of the soliton/profile grid")
-    sp.add_argument("--dt-c", type=float, default=None, dest="dt_c",
-                    help="rescaled time step (simulate)")
-    sp.add_argument("--rmax-factor", type=float, default=None,
-                    dest="rmax_factor",
-                    help="evolution domain size in gradient lengths (simulate)")
-    sp.add_argument("--lambda-floor", type=float, default=None,
-                    dest="lambda_floor",
-                    help="stop when the gradient scale reaches this (simulate)")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="seed recorded for randomized fields")
-    sp.add_argument("--out", default=None, help="output root directory")
-    sp.add_argument("--config", default=None,
-                    help="flat JSON file mirroring the flags; flags override")
+def _default(sub: str, key: str, cfg: dict) -> Any:
+    """``sub``'s default for ``key``, whose _SETTINGS default is None.  The
+    primary grid is the soliton grid for ground and linops, the profile grid
+    for profile and reduced, and the evolution grid for simulate and sweep;
+    C0 stays None (the branch picks it)."""
+    if sub in ("simulate", "sweep"):
+        if key in _SIM_FIELDS:
+            return SimConfig.__dataclass_fields__[_SIM_FIELDS[key]].default
+        return {"sigma_values": [cfg["sigma"]], "C0_over_omega_values": [1.0],
+                "E0_values": [cfg["E0"]]}.get(key)
+    soliton = sub in ("ground", "linops")
+    return {"grid_n": 32768 if soliton else 8192,
+            "rmax": default_rmax(cfg["N"]) if soliton else 20.0,
+            "lambda_floor": 1e-3}.get(key)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process (parsing leaves it as it
-    was)."""
+    was).  Each subcommand takes a flag for each scalar setting it reads."""
     parser = argparse.ArgumentParser(
         prog="nlsblowup",
         description=("Minimal-mass blow-up laboratory for a perturbed "
@@ -233,8 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep": "run simulate over a (sigma, C0/omega, E0) grid",
     }
     for name in SUBCOMMANDS:
-        sp = subs.add_parser(name, help=helps[name])
-        _add_shared_flags(sp)
+        sp = subs.add_parser(name, help=helps[name], allow_abbrev=False)
+        for key in _READS[name]:
+            kind, _, text = _SETTINGS[key]
+            if kind is not list:
+                choices = kind if isinstance(kind, tuple) else None
+                sp.add_argument("--" + key.replace("_", "-"), help=text,
+                                type=str if choices else kind,
+                                choices=choices)
+        sp.add_argument("--config", help=(
+            "flat JSON object of this subcommand's settings, keyed by the "
+            "flag names with '_' for '-'; flags override it"))
     return parser
 
 
@@ -243,22 +257,27 @@ def _check_config_value(path: Path, key: str, val: Any) -> None:
     key's default is None)."""
     def number(x: Any) -> bool:
         return isinstance(x, (int, float)) and not isinstance(x, bool)
-    kind, ok = "a number", number(val)
-    if key in _SWEEP_AXES:
-        kind = "a list of numbers"
+    kind, default, _ = _SETTINGS[key]
+    what, ok = "a number", number(val)
+    if kind is list:
+        what = "a list of numbers"
         ok = isinstance(val, list) and all(map(number, val))
-    elif key in ("branch", "out"):
-        kind, ok = "a string", isinstance(val, str)
-    elif key in _INT_KEYS:
-        kind, ok = "an integer", number(val) and isinstance(val, int)
-    if not (ok or val is None and _SHARED_DEFAULTS.get(key) is None):
-        raise DomainError(f"config file {path}: {key} must be {kind}, "
+    elif kind is str:
+        what, ok = "a string", isinstance(val, str)
+    elif isinstance(kind, tuple):
+        what, ok = f"one of {', '.join(kind)}", val in kind
+    elif kind is int:
+        what, ok = "an integer", number(val) and isinstance(val, int)
+    if not (ok or val is None and default is None):
+        raise DomainError(f"config file {path}: {key} must be {what}, "
                           f"got {json.dumps(val)}")
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Materialize defaults: shared defaults <- config file <- flags."""
-    cfg = dict(_SHARED_DEFAULTS)
+    """Materialize the settings the subcommand reads: defaults <- config
+    file <- flags, then each remaining None from _default."""
+    sub, keys = args.subcommand, _READS[args.subcommand]
+    cfg = {key: _SETTINGS[key][1] for key in keys}
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
@@ -269,33 +288,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise DomainError(f"malformed config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise DomainError(f"config file {path} must hold a JSON object")
-        known = set(_SHARED_DEFAULTS)
-        if args.subcommand == "sweep":
-            known.update(_SWEEP_AXES)
-        unknown = sorted(set(loaded) - known)
+        unknown = sorted(set(loaded) - set(keys))
         if unknown:
             raise DomainError(f"unknown keys in config file {path}: "
                               f"{', '.join(unknown)}")
         for key, val in loaded.items():
             _check_config_value(path, key, val)
         cfg.update(loaded)
-    for key in _SHARED_DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    sub = args.subcommand
-    if sub in _GRID_DEFAULTS:
-        n_def, rmax_def = _GRID_DEFAULTS[sub]
-        if cfg["grid_n"] is None:
-            cfg["grid_n"] = n_def
-        if cfg["rmax"] is None:
-            cfg["rmax"] = (rmax_def if rmax_def is not None
-                           else default_rmax(cfg["N"]))
-    if sub in ("simulate", "sweep"):
-        base = SimConfig.__dataclass_fields__
-        for key, name in _SIM_FIELDS.items():
-            if cfg[key] is None:
-                cfg[key] = base[name].default
+    for key in keys:
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    for key in keys:
+        if cfg[key] is None:
+            cfg[key] = _default(sub, key, cfg)
     return cfg
 
 
@@ -326,9 +331,11 @@ def _finish(rundir: Path, subcommand: str, cfg: dict, t0: float) -> None:
 # Shared pipeline stages
 # --------------------------------------------------------------------------
 
-def _critical_params(cfg: dict):
-    return make_params(cfg["N"], None, cfg["sigma"], 0.0, "critical",
-                       cfg["E0"])
+def _params(cfg: dict, C0: float, branch: str):
+    """cfg's parameter record; E0 is 1.0 where the subcommand has no E0
+    setting (no layer reads ``ProblemParams.E0``)."""
+    return make_params(cfg["N"], None, cfg["sigma"], C0, branch,
+                       cfg.get("E0", 1.0))
 
 
 def _resolve_branch_params(cfg: dict, omega: float,
@@ -337,7 +344,7 @@ def _resolve_branch_params(cfg: dict, omega: float,
     cell's C0/omega ratio stands in for --C0."""
     branch = cfg["branch"]
     if branch == "critical":
-        return _critical_params(cfg)
+        return _params(cfg, 0.0, "critical")
     if c0_ratio is not None:
         C0 = c0_ratio * omega
     elif branch == "balanced":
@@ -350,12 +357,11 @@ def _resolve_branch_params(cfg: dict, omega: float,
         C0 = cfg["C0"]
     if branch == "balanced":
         branch = "plusminus"
-    return make_params(cfg["N"], None, cfg["sigma"], C0, branch,
-                       cfg["E0"])
+    return _params(cfg, C0, branch)
 
 
 def _solve_primary(cfg: dict) -> tuple[GroundState, float]:
-    params = _critical_params(cfg)
+    params = _params(cfg, 0.0, "critical")
     grid = make_grid(cfg["N"], cfg["grid_n"], cfg["rmax"])
     gs = solve_ground_state(params, grid)
     return gs, compute_omega(gs, params)
@@ -363,7 +369,7 @@ def _solve_primary(cfg: dict) -> tuple[GroundState, float]:
 
 def _profile_stage(cfg: dict, c0_ratio: Optional[float] = None
                    ) -> tuple[GroundState, float, ProfileExpansion]:
-    params = _critical_params(cfg)
+    params = _params(cfg, 0.0, "critical")
     grid = make_grid(cfg["N"], cfg["profile_n"], cfg["profile_rmax"])
     gs = solve_ground_state(params, grid)
     omega = compute_omega(gs, params)
@@ -412,22 +418,20 @@ def _pipe_ground(cfg: dict, rundir: Path) -> dict:
 
 def _pipe_linops(cfg: dict, rundir: Path) -> dict:
     gs, omega = _solve_primary(cfg)
-    rho = solve_rho(gs)
     residuals = operator_identity_residuals(gs)
     report = {
         "identity_residuals": residuals,
         "omega": omega,
         "lplus_unconstrained_min": lplus_unconstrained_min(gs),
         "lminus_unconstrained_min": lminus_unconstrained_min(gs),
-        "constrained_min_eig": coercivity_spectrum(gs, rho),
+        "constrained_min_eig": coercivity_spectrum(gs),
     }
     _write_json(rundir / "linops.json", report)
 
     branch = "minusplus" if cfg["branch"] == "minusplus" else "plusminus"
     rows = []
     for ratio in (0.5, 0.75, 1.0, 1.5, 2.0):
-        params_c = make_params(cfg["N"], None, cfg["sigma"],
-                               ratio * omega, branch, cfg["E0"])
+        params_c = _params(cfg, ratio * omega, branch)
         sol = solve_bordered(gs, branch_forcing(gs, params_c))
         closed = beta_closed_form(gs, params_c)
         rows.append((ratio * omega, ratio, sol.beta, closed,
@@ -489,9 +493,8 @@ def _pipe_reduced(cfg: dict, rundir: Path) -> dict:
             f"(beta00 = {beta00:.3e}); {advice}")
     s1 = cfg["s1"]
     lam1, b1 = initial_params(expansion, cfg["E0"], s1)
-    floor = cfg["lambda_floor"] if cfg["lambda_floor"] is not None else 1e-3
-    traj = integrate_reduced(expansion, [s1, 1e7], lam1, b1,
-                             n_points=2000, lambda_floor=floor)
+    traj = integrate_reduced(expansion, [s1, 1e7], lam1, b1, n_points=2000,
+                             lambda_floor=cfg["lambda_floor"])
     if balanced:
         lam_app, b_app = app_solutions(gs, cfg["E0"], traj.s_grid)
     else:
@@ -626,14 +629,9 @@ def _sweep_cell(cell: dict) -> dict:
 
 
 def _pipe_sweep(cfg: dict, rundir: Path) -> dict:
-    # only a missing axis takes the default; an empty axis is an empty grid
-    def axis(key: str, default: list) -> list:
-        values = cfg.get(key)
-        return default if values is None else values
-
-    sigmas = axis("sigma_values", [cfg["sigma"]])
-    ratios = axis("C0_over_omega_values", [1.0])
-    energies = axis("E0_values", [cfg["E0"]])
+    # an empty axis is an empty grid
+    sigmas, ratios, energies = (cfg[key] for key in (
+        "sigma_values", "C0_over_omega_values", "E0_values"))
     branch = cfg["branch"]
     if branch == "balanced":
         branch = "plusminus"

@@ -41,7 +41,6 @@ __all__ = [
     "GroundState",
     "solve_ground_state",
     "refine_longdouble",
-    "petviashvili_ground_state",
     "compute_omega",
     "pohozaev_residuals",
     "default_rmax",
@@ -241,18 +240,6 @@ def refine_longdouble(gs: GroundState) -> np.ndarray:
         Qld = Qld + op.solve(-res.astype(float)).astype(np.longdouble)
     gs.Q_ld = Qld
     return Qld
-
-
-def petviashvili_ground_state(params: ProblemParams,
-                              grid: RadialGrid) -> RadialField:
-    """Petviashvili's normalized fixed-point iteration, run to a relative
-    change of 1e-13 per sweep.
-
-    The same iteration seeds ``solve_ground_state`` at a loose tolerance;
-    run to convergence on its own it reaches the same unique positive
-    discrete solution, only more slowly (linearly, not quadratically).
-    """
-    return RadialField(grid, _petviashvili(grid, params.q, 1e-13)[0])
 
 
 # --------------------------------------------------------------------------

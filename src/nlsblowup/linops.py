@@ -297,9 +297,10 @@ _PENALTY = 1e6
 _SHIFT = -0.5
 
 
-def coercivity_spectrum(gs: GroundState, rho: RadialField) -> float:
+def coercivity_spectrum(gs: GroundState) -> float:
     """Smallest eigenvalue of  <Lplus a, a> + <Lminus c, c>  under the
-    constraints a _|_ Q, a _|_ r^2 Q, c _|_ rho (L2 normalization).
+    constraints a _|_ Q, a _|_ r^2 Q, c _|_ rho (L2 normalization), rho the
+    ground state's (solved here if absent).
 
     The constraints are enforced by a quadratic penalty on the (smooth)
     constraint directions; the penalty bias is O(|S z|^2 / penalty) ~ 1e-5,
@@ -308,6 +309,8 @@ def coercivity_spectrum(gs: GroundState, rho: RadialField) -> float:
     A positive value certifies coercivity of the discrete quadratic form on
     the constrained subspace.
     """
+    if gs.rho is None:
+        solve_rho(gs)
     grid = gs.grid
     n = grid.n
     sq = np.sqrt(grid.quad_weights * grid.surface)
@@ -316,7 +319,7 @@ def coercivity_spectrum(gs: GroundState, rho: RadialField) -> float:
     Z = np.zeros((2 * n, 3))
     Z[:n, 0] = sq * gs.Q.values
     Z[:n, 1] = sq * grid.nodes ** 2 * gs.Q.values
-    Z[n:, 2] = sq * rho.values
+    Z[n:, 2] = sq * gs.rho.values
     Z, _ = np.linalg.qr(Z)
     return _lowest_eigenvalue(
         gs, [gs.operator("plus"), gs.operator("minus")], _SHIFT, Z)

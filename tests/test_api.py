@@ -19,8 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("core", "groundstate", "linops", "profile", "modulation",
            "reduced", "sim")
-EXEMPT = {"propagate", "petviashvili_ground_state", "energy_inequality_check",
-          "alpha_lt1_solutions"}
+EXEMPT = {"propagate", "energy_inequality_check", "alpha_lt1_solutions"}
 
 
 def _parse(path: Path) -> ast.Module:

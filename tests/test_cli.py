@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nlsblowup.cli import _write_csv, run
+from nlsblowup.cli import _READS, _write_csv, build_parser, run
 from nlsblowup.core import make_grid, make_params
 from nlsblowup.groundstate import compute_omega, solve_ground_state
 from nlsblowup.profile import build_profile
@@ -163,6 +163,60 @@ def test_exponent_flag_is_gone(tmp_path, capsys):
                               "--out", str(tmp_path)])
     assert code == 1
     assert out["error"].rsplit(": ", 1)[1].split(", ") == ["p"]
+
+
+# cheap argv per subcommand; each writes its manifest (validate and
+# simulate exit 1 after their settings are resolved)
+_CHEAP = {
+    "ground": ["--grid-n", "512", "--rmax", "15"],
+    "linops": ["--grid-n", "512", "--rmax", "15"],
+    "profile": ["--grid-n", "1024", "--rmax", "15", "--order", "1"],
+    "reduced": ["--grid-n", "1024", "--rmax", "15", "--order", "1"],
+    "simulate": ["--profile-n", "1024", "--profile-rmax", "15",
+                 "--order", "1", "--dt-c", "0.5"],
+    "validate": [],
+    "sweep": [],
+}
+
+
+@pytest.mark.parametrize("sub", list(_CHEAP))
+def test_each_subcommand_takes_and_records_only_what_it_reads(sub, tmp_path,
+                                                              capsys):
+    parser = build_parser()._subparsers._group_actions[0].choices[sub]
+    dests = {a.dest for a in parser._actions if a.dest != "help"}
+    scalar = {k for k in _READS[sub] if not k.endswith("_values")}
+    assert dests == scalar | {"seed", "out", "config"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sigma_values": []} if sub == "sweep" else {}))
+    code, out = _run(capsys, [sub] + _CHEAP[sub] + [
+        "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == (1 if sub in ("simulate", "validate") else 0), out
+    rundir = next(tmp_path.glob(f"{sub}-*"))
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    assert set(manifest["config"]) == set(_READS[sub]) | {"seed", "out"}
+    if sub == "reduced":
+        # the scale floor the flow stops at is recorded
+        report = json.loads((rundir / "reduced.json").read_text())
+        assert manifest["config"]["lambda_floor"] == 0.001
+        assert report["lambda_final"] == pytest.approx(0.001, rel=1e-6)
+
+
+def test_unread_settings_are_usage_errors(tmp_path, capsys):
+    # a flag the subcommand does not read, or an abbreviation of one it
+    # does, exits 2; a config-file key it does not read is unknown
+    for argv in (["ground", "--s1", "5"], ["ground", "--lam", "0.5"],
+                 ["simulate", "--rmax", "5"], ["sweep", "--C0", "1"],
+                 ["validate", "--N", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2, argv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s1": 30}))
+    code, out = _run(capsys, ["ground", "--config", str(cfg),
+                              "--out", str(tmp_path)])
+    assert code == 1
+    assert out["error"].rsplit(": ", 1)[1].split(", ") == ["s1"]
+    assert not list(tmp_path.glob("ground-*"))
 
 
 def test_validate_reads_configs_that_carry_p(ground_root, tmp_path, capsys):

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from nlsblowup.core import make_grid, make_params, norm_L2
-from nlsblowup.groundstate import (_newton_polish, compute_omega,
-                                   default_rmax, petviashvili_ground_state,
+from nlsblowup.groundstate import (_newton_polish, _petviashvili,
+                                   compute_omega, default_rmax,
                                    pohozaev_residuals, refine_longdouble,
                                    solve_ground_state)
 
@@ -72,15 +72,15 @@ def test_petviashvili_agrees_with_newton(params_critical):
     # solve_ground_state polishes from its loosely converged sweeps
     grid = make_grid(1, 2048, 18.0)
     newton = solve_ground_state(params_critical, grid)
-    fixedpoint = petviashvili_ground_state(params_critical, grid)
-    diff = np.max(np.abs(newton.Q.values - fixedpoint.values))
+    fixedpoint, _ = _petviashvili(grid, params_critical.q, 1e-13)
+    diff = np.max(np.abs(newton.Q.values - fixedpoint))
     assert diff < 1e-8
 
 
 @pytest.mark.parametrize("N, trf", [(1, "dgbtrf"), (2, "dgttrf")])
 def test_petviashvili_factors_its_operator_once(N, trf, factorizations):
     params = make_params(N, None, 0.2, 0.0, "critical", 1.0)
-    petviashvili_ground_state(params, make_grid(N, 512, 15.0))
+    _petviashvili(make_grid(N, 512, 15.0), params.q, 1e-13)
     assert factorizations == [trf]
 
 
