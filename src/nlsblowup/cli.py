@@ -301,6 +301,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key in keys:
         if cfg[key] is None:
             cfg[key] = _default(sub, key, cfg)
+    # record the sign branch solved: linops' beta sweep and the sweep's
+    # cells set C0 from C0/omega ratios; balanced and critical fix C0
+    branch, C0 = cfg.get("branch"), cfg.get("C0")
+    if sub == "linops" and branch != "minusplus" or (
+            sub == "sweep" and branch == "balanced"):
+        cfg["branch"] = "plusminus"
+    elif "C0" in cfg and (C0 is None) != (branch in ("balanced", "critical")):
+        raise DomainError(f"branch {branch!r} " + (
+            "fixes C0; drop C0" if C0 is not None else
+            "needs an explicit C0 (use --branch balanced for C0 = omega)"))
     return cfg
 
 
@@ -346,18 +356,10 @@ def _resolve_branch_params(cfg: dict, omega: float,
     if branch == "critical":
         return _params(cfg, 0.0, "critical")
     if c0_ratio is not None:
-        C0 = c0_ratio * omega
-    elif branch == "balanced":
-        C0 = omega
-    elif cfg["C0"] is None:
-        raise DomainError(
-            f"branch {branch!r} needs an explicit --C0 "
-            "(use --branch balanced for C0 = omega)")
-    else:
-        C0 = cfg["C0"]
+        return _params(cfg, c0_ratio * omega, branch)
     if branch == "balanced":
-        branch = "plusminus"
-    return _params(cfg, C0, branch)
+        return _params(cfg, omega, "plusminus")
+    return _params(cfg, cfg["C0"], branch)
 
 
 def _solve_primary(cfg: dict) -> tuple[GroundState, float]:
@@ -428,10 +430,9 @@ def _pipe_linops(cfg: dict, rundir: Path) -> dict:
     }
     _write_json(rundir / "linops.json", report)
 
-    branch = "minusplus" if cfg["branch"] == "minusplus" else "plusminus"
     rows = []
     for ratio in (0.5, 0.75, 1.0, 1.5, 2.0):
-        params_c = _params(cfg, ratio * omega, branch)
+        params_c = _params(cfg, ratio * omega, cfg["branch"])
         sol = solve_bordered(gs, branch_forcing(gs, params_c))
         closed = beta_closed_form(gs, params_c)
         rows.append((ratio * omega, ratio, sol.beta, closed,
@@ -632,14 +633,10 @@ def _pipe_sweep(cfg: dict, rundir: Path) -> dict:
     # an empty axis is an empty grid
     sigmas, ratios, energies = (cfg[key] for key in (
         "sigma_values", "C0_over_omega_values", "E0_values"))
-    branch = cfg["branch"]
-    if branch == "balanced":
-        branch = "plusminus"
-
     points = list(dict.fromkeys(
         (float(s), float(r), float(e))
         for s in sigmas for r in ratios for e in energies))
-    cells = [dict(cfg, branch=branch, sigma=s, c0_ratio=r, E0=e)
+    cells = [dict(cfg, sigma=s, c0_ratio=r, E0=e)
              for s, r, e in points]
 
     if not cells:

@@ -42,6 +42,7 @@ from .core import (
     integrate,
     norm_H1,
     pair,
+    unit_phase,
     weighted_norm,
 )
 from .profile import (
@@ -271,10 +272,10 @@ def reconstruct(state: ModulationState, grid: RadialGrid) -> RadialField:
 
 
 def hat_epsilon(state: ModulationState) -> RadialField:
-    """Phase-twisted remainder eps * exp(-i b |y|^2 / 4)."""
+    """Phase-twisted remainder eps * unit_phase(-b |y|^2 / 4)."""
     y2 = state.grid.nodes ** 2
     return RadialField(state.grid,
-                       state.eps.values * np.exp(-0.25j * state.b * y2))
+                       state.eps.values * unit_phase(-0.25 * state.b * y2))
 
 
 def lyapunov_S(state: ModulationState) -> float:

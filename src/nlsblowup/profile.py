@@ -63,6 +63,7 @@ from .core import (
     integrate,
     norm_H1,
     pair,
+    unit_phase,
 )
 from .groundstate import GroundState
 from .linops import solve_bordered, solve_lminus_orthogonal, solve_rho
@@ -450,9 +451,9 @@ def _chirp(q: np.ndarray, rmax: float, y: np.ndarray, amp: float, b: float,
            gamma: float) -> np.ndarray:
     """amp * exp(-i(b/4) y^2 + i gamma) at the leading points of the
     increasing q that lie on a source support r <= rmax: the phase of a
-    resample, one entry per sampled point."""
+    resample, one ``unit_phase`` entry per sampled point."""
     m = int(np.searchsorted(q, rmax, side="right"))
-    return amp * np.exp(-0.25j * b * y[:m] ** 2 + 1j * gamma)
+    return amp * unit_phase(gamma - 0.25 * b * y[:m] ** 2)
 
 
 def _resample(spline, q: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -492,7 +493,7 @@ def profile_energy(expansion: ProfileExpansion, lam: float, b: float) -> float:
     """Energy of the rescaled profile, via the exact change of variables.
 
     With W = P exp(-i b r^2 / 4) (the curvature twist absorbed into the
-    gradient term),
+    gradient term; its factor is ``unit_phase`` of -b r^2 / 4),
 
       E = ( 1/2 ||grad W||^2 - integral of density(P) ) / lam^2,
 
@@ -510,7 +511,7 @@ def profile_energy(expansion: ProfileExpansion, lam: float, b: float) -> float:
     grid = expansion.grid
     P_field, _ = eval_profile(expansion, lam, b)
     P = P_field.values
-    W = RadialField(grid, P * np.exp(-0.25j * b * grid.nodes ** 2))
+    W = RadialField(grid, P * unit_phase(-0.25 * b * grid.nodes ** 2))
     density = LocalTerms.of(params, grid, lam ** params.alpha).density(P)
     defect = (0.5 * expansion.gs.norms["grad"]
               - expansion.gs.norms["crit"] / params.mcrit)

@@ -4,10 +4,12 @@ The propagator is a Strang splitting: a half-step of exact pointwise
 phase rotation by the local terms (``core.LocalTerms.rate``:
 |u|^(q-1) + C1 |u|^(p-1) + C2 V(r)), a full Crank-Nicolson step of the
 grid's one discrete -Lap (fourth-order for N = 1, flux form for N = 2, 3),
-and a second phase half-step.  The rotation leaves |u| unchanged, so the
-march (``_Stepper.step``) fuses each step's trailing half-step into the
-next one's leading half-step (one rotation per step), and
-``_Stepper.settle`` applies the last trailing half-step wherever the
+and a second phase half-step.  Both unit-modulus factors are one Cayley
+form (1 + iy)/(1 - iy): y = tan(theta/2) gives the rotation's exp(i theta),
+y = -dt mu/2 the N = 1 Crank-Nicolson multiplier.  The rotation leaves |u|
+unchanged, so the march (``_Stepper.step``) fuses each step's trailing
+half-step into the next one's leading half-step (one rotation per step),
+and ``_Stepper.settle`` applies the last trailing half-step wherever the
 stepped field is read; both substeps conserve the discrete mass.  The
 energy is 1/2 grad_norm_sq minus the integral of ``LocalTerms.density``.
 
@@ -33,8 +35,8 @@ from scipy.fft import dct
 from scipy.optimize import minimize_scalar
 
 from .core import (LocalTerms, Operator, ProblemParams, RadialField,
-                   RadialGrid, grad_norm_sq, integrate, make_grid, norm_L2,
-                   penta_symbol)
+                   RadialGrid, _cayley, grad_norm_sq, integrate, make_grid,
+                   norm_L2, penta_symbol)
 from .groundstate import GroundState
 from .modulation import TubeExit, decompose, lyapunov_S
 from .profile import (ProfileExpansion, even_spline, eval_profile,
@@ -160,22 +162,23 @@ def _dct4(v: np.ndarray) -> np.ndarray:
 class _Stepper:
     """Cached propagator state for repeated steps on a fixed grid.
 
-    ``rotate`` is the exact flow of the grid's ``LocalTerms``; rotations by
+    ``rotate`` is the exact flow of the grid's ``LocalTerms``, its factor
+    exp(i theta) built as ``core._cayley`` of tan(theta/2); rotations by
     a and b compose to one by a + b, since neither changes |v|.  ``step``
     is one Strang step fused first-same-as-last: it rotates once, by its
     leading half-angle plus the trailing half-angle of the previous step,
     which stays ``pending`` until the next step or ``settle``.  ``linear``
     is the Crank-Nicolson substep of the grid's -Lap: where it has a symbol
     mu (N = 1: diagonal in the quarter-wave cosine basis) two orthonormal
-    DCT-IV transforms around the exactly unimodular multiplier
-    (1 - i dt mu / 2) / (1 + i dt mu / 2), elsewhere a banded solve of
-    1 + z(-Lap) = z(-Lap + 1/z), z = i dt / 2, whose ``Operator`` is
-    factored once per dt (once per run at fixed dt), so each step is one
-    ?gttrs sweep.  It
-    conserves g = <v, -Lap v> = grad_norm_sq(v) and returns it from what it
-    computes anyway: h * surface * sum mu |w_k|^2 on the cosine coefficients
-    w, or the integral of conj(v) (-Lap v) on the banded path.  A NaN
-    anywhere in v makes g NaN.
+    DCT-IV transforms around the unimodular multiplier
+    (1 - i dt mu / 2) / (1 + i dt mu / 2), ``core._cayley`` of -dt mu / 2,
+    elsewhere a banded solve of 1 + z(-Lap) = z(-Lap + 1/z), z = i dt / 2,
+    whose ``Operator`` is factored once per dt (once per run at fixed dt),
+    so each step is one ?gttrs sweep.  It conserves g = <v, -Lap v> =
+    grad_norm_sq(v) and returns it from what it computes anyway: h *
+    surface * sum mu |w_k|^2 on the cosine coefficients w, or the integral
+    of conj(v) (-Lap v) on the banded path.  A NaN anywhere in v makes g
+    NaN.
     """
 
     def __init__(self, grid: RadialGrid, params: ProblemParams,
@@ -196,26 +199,19 @@ class _Stepper:
         """Rebuild the dt-dependent Crank-Nicolson arrays (O(n) vector ops)."""
         self.dt = dt
         if self.spectral:
-            # (1 - i y) / (1 + i y) = 2 / (1 + y^2) - 1 - 2 i y / (1 + y^2)
-            # with y = dt mu / 2, in real arithmetic
-            x = (-0.5 * dt) * self._symbol
-            d = 2.0 / (1.0 + x * x)
-            np.subtract(d, 1.0, out=self._mult.real)
-            np.multiply(x, d, out=self._mult.imag)
+            _cayley((-0.5 * dt) * self._symbol, out=self._mult)
             return
         self._z = 0.5j * dt
         self._cn = self._lap.shifted(-1.0 / self._z)
 
     def rotate(self, v: np.ndarray, angle: float) -> np.ndarray:
         """Exact flow of the local terms over time ``angle``:
-        v exp(i angle rate(|v|^2))."""
+        v exp(i angle rate(|v|^2)), built as ``unit_phase`` builds it."""
         if angle == 0.0:
             return v
-        rot = self.terms.rate(v.real ** 2 + v.imag ** 2)
-        rot *= angle
-        out = np.empty_like(v)
-        np.cos(rot, out=out.real)
-        np.sin(rot, out=out.imag)
+        y = self.terms.rate(v.real ** 2 + v.imag ** 2)
+        y *= 0.5 * angle
+        out = _cayley(np.tan(y, out=y))
         out *= v
         return out
 

@@ -239,6 +239,43 @@ def test_branch_requires_coupling(tmp_path, capsys):
                               "--out", str(tmp_path)])
     assert code == 1
     assert "C0" in out["error"]
+    assert not list(tmp_path.glob("reduced-*"))
+
+
+@pytest.mark.parametrize("sub", ["profile", "reduced", "simulate"])
+@pytest.mark.parametrize("branch", ["balanced", "critical"])
+def test_branch_that_fixes_coupling_rejects_C0(sub, branch, tmp_path,
+                                                capsys):
+    # balanced sets C0 = omega and critical C0 = 0: a C0 setting would be
+    # recorded and hashed but never read, so as a flag or a config key it
+    # is a domain error before any run directory is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"C0": 5.0}))
+    root = tmp_path / "runs"
+    for extra in (["--C0", "5"], ["--config", str(cfg)]):
+        code, out = _run(capsys, [sub, "--branch", branch, *extra,
+                                  "--out", str(root)])
+        assert code == 1
+        assert "fixes C0" in out["error"]
+    assert not root.exists()
+
+
+def test_linops_records_the_sign_branch_it_solves(tmp_path, capsys):
+    # the beta sweep solves plusminus on the balanced, critical and
+    # plusminus branches alike: one run directory that records plusminus
+    outdirs = {}
+    for branch in ("balanced", "critical", "plusminus", "minusplus"):
+        code, out = _run(capsys, ["linops", "--grid-n", "512", "--rmax",
+                                  "15", "--branch", branch,
+                                  "--out", str(tmp_path)])
+        assert code == 0
+        outdirs[branch] = Path(out["outdir"])
+        manifest = json.loads(
+            (outdirs[branch] / "manifest.json").read_text())
+        assert manifest["config"]["branch"] == (
+            "minusplus" if branch == "minusplus" else "plusminus")
+    assert len(set(outdirs.values())) == 2
+    assert outdirs["balanced"] == outdirs["critical"] == outdirs["plusminus"]
 
 
 def test_config_file_flag_precedence(tmp_path, capsys):
@@ -400,6 +437,9 @@ def test_sweep_manifest_records_simulation_defaults(tmp_path, capsys):
     assert manifest["config"]["grid_n"] == 8192
     assert manifest["config"]["dt_c"] == 8.5e-4
     assert manifest["config"]["drift_abort"] == 1e-6
+    # the default balanced branch runs its cells on plusminus at the
+    # C0/omega ratios, and records that branch
+    assert manifest["config"]["branch"] == "plusminus"
 
 
 def test_sweep_dedupes_and_records_failures(tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.fft import dct, idct
 from scipy.integrate import quad
 from scipy.linalg import LinAlgError, solve_banded
@@ -16,7 +16,7 @@ from nlsblowup.core import (Branch, LocalTerms, Operator, RadialField,
                             grad_norm_sq, integrate, make_grid, make_params,
                             neg_laplacian_banded, norm_L2, norm_Lq, pair,
                             penta_symbol, potential_weights,
-                            radial_derivative, weighted_norm)
+                            radial_derivative, unit_phase, weighted_norm)
 
 
 # --------------------------------------------------------------------------
@@ -360,3 +360,29 @@ def test_rate_is_the_first_variation_of_the_density(N, branch, C0, shift,
              - integrate(grid, terms.density(u - e * v))) / (2.0 * e)
     first = pair(grid, terms.rate(np.abs(u) ** 2) * u, v)
     assert ddens == pytest.approx(first, rel=1e-7, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# Unit-modulus factors
+# --------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(theta=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=64))
+@example(theta=[math.pi, -math.pi, 0.5 * math.pi, -0.5 * math.pi, 1e-8,
+                -1e-300, 5e-324, 1e4, -1e4])
+def test_unit_phase_is_exp_i_theta(theta):
+    # the Cayley form of tan(theta/2) is exp(i theta) for every finite theta
+    theta = np.array(theta)
+    e = unit_phase(theta)
+    assert np.max(np.abs(e - np.exp(1j * theta))) <= 1e-15
+    assert np.max(np.abs(e.real ** 2 + e.imag ** 2 - 1.0)) <= 1e-15
+
+
+def test_unit_phase_dense_zero_and_nan():
+    theta = np.random.default_rng(5).uniform(-1e4, 1e4, 100_000)
+    e = unit_phase(theta)
+    assert np.max(np.abs(e - np.exp(1j * theta))) <= 1e-15
+    assert np.max(np.abs(e.real ** 2 + e.imag ** 2 - 1.0)) <= 1e-15
+    exact = unit_phase(np.array([0.0, -0.0, np.nan]))
+    assert exact[0] == 1.0 and exact[1] == 1.0
+    assert np.isnan(exact[2].real) and np.isnan(exact[2].imag)

@@ -15,7 +15,7 @@ from nlsblowup import sim
 from nlsblowup.cli import _write_snapshots
 from nlsblowup.core import (RadialField, apply_neg_laplacian, grad_norm_sq,
                             make_grid, make_params, neg_laplacian_banded,
-                            norm_L2, potential_weights)
+                            norm_L2, penta_symbol, potential_weights)
 from nlsblowup.groundstate import solve_ground_state
 from nlsblowup.reduced import initial_params
 from nlsblowup.sim import (SimConfig, Snapshot, SnapshotSeries, _Stepper,
@@ -194,6 +194,35 @@ def test_linear_returns_the_gradient_norm_it_keeps(N):
     out, g = _Stepper(grid, params, 2e-3).linear(v)
     assert g == pytest.approx(grad_norm_sq(RadialField(grid, v)), rel=1e-12)
     assert g == pytest.approx(grad_norm_sq(RadialField(grid, out)), rel=1e-12)
+
+
+def test_multiplier_is_the_inline_cayley_formula():
+    # the Crank-Nicolson multiplier is, bit for bit, the real-arithmetic
+    # Cayley formula written out here as the reference
+    grid = make_grid(1, 512, 12.0)
+    stepper = _Stepper(grid, PLUSMINUS[1], 1e-3)
+    for dt in (1e-3, 3.7e-4, 5e-2):
+        stepper.set_dt(dt)
+        x = (-0.5 * dt) * penta_symbol(grid)
+        d = 2.0 / (1.0 + x * x)
+        ref = np.empty(grid.n, dtype=complex)
+        np.subtract(d, 1.0, out=ref.real)
+        np.multiply(x, d, out=ref.imag)
+        assert np.array_equal(stepper._mult, ref)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("angle", [0.7, 13.0, 100.0])
+def test_rotate_is_the_exact_phase_flow(N, angle):
+    # no small-angle guard: at phases up to about 200 rotate is still
+    # v exp(i angle rate) to rounding
+    grid = make_grid(N, 512, 12.0)
+    stepper = _Stepper(grid, PLUSMINUS[N], 1e-3)
+    v = _wave(grid)
+    rate = stepper.terms.rate(v.real ** 2 + v.imag ** 2)
+    ref = v * np.exp(1j * angle * rate)
+    err = np.max(np.abs(stepper.rotate(v, angle) - ref))
+    assert err <= 1e-15 * np.max(np.abs(v))
 
 
 @pytest.mark.parametrize("N", [1, 2])
