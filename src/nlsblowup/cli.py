@@ -302,11 +302,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if cfg[key] is None:
             cfg[key] = _default(sub, key, cfg)
     # record the sign branch solved: linops' beta sweep and the sweep's
-    # cells set C0 from C0/omega ratios; balanced and critical fix C0
+    # cells set C0 from C0/omega ratios; balanced and critical fix C0, so
+    # a critical sweep has no C0/omega axis
     branch, C0 = cfg.get("branch"), cfg.get("C0")
     if sub == "linops" and branch != "minusplus" or (
             sub == "sweep" and branch == "balanced"):
         cfg["branch"] = "plusminus"
+    elif sub == "sweep" and branch == "critical" and len(
+            set(map(float, cfg["C0_over_omega_values"]))) > 1:
+        raise DomainError("branch 'critical' fixes C0; give one "
+                          "C0_over_omega value")
     elif "C0" in cfg and (C0 is None) != (branch in ("balanced", "critical")):
         raise DomainError(f"branch {branch!r} " + (
             "fixes C0; drop C0" if C0 is not None else

@@ -20,7 +20,8 @@ computations clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .core import (
 __all__ = [
     "GroundState",
     "solve_ground_state",
-    "refine_longdouble",
     "compute_omega",
     "pohozaev_residuals",
     "default_rmax",
@@ -59,8 +59,10 @@ class GroundState:
                 potential = || r^-sigma Q ||_2^2   (exact cell averages)
     iterations keys: seed_sweeps = Petviashvili sweeps of the seed
                      newton      = Newton linearized solves
-    rho is the decaying solution of the bordered companion problem
-    (filled in by linops.solve_rho); operators caches ``operator``'s results.
+
+    Everything derived from Q -- the operators Lplus and Lminus, the
+    companion profile rho and the extended-precision Q_ld -- is computed
+    on first read and kept; ``dataclasses.replace`` starts without them.
     """
 
     params: ProblemParams
@@ -70,22 +72,77 @@ class GroundState:
     Q0: float
     residual_inf: float
     iterations: dict
-    rho: RadialField | None = None
-    Q_ld: np.ndarray | None = None  # extended-precision refinement cache
-    operators: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
 
-    def operator(self, which: str) -> Operator:
-        """Lplus (``which`` = "plus") or Lminus about this Q, built on first
-        use and kept with the LU factor its first solve makes, which every
-        later solve and refinement sweep reuses."""
-        op = self.operators.get(which)
-        if op is None:
-            q = self.params.q
-            Qpow = np.abs(self.Q.values) ** (q - 1.0)
-            op = self.operators[which] = Operator.of(
-                self.grid, 1.0 - (q * Qpow if which == "plus" else Qpow))
-        return op
+    @functools.cached_property
+    def Lplus(self) -> Operator:
+        """-Lap + 1 - q |Q|^(q-1), kept with the LU factor its first solve
+        makes, which every later solve and refinement sweep reuses."""
+        q = self.params.q
+        return Operator.of(self.grid,
+                           1.0 - q * np.abs(self.Q.values) ** (q - 1.0))
+
+    @functools.cached_property
+    def Lminus(self) -> Operator:
+        """-Lap + 1 - |Q|^(q-1), kept with its LU factor like Lplus."""
+        return Operator.of(
+            self.grid, 1.0 - np.abs(self.Q.values) ** (self.params.q - 1.0))
+
+    @functools.cached_property
+    def rho(self) -> RadialField:
+        """The decaying solution of  Lplus rho = r^2 Q  (the companion
+        profile of the bordered problem)."""
+        op = self.Lplus
+        rhs = self.grid.nodes ** 2 * self.Q.values
+        x = _solve_refined(op, rhs)
+        res = float(np.linalg.norm(op.matvec(x) - rhs))
+        floor = _residual_floor(op, x, rhs)
+        if res > max(100.0 * floor, 1e-10 * np.linalg.norm(rhs)):
+            raise ValueError(
+                f"Lplus solve breakdown: residual {res:.3e} vs roundoff "
+                f"floor {floor:.3e} (solution scale {np.max(np.abs(x)):.3e})")
+        return RadialField(self.grid, x)
+
+    @functools.cached_property
+    def Q_ld(self) -> np.ndarray:
+        """The soliton refined to extended precision.
+
+        The double-precision field carries per-node rounding noise of order
+        eps*|Q|; difference stencils amplify such noise by 1/h^2
+        (Laplacian) or 1/h^3 (Laplacian of the scaling generator), which
+        dominates identity residuals on fine grids.  Three rounds of
+        iterative refinement -- extended-precision residual,
+        double-precision banded correction -- push the noise floor down to
+        long-double rounding, each round on Lplus's factor (the
+        O(eps*|Q|) corrections cannot tell it from the refined iterate's
+        Lplus).
+        """
+        op = self.Lplus
+        Qld = self.Q.values.astype(np.longdouble)
+        for _ in range(3):
+            res = _elliptic_residual(self.grid, self.params.q, Qld)
+            Qld = Qld + op.solve(-res.astype(float)).astype(np.longdouble)
+        return Qld
+
+
+def _solve_refined(op: Operator, rhs: np.ndarray) -> np.ndarray:
+    """Banded solve followed by two sweeps of iterative refinement; the
+    three solves share the operator's one LU factor."""
+    x = op.solve(rhs)
+    for _ in range(2):
+        x = x + op.solve(rhs - op.matvec(x))
+    return x
+
+
+def _residual_floor(op: Operator, x: np.ndarray, rhs: np.ndarray) -> float:
+    """Roundoff floor of a measured residual ||A x - rhs||.
+
+    Even an exact solution shows a residual of order eps * ||A|| * ||x||
+    when evaluated in floating point; genuine breakdowns exceed this by
+    orders of magnitude.
+    """
+    opscale = float(np.sum(np.max(np.abs(op.ab), axis=1)))
+    eps = np.finfo(float).eps
+    return eps * (opscale * float(np.linalg.norm(x)) + float(np.linalg.norm(rhs)))
 
 
 def default_rmax(N: int) -> float:
@@ -217,29 +274,6 @@ def solve_ground_state(params: ProblemParams,
     return GroundState(params=params, grid=grid, Q=field, norms=norms,
                        Q0=Q0, residual_inf=res_inf,
                        iterations={"seed_sweeps": sweeps, "newton": solves})
-
-
-def refine_longdouble(gs: GroundState) -> np.ndarray:
-    """Refine the stored soliton to extended precision.
-
-    The double-precision field carries per-node rounding noise of order
-    eps*|Q|; difference stencils amplify such noise by 1/h^2 (Laplacian) or
-    1/h^3 (Laplacian of the scaling generator), which dominates identity
-    residuals on fine grids.  Three rounds of iterative refinement --
-    extended-precision residual, double-precision banded correction -- push
-    the noise floor down to long-double rounding, each round on the ground
-    state's Lplus factor (the O(eps*|Q|) corrections cannot tell it from the
-    refined iterate's Lplus).  Result is cached.
-    """
-    if gs.Q_ld is not None:
-        return gs.Q_ld
-    op = gs.operator("plus")
-    Qld = gs.Q.values.astype(np.longdouble)
-    for _ in range(3):
-        res = _elliptic_residual(gs.grid, gs.params.q, Qld)
-        Qld = Qld + op.solve(-res.astype(float)).astype(np.longdouble)
-    gs.Q_ld = Qld
-    return Qld
 
 
 # --------------------------------------------------------------------------

@@ -10,13 +10,14 @@ parts,
 with Lminus Q = 0.  Both are ``core.Operator``s, the grid's one discrete
 -Lap plus a diagonal (exactly self-adjoint in the cell-weighted inner
 product; the fourth-order pentadiagonal stencil for N = 1, the tridiagonal
-flux form for N = 2, 3), built once per ground state by
-``GroundState.operator`` and factored on their first solve; every later
-solve and refinement sweep reuses that factor.  This module solves
-well-posed and bordered systems with iterative refinement, produces the
-companion profile rho solving  Lplus rho = r^2 Q, finds the bottom of each
-operator's spectrum and certifies constrained positivity of the quadratic
-form, both by one shift-invert Lanczos eigensolve.
+flux form for N = 2, 3), built once per ground state as
+``GroundState.Lplus``/``.Lminus`` and factored on their first solve; every
+later solve and refinement sweep reuses that factor, and so does the
+ground state's companion profile rho solving  Lplus rho = r^2 Q.  This
+module solves well-posed and bordered systems with iterative refinement,
+finds the bottom of each operator's spectrum and certifies constrained
+positivity of the quadratic form, both by one shift-invert Lanczos
+eigensolve.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from .core import (
     apply_scaling_generator,
     pair,
 )
-from .groundstate import GroundState, refine_longdouble
+from .groundstate import GroundState, _residual_floor, _solve_refined
 
 __all__ = [
     "BorderedSolution",
-    "solve_rho",
     "solve_bordered",
     "solve_lminus_orthogonal",
     "branch_forcing",
@@ -67,49 +67,8 @@ class BorderedSolution:
 
 
 # --------------------------------------------------------------------------
-# Operators and basic application
-# --------------------------------------------------------------------------
-
-def _solve_refined(op: Operator, rhs: np.ndarray) -> np.ndarray:
-    """Banded solve followed by two sweeps of iterative refinement; the
-    three solves share the operator's one LU factor."""
-    x = op.solve(rhs)
-    for _ in range(2):
-        x = x + op.solve(rhs - op.matvec(x))
-    return x
-
-
-def _residual_floor(op: Operator, x: np.ndarray, rhs: np.ndarray) -> float:
-    """Roundoff floor of a measured residual ||A x - rhs||.
-
-    Even an exact solution shows a residual of order eps * ||A|| * ||x||
-    when evaluated in floating point; genuine breakdowns exceed this by
-    orders of magnitude.
-    """
-    opscale = float(np.sum(np.max(np.abs(op.ab), axis=1)))
-    eps = np.finfo(float).eps
-    return eps * (opscale * float(np.linalg.norm(x)) + float(np.linalg.norm(rhs)))
-
-
-# --------------------------------------------------------------------------
 # Solvers
 # --------------------------------------------------------------------------
-
-def solve_rho(gs: GroundState) -> RadialField:
-    """Solve  Lplus rho = r^2 Q  and cache the result on the ground state."""
-    op = gs.operator("plus")
-    rhs = gs.grid.nodes ** 2 * gs.Q.values
-    x = _solve_refined(op, rhs)
-    res = float(np.linalg.norm(op.matvec(x) - rhs))
-    floor = _residual_floor(op, x, rhs)
-    if res > max(100.0 * floor, 1e-10 * np.linalg.norm(rhs)):
-        raise ValueError(
-            f"Lplus solve breakdown: residual {res:.3e} vs roundoff floor "
-            f"{floor:.3e} (solution scale {np.max(np.abs(x)):.3e})")
-    rho = RadialField(gs.grid, x)
-    gs.rho = rho
-    return rho
-
 
 def solve_bordered(gs: GroundState, F: RadialField) -> BorderedSolution:
     """Solve the augmented system for (P, beta) with (P, Q)_2 = 0.
@@ -118,9 +77,7 @@ def solve_bordered(gs: GroundState, F: RadialField) -> BorderedSolution:
     Lplus (rho/4) = (r^2/4) Q exactly, so P = x + beta*(rho/4) with
     x = Lplus^{-1} F, and beta is fixed by the vanishing Q-component of P.
     """
-    if gs.rho is None:
-        solve_rho(gs)
-    op = gs.operator("plus")
+    op = gs.Lplus
     Fv = np.asarray(F.values, dtype=float)
     x = _solve_refined(op, Fv)
     grid = gs.grid
@@ -150,12 +107,10 @@ def solve_lminus_orthogonal(gs: GroundState, G: np.ndarray) -> tuple[np.ndarray,
     concentrates along Q and is removed afterwards by normalizing the
     rho-component to zero, which also fixes the kernel ambiguity.
     """
-    if gs.rho is None:
-        solve_rho(gs)
-    op = gs.operator("minus")
+    rhov = gs.rho.values
+    op = gs.Lminus
     grid = gs.grid
     Qv = gs.Q.values
-    rhov = gs.rho.values
     qq = pair(grid, Qv, Qv)
     nu = pair(grid, G, Qv) / qq
     Gt = G - nu * Qv
@@ -219,11 +174,9 @@ def operator_identity_residuals(gs: GroundState) -> dict:
     1/h^3 of Laplacian-after-derivative, would swamp the truncation error
     of the identities on fine grids.
     """
-    if gs.rho is None:
-        solve_rho(gs)
     grid = gs.grid
     q = gs.params.q
-    Qld = refine_longdouble(gs)
+    Qld = gs.Q_ld
     Qpow = np.abs(Qld) ** (q - 1.0)
 
     def lplus(x):
@@ -233,12 +186,11 @@ def operator_identity_residuals(gs: GroundState) -> dict:
         return apply_neg_laplacian(grid, x) + x - Qpow * x
 
     # refine rho in extended precision against the long-double forcing
-    op_p = gs.operator("plus")
     r2Qld = grid.nodes.astype(np.longdouble) ** 2 * Qld
     rho = gs.rho.values.astype(np.longdouble)
     for _ in range(2):
         res = r2Qld - lplus(rho)
-        rho = rho + op_p.solve(res.astype(float)).astype(np.longdouble)
+        rho = rho + gs.Lplus.solve(res.astype(float)).astype(np.longdouble)
 
     lam = apply_scaling_generator(grid, Qld)
 
@@ -272,23 +224,22 @@ def _tail_taper(grid) -> np.ndarray:
     return 1.0 - t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def _bottom_eigenvalue(gs: GroundState, which: str) -> float:
-    """The smallest eigenvalue of Lplus or Lminus alone, by shift-invert
-    Lanczos about min(pot) - 1: -Lap is positive semi-definite in the
-    weighted inner product, so that shift lies strictly below the
+def _bottom_eigenvalue(gs: GroundState, op: Operator) -> float:
+    """The smallest eigenvalue of ``op`` (Lplus or Lminus) alone, by
+    shift-invert Lanczos about min(pot) - 1: -Lap is positive semi-definite
+    in the weighted inner product, so that shift lies strictly below the
     spectrum."""
-    op = gs.operator(which)
     return _lowest_eigenvalue(gs, [op], float(np.min(op.pot)) - 1.0)
 
 
 def lplus_unconstrained_min(gs: GroundState) -> float:
     """Smallest eigenvalue of Lplus alone (negative: one unstable mode)."""
-    return _bottom_eigenvalue(gs, "plus")
+    return _bottom_eigenvalue(gs, gs.Lplus)
 
 
 def lminus_unconstrained_min(gs: GroundState) -> float:
     """Smallest eigenvalue of Lminus alone (zero: its kernel is Q)."""
-    return _bottom_eigenvalue(gs, "minus")
+    return _bottom_eigenvalue(gs, gs.Lminus)
 
 
 # Quadratic penalty on the constraint directions, and the shift-invert
@@ -300,7 +251,7 @@ _SHIFT = -0.5
 def coercivity_spectrum(gs: GroundState) -> float:
     """Smallest eigenvalue of  <Lplus a, a> + <Lminus c, c>  under the
     constraints a _|_ Q, a _|_ r^2 Q, c _|_ rho (L2 normalization), rho the
-    ground state's (solved here if absent).
+    ground state's.
 
     The constraints are enforced by a quadratic penalty on the (smooth)
     constraint directions; the penalty bias is O(|S z|^2 / penalty) ~ 1e-5,
@@ -309,8 +260,6 @@ def coercivity_spectrum(gs: GroundState) -> float:
     A positive value certifies coercivity of the discrete quadratic form on
     the constrained subspace.
     """
-    if gs.rho is None:
-        solve_rho(gs)
     grid = gs.grid
     n = grid.n
     sq = np.sqrt(grid.quad_weights * grid.surface)
@@ -321,8 +270,7 @@ def coercivity_spectrum(gs: GroundState) -> float:
     Z[:n, 1] = sq * grid.nodes ** 2 * gs.Q.values
     Z[n:, 2] = sq * gs.rho.values
     Z, _ = np.linalg.qr(Z)
-    return _lowest_eigenvalue(
-        gs, [gs.operator("plus"), gs.operator("minus")], _SHIFT, Z)
+    return _lowest_eigenvalue(gs, [gs.Lplus, gs.Lminus], _SHIFT, Z)
 
 
 def _lowest_eigenvalue(gs: GroundState, ops: list[Operator], sigma: float,

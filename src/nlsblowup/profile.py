@@ -66,14 +66,13 @@ from .core import (
     unit_phase,
 )
 from .groundstate import GroundState
-from .linops import solve_bordered, solve_lminus_orthogonal, solve_rho
+from .linops import solve_bordered, solve_lminus_orthogonal
 
 __all__ = [
     "ProfileEntry",
     "ProfileExpansion",
     "build_profile",
     "eval_profile",
-    "theta_value",
     "profile_derivatives",
     "residual_Psi",
     "rescale_to_physical",
@@ -125,7 +124,12 @@ class ProfileExpansion:
         return {key: e.beta for key, e in self.entries.items()}
 
     def theta(self, lam: float, b: float) -> float:
-        return theta_value(self, lam, b)
+        """theta(lam, b) = sum b^(2j) lam^((k+1)a) beta_{j,k}."""
+        a = self.params.alpha
+        th = 0.0
+        for (j, k), e in self.entries.items():
+            th += b ** (2 * j) * lam ** ((k + 1) * a) * e.beta
+        return float(th)
 
 
 # --------------------------------------------------------------------------
@@ -179,8 +183,6 @@ def build_profile(gs: GroundState, params: ProblemParams,
         raise ValueError(
             f"profile expansion supports order <= {MAX_ORDER}, the orders "
             f"whose residual slope is certified")
-    if gs.rho is None:
-        solve_rho(gs)
     grid = gs.grid
     a = params.alpha
     Qv = gs.Q.values
@@ -271,15 +273,6 @@ def _default_weight_rate(gs: GroundState) -> float:
 # --------------------------------------------------------------------------
 # Evaluation
 # --------------------------------------------------------------------------
-
-def theta_value(expansion: ProfileExpansion, lam: float, b: float) -> float:
-    """theta(lam, b) = sum b^(2j) lam^((k+1)a) beta_{j,k}."""
-    a = expansion.params.alpha
-    th = 0.0
-    for (j, k), e in expansion.entries.items():
-        th += b ** (2 * j) * lam ** ((k + 1) * a) * e.beta
-    return float(th)
-
 
 def eval_profile(expansion: ProfileExpansion, lam: float,
                  b: float) -> tuple[RadialField, float]:
@@ -537,7 +530,7 @@ def psi_slope_sweep(expansion: ProfileExpansion) -> list[dict]:
     for x in 0.15 * 0.5 ** np.arange(4):
         lam = (0.5 * x) ** (1.0 / a)
         b = math.sqrt(0.5 * x)
-        th = theta_value(expansion, lam, b)
+        th = expansion.theta(lam, b)
         _, wn = residual_Psi(expansion, lam, b, -b * lam, th - b * b)
         rows.append({"x": float(x), "lam": float(lam), "b": float(b),
                      "theta": float(th), "weighted_norm": float(wn)})

@@ -363,7 +363,8 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
              else lam1 / 10.0 ** 1.02)
     grid = u.grid
     v = u.values.astype(complex)
-    mass0, energy0 = conserved(u, params)
+    g = grad_norm_sq(u)
+    mass0, energy0 = _mass_energy(u, params, g)
 
     series = SnapshotSeries(snapshots=[], lam1=lam1, b1=b1, mass0=mass0,
                             energy0=energy0,
@@ -373,7 +374,7 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
     s = s1
     guess = (lam1, b1, 0.0)
     s_next_snap = s1
-    lam_h = lam_hat_regrid = lambda_hat(u, gs)
+    lam_h = lam_hat_regrid = math.sqrt(gs.norms["grad"] / g)
     # v owes the stepper's pending half-angle; snapshots and regrids settle
     # it first, so they see the stepped field.
     stepper = _Stepper(grid, params, config.c_dt * lam_h ** 2)
@@ -432,8 +433,9 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
         if lam_h <= lam_hat_regrid / _RESCALE_FACTOR:
             v = stepper.settle(v)
             field = RadialField(grid, v)
-            lam_h = lambda_hat(field, gs)
-            before = conserved(field, params)
+            g = grad_norm_sq(field)
+            lam_h = math.sqrt(gs.norms["grad"] / g)
+            before = _mass_energy(field, params, g)
             v, grid = _regrid(v, grid)
             after = conserved(RadialField(grid, v), params)
             series.regrid_log.append({

@@ -18,11 +18,7 @@ import numpy as np
 import pytest
 
 from nlsblowup.core import RadialField, make_grid, make_params, norm_H1, norm_L2
-from nlsblowup.groundstate import (
-    compute_omega,
-    refine_longdouble,
-    solve_ground_state,
-)
+from nlsblowup.groundstate import compute_omega, solve_ground_state
 from nlsblowup.linops import (
     beta_closed_form,
     branch_forcing,
@@ -68,15 +64,15 @@ def _emit(num: int, ok: bool, detail: str) -> None:
 # Shared fixtures
 # --------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def crit_params():
-    return make_params(1, None, 0.2, 0.0, "critical", 1.0)
+# The N = 1 profile-grid soliton, its balance coupling and both order-2
+# expansions are conftest's session fixtures (params_critical, gs_profile,
+# omega_profile, params_balanced, params_unbalanced, expansion_balanced,
+# expansion_unbalanced), shared with the other test modules.
 
-
 @pytest.fixture(scope="module")
-def gs_fine_n1(crit_params):
-    gs = solve_ground_state(crit_params, make_grid(1, 131072, 30.0))
-    refine_longdouble(gs)
+def gs_fine_n1(params_critical):
+    gs = solve_ground_state(params_critical, make_grid(1, 131072, 30.0))
+    gs.Q_ld  # refined here, outside criterion 2's wall clock
     return gs
 
 
@@ -84,39 +80,8 @@ def gs_fine_n1(crit_params):
 def gs_fine_n2():
     params = make_params(2, None, 0.2, 0.0, "critical", 1.0)
     gs = solve_ground_state(params, make_grid(2, 131072, 25.0))
-    refine_longdouble(gs)
+    gs.Q_ld  # refined here, outside criterion 2's wall clock
     return gs
-
-
-@pytest.fixture(scope="module")
-def gs_profile(crit_params):
-    """Production profile grid used by the expansion-based criteria."""
-    return solve_ground_state(crit_params, make_grid(1, 8192, 20.0))
-
-
-@pytest.fixture(scope="module")
-def omega(gs_profile, crit_params):
-    return compute_omega(gs_profile, crit_params)
-
-
-@pytest.fixture(scope="module")
-def params_balanced(omega):
-    return make_params(1, None, 0.2, omega, "plusminus", 1.0)
-
-
-@pytest.fixture(scope="module")
-def params_unbalanced(omega):
-    return make_params(1, None, 0.2, 2.0 * omega, "plusminus", 1.0)
-
-
-@pytest.fixture(scope="module")
-def expansion_balanced(gs_profile, params_balanced):
-    return build_profile(gs_profile, params_balanced, order=2)
-
-
-@pytest.fixture(scope="module")
-def expansion_unbalanced(gs_profile, params_unbalanced):
-    return build_profile(gs_profile, params_unbalanced, order=2)
 
 
 def _sim_config(params) -> SimConfig:
@@ -128,9 +93,9 @@ def _sim_config(params) -> SimConfig:
 # Criteria
 # --------------------------------------------------------------------------
 
-def test_criterion_01_ground_state_exactness(crit_params):
+def test_criterion_01_ground_state_exactness(params_critical):
     t0 = time.time()
-    gs = solve_ground_state(crit_params, make_grid(1, 32768, 30.0))
+    gs = solve_ground_state(params_critical, make_grid(1, 32768, 30.0))
     q0_rel = abs(gs.Q0 / Q0_EXACT - 1.0)
     mass_rel = abs(gs.norms["mass"] / MASS_EXACT - 1.0)
     wall = time.time() - t0
@@ -153,9 +118,9 @@ def test_criterion_02_operator_identities(gs_fine_n1, gs_fine_n2):
           f"N=2 max={worst['N=2']:.2e}, all<1e-6, wall={wall:.2f}s<10s")
 
 
-def test_criterion_03_threshold_coefficient(gs_fine_n1, crit_params):
+def test_criterion_03_threshold_coefficient(gs_fine_n1, params_critical):
     t0 = time.time()
-    omega_fine = compute_omega(gs_fine_n1, crit_params)
+    omega_fine = compute_omega(gs_fine_n1, params_critical)
     diffs = []
     for ratio in (0.5, 1.0, 2.0):
         pr = make_params(1, None, 0.2, ratio * omega_fine, "plusminus", 1.0)
@@ -176,9 +141,9 @@ def test_criterion_03_threshold_coefficient(gs_fine_n1, crit_params):
           f"beta(2w)={beta_plus:.4f}>0, wall={wall:.2f}s<10s")
 
 
-def test_criterion_04_discrete_coercivity(crit_params):
+def test_criterion_04_discrete_coercivity(params_critical):
     t0 = time.time()
-    gs = solve_ground_state(crit_params, make_grid(1, 4096, 20.0))
+    gs = solve_ground_state(params_critical, make_grid(1, 4096, 20.0))
     constrained_min = coercivity_spectrum(gs)
     free_min = lplus_unconstrained_min(gs)
     wall = time.time() - t0
@@ -203,15 +168,15 @@ def test_criterion_05_profile_residual_scaling(gs_profile, params_balanced):
           f"wall={wall:.2f}s<60s")
 
 
-def test_criterion_06_pseudo_conformal_validation(crit_params):
+def test_criterion_06_pseudo_conformal_validation(params_critical):
     t0 = time.time()
     grid = make_grid(1, 8192, 15.0)          # default resolution n
-    gs = solve_ground_state(crit_params, grid)
+    gs = solve_ground_state(params_critical, grid)
     u0 = pseudo_conformal_reference(-1.0, grid, gs)
     exact = pseudo_conformal_reference(-0.5, grid, gs)
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
-        u = propagate(u0, dt, round(0.5 / dt), crit_params)
+        u = propagate(u0, dt, round(0.5 / dt), params_critical)
         errs.append(norm_L2(RadialField(grid, u.values - exact.values)))
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
     wall = time.time() - t0

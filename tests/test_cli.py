@@ -442,6 +442,23 @@ def test_sweep_manifest_records_simulation_defaults(tmp_path, capsys):
     assert manifest["config"]["branch"] == "plusminus"
 
 
+def test_critical_sweep_takes_one_C0_over_omega_value(tmp_path, capsys):
+    # critical fixes C0 = 0, so cells at two C0/omega ratios would run one
+    # computation under two labels: a domain error before any run
+    # directory is written; a single ratio still runs
+    cfg = tmp_path / "sweep.json"
+    root = tmp_path / "runs"
+    for ratios, expected in (([0.5, 2.0], 1), ([0.5], 0)):
+        cfg.write_text(json.dumps({"sigma_values": [], "branch": "critical",
+                                   "C0_over_omega_values": ratios}))
+        code, out = _run(capsys, ["sweep", "--config", str(cfg),
+                                  "--out", str(root)])
+        assert code == expected
+        if code:
+            assert "fixes C0" in out["error"]
+            assert not root.exists()
+
+
 def test_sweep_dedupes_and_records_failures(tmp_path, capsys):
     # duplicate grid points collapse; a subthreshold cell fails and is
     # recorded while the sweep exits cleanly

@@ -3,6 +3,7 @@ quadrature oracles."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,12 +14,15 @@ from scipy.integrate import quad
 from nlsblowup.core import make_grid, make_params, norm_L2
 from nlsblowup.groundstate import (_newton_polish, _petviashvili,
                                    compute_omega, default_rmax,
-                                   pohozaev_residuals, refine_longdouble,
-                                   solve_ground_state)
+                                   pohozaev_residuals, solve_ground_state)
 
 # Analytic N=1 soliton of -Q'' + Q = Q^5: Q(r) = 3^(1/4) sech^(1/2)(2r).
 Q0_EXACT = 3.0 ** 0.25
 MASS_EXACT = math.sqrt(3.0) * math.pi / 2.0
+
+
+# the fields GroundState derives from Q on first read
+DERIVED = {"Lplus", "Lminus", "rho", "Q_ld"}
 
 
 def _analytic_Q(r):
@@ -131,10 +135,15 @@ def test_ground_state_converges_on_any_grid(N, n, rmax):
 
 
 def test_refine_longdouble_caches_and_stays_close(gs_coarse):
-    refined = refine_longdouble(gs_coarse)
+    gs = dataclasses.replace(gs_coarse)
+    # a copy starts with nothing derived from Q; each derived field is
+    # computed on its first read and the same object on every later one
+    assert not DERIVED & set(vars(gs))
+    for name in DERIVED:
+        assert getattr(gs, name) is getattr(gs, name)
+    refined = gs.Q_ld
     assert refined.dtype == np.longdouble
-    assert refined is refine_longdouble(gs_coarse)
-    assert float(np.max(np.abs(refined - gs_coarse.Q.values))) < 1e-9
+    assert float(np.max(np.abs(refined - gs.Q.values))) < 1e-9
 
 
 def test_default_rmax_tail_negligible():

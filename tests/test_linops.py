@@ -16,19 +16,18 @@ from nlsblowup.linops import (beta_closed_form, branch_forcing,
                               coercivity_spectrum, lminus_unconstrained_min,
                               lplus_unconstrained_min,
                               operator_identity_residuals, solve_bordered,
-                              solve_lminus_orthogonal, solve_rho)
+                              solve_lminus_orthogonal)
 from nlsblowup.profile import build_profile
 
 
 def _apply(gs, which, v):
     """L+ (which = 0) or L- (which = 1) of gs applied to the field v."""
-    op = gs.operator(("plus", "minus")[which])
+    op = (gs.Lplus, gs.Lminus)[which]
     return RadialField(gs.grid, op.matvec(v.values))
 
 
-def _symmetrized(gs, which):
-    """Dense W^(1/2) L W^(-1/2) of Lplus or Lminus, read off the band."""
-    op = gs.operator(which)
+def _symmetrized(gs, op):
+    """Dense W^(1/2) L W^(-1/2) of gs's Lplus or Lminus, read off the band."""
     u, n = op.u, gs.grid.n
     # ab[u + i - j, j] = L[i, j]: diagonal d = j - i is row u - d of ab
     L = sum(np.diag(op.ab[u - d, max(d, 0):n + min(d, 0)], d)
@@ -38,8 +37,10 @@ def _symmetrized(gs, which):
 
 
 def _fresh(gs):
-    """The ground state with none of linops' caches filled in."""
-    return dataclasses.replace(gs, rho=None, Q_ld=None)
+    """The ground state with none of its derived fields computed yet."""
+    fresh = dataclasses.replace(gs)
+    assert not {"Lplus", "Lminus", "rho", "Q_ld"} & set(vars(fresh))
+    return fresh
 
 
 def test_lplus_on_soliton_analytic(gs_profile):
@@ -63,7 +64,7 @@ def test_identity_residuals_structure(gs_profile):
 
 
 def test_solve_rho_satisfies_equation(gs_profile):
-    rho = solve_rho(gs_profile)
+    rho = gs_profile.rho
     img = _apply(gs_profile, 0, rho).values
     target = gs_profile.grid.nodes ** 2 * gs_profile.Q.values
     rel = norm_L2(RadialField(gs_profile.grid, img - target)) / norm_L2(
@@ -125,7 +126,7 @@ def test_unconstrained_minima(gs_coarse):
     assert abs(lminus_unconstrained_min(gs_coarse)) < 1e-8
     img = _apply(gs_coarse, 1, gs_coarse.Q)
     assert norm_L2(img) < 1e-9 * norm_L2(gs_coarse.Q)
-    second = eigvalsh(_symmetrized(gs_coarse, "minus"),
+    second = eigvalsh(_symmetrized(gs_coarse, gs_coarse.Lminus),
                       subset_by_index=[1, 1])
     assert second[0] > 0.5
 
@@ -134,9 +135,9 @@ def test_unconstrained_minima(gs_coarse):
 def test_bottom_eigenvalues_match_dense_reference(N):
     params = make_params(N, None, 0.2, 0.0, "critical", 1.0)
     gs = solve_ground_state(params, make_grid(N, 512, default_rmax(N)))
-    for which, bottom in (("plus", lplus_unconstrained_min),
-                          ("minus", lminus_unconstrained_min)):
-        ref = eigvalsh(_symmetrized(gs, which), subset_by_index=[0, 0])[0]
+    for op, bottom in ((gs.Lplus, lplus_unconstrained_min),
+                       (gs.Lminus, lminus_unconstrained_min)):
+        ref = eigvalsh(_symmetrized(gs, op), subset_by_index=[0, 0])[0]
         assert abs(bottom(gs) - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
@@ -145,7 +146,7 @@ def test_constrained_coercivity(gs_coarse):
 
 
 @pytest.mark.parametrize("solver, first, again", [
-    (lambda gs, F: solve_rho(gs), 1, 0),
+    (lambda gs, F: gs.rho, 1, 0),
     (lambda gs, F: solve_bordered(gs, F), 1, 0),
     (lambda gs, F: solve_lminus_orthogonal(gs, F.values), 2, 0),
     (lambda gs, F: coercivity_spectrum(gs), 3, 2),
@@ -156,8 +157,7 @@ def test_each_operator_is_factored_once_per_call(gs_coarse, factorizations,
                                                  solver, first, again):
     # Lplus and Lminus are factored at most once per ground state: the
     # first call factors those it solves with (rho is an Lplus solve), and
-    # the refinement sweeps (refine_longdouble's too) and every later call
-    # reuse them;
+    # the refinement sweeps (Q_ld's too) and every later call reuse them;
     # coercivity_spectrum's Lanczos iterations reuse the two shifted
     # operators it factors per call
     gs = _fresh(gs_coarse)
@@ -182,7 +182,7 @@ def test_profile_build_factors_each_operator_once(gs_coarse, factorizations):
 
 
 @pytest.mark.parametrize("solver, built", [
-    (lambda gs, F: solve_rho(gs), ["plus"]),
+    (lambda gs, F: gs.rho, ["plus"]),
     (lambda gs, F: solve_bordered(gs, F), ["plus"]),
     (lambda gs, F: solve_lminus_orthogonal(gs, F.values), ["plus", "minus"]),
     (lambda gs, F: lplus_unconstrained_min(gs), ["plus"]),

@@ -14,8 +14,7 @@ from nlsblowup.groundstate import compute_omega, solve_ground_state
 from nlsblowup.profile import (build_profile, eval_profile, even_spline,
                                fit_loglog_slope, profile_derivatives,
                                profile_energy, psi_slope_sweep,
-                               rescale_to_physical, residual_Psi,
-                               theta_value)
+                               rescale_to_physical, residual_Psi)
 from nlsblowup.profile import _WINDOW_MARGIN, _even_cubic, _window
 from nlsblowup.reduced import init_params
 
@@ -68,7 +67,7 @@ def test_eval_profile_matches_manual_assembly(expansion_balanced):
         th_manual += b ** (2 * j) * nu * entry.beta
     assert np.max(np.abs(P.values - manual)) < 1e-12 * np.max(np.abs(manual))
     assert theta == pytest.approx(th_manual, rel=1e-12)
-    assert theta == pytest.approx(theta_value(expansion_balanced, lam, b),
+    assert theta == pytest.approx(expansion_balanced.theta(lam, b),
                                   rel=1e-14)
 
 
@@ -93,7 +92,7 @@ def test_residual_decreases_with_order(gs_profile, params_balanced):
     norms = []
     for order in (0, 1):
         exp_j = build_profile(gs_profile, params_balanced, order=order)
-        th = theta_value(exp_j, lam, b)
+        th = exp_j.theta(lam, b)
         _, wn = residual_Psi(exp_j, lam, b, -b * lam, th - b * b)
         norms.append(wn)
     assert norms[1] < 0.5 * norms[0]

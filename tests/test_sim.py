@@ -260,28 +260,38 @@ def test_fused_march_conserves_mass(N, amp, width, dt, n_steps):
 
 @pytest.fixture(scope="module")
 def short_run(expansion_balanced):
+    """(config, series, sim.grad_norm_sq calls the run made)."""
     config = SimConfig(params=expansion_balanced.params, n=1024,
                        rmax_factor=64.0, c_dt=2.5e-3, lambda_floor=6e-3,
                        snapshot_ds=0.5, drift_abort=1e-2)
-    return config, simulate_blowup(config, expansion_balanced, 1.0, 30.0)
+    calls = 0
+
+    def counted(u):
+        nonlocal calls
+        calls += 1
+        return grad_norm_sq(u)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "grad_norm_sq", counted)
+        series = simulate_blowup(config, expansion_balanced, 1.0, 30.0)
+    return config, series, calls
 
 
 def test_short_run_reaches_floor_with_regrids(short_run):
-    config, series = short_run
+    config, series, _ = short_run
     assert not series.tube_exit, series.abort_reason
     assert len(series.regrid_log) >= 1
     assert series.snapshots[-1].lam_hat <= 2.1 * config.lambda_floor
 
 
 def test_regrid_mass_invariance(short_run):
-    _, series = short_run
+    _, series, _ = short_run
     for entry in series.regrid_log:
         rel = abs(entry["mass_after"] / entry["mass_before"] - 1.0)
         assert rel < 1e-8
 
 
 def test_snapshot_monotonicity_and_drift(short_run):
-    _, series = short_run
+    _, series, _ = short_run
     s_vals = [sn.s for sn in series.snapshots]
     assert all(b > a for a, b in zip(s_vals, s_vals[1:]))
     assert max(sn.drift for sn in series.snapshots) < 1e-4
@@ -289,15 +299,24 @@ def test_snapshot_monotonicity_and_drift(short_run):
 
 
 def test_series_records_its_initial_datum(short_run, expansion_balanced):
-    config, series = short_run
+    config, series, _ = short_run
     assert (series.lam1, series.b1) == initial_params(expansion_balanced,
                                                       1.0, 30.0)
     u0, _, _ = initial_datum(config, expansion_balanced, 1.0, 30.0)
     assert series.energy0 == conserved(u0, config.params)[1]
 
 
+def test_each_field_gradient_is_measured_once(short_run):
+    # one grad_norm_sq per field the run reads outside the march: the
+    # initial datum, each snapshot, and each regrid's field before and
+    # after the resample (the march gets its own from the linear substep)
+    _, series, calls = short_run
+    assert (len(series.snapshots), len(series.regrid_log)) == (80, 1)
+    assert calls == 1 + len(series.snapshots) + 2 * len(series.regrid_log)
+
+
 def test_series_csv_roundtrip(short_run, tmp_path):
-    _, series = short_run
+    _, series, _ = short_run
     path = tmp_path / "snapshots.csv"
     _write_snapshots(path, series)
     with open(path, newline="") as fh:
