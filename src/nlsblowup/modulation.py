@@ -13,18 +13,18 @@ Only the physical-space difference between u and the modulated profile is
 resampled onto the renormalized grid; P stays exact on its own grid, so a
 field on the profile family decomposes with eps = 0.  The three scalar
 parameters are found by a Newton iteration on the condition vector; the
-Jacobian is assembled analytically (spline derivatives for the sampled
-field, monomial derivatives for P) with a finite-difference fallback, and
-tube membership is judged on the converged remainder.  Each iterate
-evaluates the profile, its chirp phase and the pairing directions once,
-and the returned state carries the converged iterate's P and remainder,
-which ``reconstruct`` and ``lyapunov_S`` read.
+Jacobian is assembled analytically on the renormalized grid (the scaling
+generator and y^2 acting on the sample eps + P of the field, monomial
+derivatives for P) with a finite-difference fallback, and tube membership
+is judged on the converged remainder.  Each iterate evaluates the profile
+and the pairing directions once, and the returned state carries the
+converged iterate's P and remainder, which ``reconstruct`` and
+``lyapunov_S`` read.
 
-The field-grid splines of D and u are sampled only at x = lam y <= lam y[-1]
-and are built on the nodes those samples reach plus 64, with the leading
-block of the cached slope factor (``profile._even_cubic``); a spline's end
-condition fades by 2 - sqrt(3) per node inward, so the samples are bit for
-bit those of the spline on the whole field grid.
+The only field-grid spline is that of D, sampled at x = lam y <= lam y[-1]
+and built by ``profile._resample`` on the nodes those samples reach plus
+64; a spline's end condition fades by 2 - sqrt(3) per node inward, so the
+samples are bit for bit those of the spline on the whole field grid.
 """
 
 from __future__ import annotations
@@ -47,10 +47,7 @@ from .core import (
 )
 from .profile import (
     ProfileExpansion,
-    _chirp,
-    _even_cubic,
     _resample,
-    _window,
     eval_profile,
     profile_derivatives,
     rescale_to_physical,
@@ -110,16 +107,15 @@ class ModulationState:
 
 def _remainder(u: RadialField, expansion: ProfileExpansion, lam: float,
                b: float, gamma: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eps, P, phase) at the parameters (lam, b, gamma).
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(eps, P) at the parameters (lam, b, gamma).
 
     P = P(lam, b) stays exact on its own grid; only the physical-space
     difference D = u - rescale_to_physical(P) is resampled, so a field on
     the profile family has eps = 0 exactly.  (Resampling u itself would
     carry the spline error of the |r|^(2-2 sigma) cusp of the corrections.)
-    ``phase`` is the chirp lam^(N/2) exp(i(b/4) y^2 - i gamma) at the
-    sampled y (lam y on u's grid), which the Jacobian reuses.  D's spline
-    is built on the window of nodes the samples reach (``_window``).
+    D is sampled at x = lam y and multiplied by the chirp
+    lam^(N/2) exp(i(b/4) y^2 - i gamma) in one ``profile._resample``.
     """
     grid = expansion.grid
     P = eval_profile(expansion, lam, b)[0].values
@@ -130,10 +126,7 @@ def _remainder(u: RadialField, expansion: ProfileExpansion, lam: float,
         raise TubeExit(str(exc)) from exc
     D = RadialField(u.grid, u.values - P_phys.values)
     y = grid.nodes
-    x = lam * y
-    phase = _chirp(x, u.grid.nodes[-1], y, lam ** (0.5 * grid.N), -b, -gamma)
-    spline = _even_cubic(D, _window(u.grid, x[phase.size - 1]))
-    return _resample(spline, x, phase), P, phase
+    return _resample(D, lam * y, y, lam ** (0.5 * grid.N), -b, -gamma), P
 
 
 def decompose(u: RadialField, expansion: ProfileExpansion,
@@ -148,18 +141,14 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
     The remainder is the renormalized resample of D = u - P_(lam,b,gamma)
     in physical space (see ``_remainder``); P itself is never resampled.
     The Jacobian treats the resample of the profile term as P, which makes
-    it a quasi-Newton matrix; a finite-difference Jacobian takes over when
-    the iteration stalls.
+    it a quasi-Newton matrix: the renormalized sample of u is then
+    T = eps + P, and its parameter derivatives are operators on the
+    renormalized grid (see ``jacobian``), so u is never resampled.  A
+    finite-difference Jacobian takes over when the iteration stalls.
     """
     grid = expansion.grid
-    gs = expansion.gs
-    N = grid.N
-    y = grid.nodes
-    y2 = y ** 2
-    irho = 1j * gs.rho.values
-    # u's spline, built when an analytic Jacobian first needs it, on the
-    # window of the farthest iterate so far
-    u_spline = None
+    y2 = grid.nodes ** 2
+    irho = 1j * expansion.gs.rho.values
 
     lam_g, b_g, gamma_g = float(guess[0]), float(guess[1]), float(guess[2])
     if lam_g <= 0.0:
@@ -172,26 +161,20 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
         nonlocal evaluations
         evaluations += 1
         lam, b, gamma = mvec
-        eps, P, phase = _remainder(u, expansion, lam, b, gamma)
+        eps, P = _remainder(u, expansion, lam, b, gamma)
         # the pairing directions i Lam P, y^2 P, i rho
         W = (1j * apply_scaling_generator(grid, P), y2 * P, irho)
         R = np.array([pair(grid, eps, w) for w in W])
-        return R, P, eps, W, phase
+        return R, P, eps, W
 
-    def jacobian(mvec, P, eps, W, phase):
-        nonlocal u_spline
+    def jacobian(mvec, P, eps, W):
         lam, b, gamma = mvec
         dPdl, dPdb = profile_derivatives(expansion, lam, b)
-        x = lam * y
-        K = _window(u.grid, x[phase.size - 1])
-        if u_spline is None or u_spline.c.shape[1] < K:
-            u_spline = _even_cubic(u, K)
-        T = _resample(u_spline, x, phase)
-        # lam d/dlam of the renormalized sample = (N/2 + lam y d/dx) T
-        dTdl = (0.5 * N) * T
-        xs = x[:phase.size]
-        dTdl[:phase.size] += xs * (u_spline(xs, 1) * phase)
-        dTdl /= lam
+        # T = lam^(N/2) u(lam y) exp(i(b/4) y^2 - i gamma) = eps + P has
+        # lam dT/dlam = (Lam - (i b/2) y^2) T, dT/db = (i/4) y^2 T and
+        # dT/dgamma = -i T, with Lam = N/2 + y d/dy the scaling generator
+        T = eps + P
+        dTdl = (apply_scaling_generator(grid, T) - 0.5j * b * y2 * T) / lam
         de = (dTdl - dPdl, 0.25j * y2 * T - dPdb, -1j * T)
         dW = ((1j * apply_scaling_generator(grid, dPdl), y2 * dPdl, None),
               (1j * apply_scaling_generator(grid, dPdb), y2 * dPdb, None))
@@ -221,7 +204,7 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
     prev = np.inf
     stalls = 0
     for _ in range(_NEWTON_MAX_ITER):
-        R, P, eps, W, phase = conditions(m)
+        R, P, eps, W = conditions(m)
         rmax_R = float(np.max(np.abs(R)))
         if rmax_R < _NEWTON_TOL:
             converged = True
@@ -233,7 +216,7 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
         else:
             stalls = 0
         prev = rmax_R
-        J = fd_jacobian(m) if use_fd else jacobian(m, P, eps, W, phase)
+        J = fd_jacobian(m) if use_fd else jacobian(m, P, eps, W)
         try:
             step = np.linalg.solve(J, R)
         except np.linalg.LinAlgError:
@@ -292,7 +275,7 @@ def lyapunov_S(state: ModulationState) -> float:
     params = state.expansion.params
     eps = state.eps.values
     P = state.P.values
-    quad = 0.5 * norm_H1(state.eps) ** 2 \
+    quad = 0.5 * state.eps_H1 ** 2 \
         + state.b ** 2 * weighted_norm(state.eps, grid.nodes ** 2) ** 2
     terms = LocalTerms.of(params, grid, state.lam ** params.alpha)
     remainder = (terms.density(P + eps) - terms.density(P)

@@ -377,8 +377,8 @@ def even_spline(f: RadialField, *, k: int = 3):
     ``PPoly`` on the breakpoints -h/2, nodes..., whose first piece is the
     even cubic across r = 0.  Other k interpolate the extension with
     ``make_interp_spline``.  The resamples of ``rescale_to_physical`` and
-    ``modulation`` build the cubic on the window of nodes their samples
-    reach (``_even_cubic``), bit for bit this spline there.
+    ``modulation`` go through ``_resample``, which builds the cubic on the
+    window of nodes their samples reach, bit for bit this spline there.
     """
     if k == 3:
         return _even_cubic(f, f.grid.n)
@@ -440,20 +440,19 @@ def _even_cubic(f: RadialField, K: int) -> PPoly:
     return PPoly.construct_fast(c, np.concatenate(([-nodes[0]], nodes[:K])))
 
 
-def _chirp(q: np.ndarray, rmax: float, y: np.ndarray, amp: float, b: float,
-           gamma: float) -> np.ndarray:
-    """amp * exp(-i(b/4) y^2 + i gamma) at the leading points of the
-    increasing q that lie on a source support r <= rmax: the phase of a
-    resample, one ``unit_phase`` entry per sampled point."""
-    m = int(np.searchsorted(q, rmax, side="right"))
-    return amp * unit_phase(gamma - 0.25 * b * y[:m] ** 2)
+def _resample(f: RadialField, q: np.ndarray, y: np.ndarray, amp: float,
+              b: float, gamma: float) -> np.ndarray:
+    """f's cubic ``even_spline`` at the increasing points q, times the
+    chirp amp * exp(-i(b/4) y^2 + i gamma), and 0 beyond f's support.
 
-
-def _resample(spline, q: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """spline(q) * phase at the first phase.size points of q (the sampled
-    ones, see ``_chirp``) and 0 beyond: the spline is evaluated on the
-    source's support only."""
-    m = phase.size
+    Only the leading points q <= f.grid.nodes[-1] are sampled, one
+    ``unit_phase`` entry each, and the spline is built on the window of
+    nodes they reach (``_window``, ``_even_cubic``): bit for bit the
+    spline on all of f's nodes there.
+    """
+    m = int(np.searchsorted(q, f.grid.nodes[-1], side="right"))
+    phase = amp * unit_phase(gamma - 0.25 * b * y[:m] ** 2)
+    spline = _even_cubic(f, _window(f.grid, q[m - 1]))
     out = np.zeros(q.size, dtype=complex)
     out[:m] = spline(q[:m]) * phase
     return out
@@ -469,17 +468,15 @@ def rescale_to_physical(P: RadialField, lam: float, b: float, gamma: float,
     to roundoff), and built on the window of source nodes those points
     reach.  The phase is applied exactly at the target nodes.
     """
-    src = P.grid
-    if src.N != grid.N:
+    if P.grid.N != grid.N:
         raise ValueError("source and target grids must share the dimension")
     if lam < 4.0 * grid.h:
         raise ValueError(
             f"scale under-resolved: lam = {lam:.3e} below 4 grid spacings "
             f"({4.0 * grid.h:.3e})")
     y = grid.nodes / lam
-    phase = _chirp(y, src.nodes[-1], y, lam ** (-0.5 * grid.N), b, gamma)
-    spline = _even_cubic(P, _window(src, y[phase.size - 1]))
-    return RadialField(grid, _resample(spline, y, phase))
+    return RadialField(grid, _resample(P, y, y, lam ** (-0.5 * grid.N), b,
+                                       gamma))
 
 
 def profile_energy(expansion: ProfileExpansion, lam: float, b: float) -> float:

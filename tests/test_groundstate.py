@@ -13,8 +13,8 @@ from scipy.integrate import quad
 
 from nlsblowup.core import make_grid, make_params, norm_L2
 from nlsblowup.groundstate import (_newton_polish, _petviashvili,
-                                   compute_omega, default_rmax,
-                                   pohozaev_residuals, solve_ground_state)
+                                   default_rmax, pohozaev_residuals,
+                                   solve_ground_state)
 
 # Analytic N=1 soliton of -Q'' + Q = Q^5: Q(r) = 3^(1/4) sech^(1/2)(2r).
 Q0_EXACT = 3.0 ** 0.25

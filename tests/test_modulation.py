@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack
 
 from nlsblowup import modulation, profile
 from nlsblowup.core import (RadialField, apply_scaling_generator, make_grid,
                             make_params, norm_H1, norm_L2, pair)
+from nlsblowup.groundstate import compute_omega, solve_ground_state
 from nlsblowup.modulation import (ModulationState, TubeExit, _remainder,
                                   decompose, energy_inequality_check,
                                   hat_epsilon, lyapunov_S, reconstruct)
@@ -83,8 +85,8 @@ def test_decompose_evaluates_the_profile_once_per_iterate(expansion_balanced,
     state = decompose(up, expansion_balanced, (0.21, 0.04, 0.8))
     assert state.iterations == len(calls) > 1
     grid = expansion_balanced.grid
-    eps, P, _ = _remainder(up, expansion_balanced, state.lam, state.b,
-                           state.gamma)
+    eps, P = _remainder(up, expansion_balanced, state.lam, state.b,
+                        state.gamma)
     R = (pair(grid, eps, 1j * apply_scaling_generator(grid, P)),
          pair(grid, eps, grid.nodes ** 2 * P),
          pair(grid, eps, 1j * expansion_balanced.gs.rho.values))
@@ -109,7 +111,9 @@ def test_windowed_splines_decompose_bit_for_bit(expansion_balanced,
                                                 monkeypatch):
     cases = _tube_cases(expansion_balanced)
     states = [decompose(u, expansion_balanced, g) for u, g in cases]
-    assert any(s.iterations > 1 for s in states)   # the Jacobian ran
+    # the analytic Jacobian converges on the biased case in 5 evaluations
+    assert [s.iterations for s in states] == [1, 5, 1]
+    assert not any(s.fd_jacobian for s in states)
     # the reference: every spline on all of its nodes
     monkeypatch.setattr(profile, "_WINDOW_MARGIN", 10 ** 9)
     for (u, g), s in zip(cases, states):
@@ -140,6 +144,45 @@ def test_decompose_solves_a_window_of_the_cached_slope_factor(
     assert reach < u.grid.nodes[-1]
     assert profile._window(u.grid, reach) in rows
     assert max(rows) < u.grid.n
+    # two slope solves per condition evaluation, one for P's rescale and
+    # one for D's resample; the Jacobian resamples nothing
+    assert len(rows) == 2 * state.iterations == 10
+
+
+@functools.lru_cache(maxsize=None)
+def _small_expansion(N, branch, ratio):
+    """Order-2 expansion at C0 = ratio * omega on a 2048-point grid, with
+    sigma inside N's window (0.2 for N = 1, 0.3 for N = 2 and 3)."""
+    sigma = 0.2 if N == 1 else 0.3
+    critical = make_params(N, None, sigma, 0.0, "critical", 1.0)
+    gs = solve_ground_state(critical, make_grid(N, 2048, 20.0))
+    params = make_params(N, None, sigma, ratio * compute_omega(gs, critical),
+                         branch, 1.0)
+    return build_profile(gs, params, order=2)
+
+
+@pytest.mark.parametrize("branch,ratio", [("plusminus", 1.0),
+                                          ("plusminus", 2.0),
+                                          ("minusplus", 0.5)])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(0.15, 0.3), b=st.floats(-0.08, 0.08),
+       gamma=st.floats(-10.0, 10.0))
+def test_decompose_and_reconstruct_invert_the_tube_map(N, branch, ratio, lam,
+                                                       b, gamma):
+    # from a biased seed, decompose recovers the parameters of a state on
+    # the profile family and reconstruct returns its field, within
+    # criterion 10's gates, on every dimension and cancellation branch
+    expansion = _small_expansion(N, branch, ratio)
+    grid = expansion.gs.grid
+    P, _ = eval_profile(expansion, lam, b)
+    u = rescale_to_physical(P, lam, b, gamma, grid)
+    state = decompose(u, expansion, (1.05 * lam, b + 0.01, gamma + 0.1))
+    assert abs(state.lam / lam - 1.0) <= 1e-8
+    assert abs(state.b - b) <= 1e-8
+    assert abs(math.remainder(state.gamma - gamma, 2.0 * math.pi)) <= 1e-8
+    back = reconstruct(state, grid)
+    assert norm_H1(RadialField(grid, back.values - u.values)) <= 1e-8
 
 
 def test_guess_independence(expansion_balanced):
