@@ -499,8 +499,11 @@ def _pipe_reduced(cfg: dict, rundir: Path) -> dict:
             f"(beta00 = {beta00:.3e}); {advice}")
     s1 = cfg["s1"]
     lam1, b1 = initial_params(expansion, cfg["E0"], s1)
-    traj = integrate_reduced(expansion, [s1, 1e7], lam1, b1, n_points=2000,
-                             lambda_floor=cfg["lambda_floor"])
+    try:
+        traj = integrate_reduced(expansion, [s1, 1e7], lam1, b1,
+                                 n_points=2000, lambda_floor=cfg["lambda_floor"])
+    except RuntimeError as exc:
+        raise DomainError(f"no reduced trajectory: {exc}") from exc
     if balanced:
         lam_app, b_app = app_solutions(gs, cfg["E0"], traj.s_grid)
     else:

@@ -19,8 +19,9 @@ exactly c_dt), shrink the grid by the rescale factor whenever lambda_hat
 halves, and decompose snapshots through the modulation machinery.  The
 step's lambda_hat comes free from the linear substep, which returns
 grad_norm_sq of the step's midpoint field; snapshots and regrids
-recompute it on the stepped field.  Rate fits are joint nonlinear fits
-of lambda(t) = c (T - t)^e over the last decade of scale decrease.
+recompute it on the stepped field.  A run ends on one stop record,
+``SnapshotSeries.stop``.  Rate fits are joint nonlinear fits of
+lambda(t) = c (T - t)^e over the last decade of scale decrease.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ __all__ = [
 
 # Regrid when lambda_hat shrinks by this factor, shrinking the domain by it.
 _RESCALE_FACTOR = 2.0
-# A run stops, truncated, after this many steps or this much wall time.
+# A run stops early after this many steps or this much wall time.
 _MAX_STEPS = 2_000_000
 _WALL_BUDGET_S = 3600.0
 
@@ -131,7 +132,9 @@ class SnapshotSeries:
     """A blow-up run: snapshots plus run-level records.  ``lam1`` and
     ``b1`` are the initial datum's parameters (``initial_datum``),
     ``mass0`` and ``energy0`` its ``conserved`` values, and ``regime`` is
-    ``reduced.classify_regime`` of the run's expansion."""
+    ``reduced.classify_regime`` of the run's expansion.  ``stop`` is how
+    the run ended: "floor", or early on "drift", "tube_exit", "wall" or
+    "max_steps", with ``abort_reason`` its text (empty at the floor)."""
 
     snapshots: list[Snapshot]
     lam1: float
@@ -139,10 +142,17 @@ class SnapshotSeries:
     mass0: float
     energy0: float
     regime: str
-    truncated: bool = False
-    tube_exit: bool = False
+    stop: str = "floor"
     abort_reason: str = ""
     regrid_log: list[dict] = field(default_factory=list)
+
+    @property
+    def truncated(self) -> bool:
+        return self.stop != "floor"
+
+    @property
+    def tube_exit(self) -> bool:
+        return self.stop == "tube_exit"
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(sn, name) for sn in self.snapshots])
@@ -274,17 +284,15 @@ def conserved(u: RadialField, params: ProblemParams) -> tuple[float, float]:
     drift isolates the time-splitting error.
     """
 
-    return _mass_energy(u, params, grad_norm_sq(u))
+    return _mass_energy(u, LocalTerms.of(params, u.grid), grad_norm_sq(u))
 
 
-def _mass_energy(u: RadialField, params: ProblemParams,
+def _mass_energy(u: RadialField, terms: LocalTerms,
                  g: float) -> tuple[float, float]:
-    """``conserved`` of u given g = grad_norm_sq(u)."""
+    """``conserved`` of u, given u's local terms and g = grad_norm_sq(u)."""
 
-    mass = norm_L2(u) ** 2
-    density = LocalTerms.of(params, u.grid).density(u.values)
-    energy = 0.5 * g - float(integrate(u.grid, density))
-    return mass, energy
+    energy = 0.5 * g - float(integrate(u.grid, terms.density(u.values)))
+    return norm_L2(u) ** 2, energy
 
 
 def lambda_hat(u: RadialField, groundstate: GroundState) -> float:
@@ -300,7 +308,7 @@ def lambda_hat(u: RadialField, groundstate: GroundState) -> float:
 # Blow-up driver
 # --------------------------------------------------------------------------
 
-def _regrid(v: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, RadialGrid]:
+def _regrid(f: RadialField) -> tuple[np.ndarray, RadialGrid]:
     """Shrink the domain by the rescale factor (same n), quintic resample.
 
     Quintic rather than cubic: at the regrid trigger the core is resolved
@@ -309,10 +317,18 @@ def _regrid(v: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, RadialGrid]:
     conservation budget; degree 5 pushes the injection below it.
     """
 
-    new_grid = make_grid(grid.N, grid.n, grid.rmax / _RESCALE_FACTOR)
-    f = RadialField(grid, v)
-    spl = even_spline(f, k=5)
-    return spl(new_grid.nodes), new_grid
+    new_grid = make_grid(f.grid.N, f.grid.n, f.grid.rmax / _RESCALE_FACTOR)
+    return even_spline(f, k=5)(new_grid.nodes), new_grid
+
+
+def _measure(stepper: _Stepper, v: np.ndarray, gs: GroundState
+             ) -> tuple[RadialField, float, float, tuple[float, float]]:
+    """Settle v and measure the stepped field once: (field, g =
+    grad_norm_sq, lambda_hat, (mass, energy))."""
+    field = RadialField(stepper.grid, stepper.settle(v))
+    g = grad_norm_sq(field)
+    mass_energy = _mass_energy(field, stepper.terms, g)
+    return field, g, math.sqrt(gs.norms["grad"] / g), mass_energy
 
 
 def initial_datum(config: SimConfig, expansion: ProfileExpansion,
@@ -343,12 +359,13 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
     conserved quantities are logged before/after.
     Snapshots every snapshot_ds are decomposed with the previous state
     (advanced one Euler step of the reduced flow) as the Newton seed.
-    Tube exit truncates the run; conservation drift beyond drift_abort
-    aborts it.  Drift semantics: mass relative to the initial value
-    (globally conserved), energy relative to the value re-logged at the
-    most recent regrid and normalized by the current energy scale; the
-    regrid jumps themselves (marginal-band re-quadrature, not a loss of
-    the flow) stay available in regrid_log.
+    ``stop`` records the end: the floor, a snapshot's drift beyond
+    drift_abort, a tube exit, the wall budget or the step cap.  Drift
+    semantics: mass relative to the initial value (globally conserved),
+    energy relative to the value re-logged at the most recent regrid and
+    normalized by the current energy scale; the regrid jumps themselves
+    (marginal-band re-quadrature, not a loss of the flow) stay available
+    in regrid_log.
     Raises ValueError if config.params are not the expansion's params.
     """
 
@@ -364,29 +381,23 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
     grid = u.grid
     v = u.values.astype(complex)
     g = grad_norm_sq(u)
-    mass0, energy0 = _mass_energy(u, params, g)
+    mass0, energy0 = _mass_energy(u, LocalTerms.of(params, grid), g)
 
     series = SnapshotSeries(snapshots=[], lam1=lam1, b1=b1, mass0=mass0,
-                            energy0=energy0,
-                            regime=classify_regime(expansion))
+                            energy0=energy0, regime=classify_regime(expansion))
     energy_ref = energy0
     t = 0.0
-    s = s1
+    s = s_next_snap = s1
     guess = (lam1, b1, 0.0)
-    s_next_snap = s1
     lam_h = lam_hat_regrid = math.sqrt(gs.norms["grad"] / g)
-    # v owes the stepper's pending half-angle; snapshots and regrids settle
-    # it first, so they see the stepped field.
+    # v owes the stepper's pending half-angle; _measure settles it first.
     stepper = _Stepper(grid, params, config.c_dt * lam_h ** 2)
     t_wall = time.time()
 
-    for n_step in range(_MAX_STEPS):
+    for n_step in range(_MAX_STEPS + 1):  # the last pass stops on the cap
         if s >= s_next_snap - 1e-12:
-            v = stepper.settle(v)
-            field = RadialField(grid, v)
-            g = grad_norm_sq(field)
-            lam_h = math.sqrt(gs.norms["grad"] / g)
-            mass, energy = _mass_energy(field, params, g)
+            field, g, lam_h, (mass, energy) = _measure(stepper, v, gs)
+            v = field.values
             # Conservation monitor.  Mass is compared against the global
             # initial value (the stepping is unitary, regrids conserve it to
             # interpolation accuracy).  Energy is compared against the value
@@ -399,23 +410,19 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
             drift = max(abs(mass / mass0 - 1.0),
                         abs(energy - energy_ref) / (0.5 * g + abs(energy_ref)))
             if drift > config.drift_abort:
-                series.abort_reason = (
+                series.stop, series.abort_reason = "drift", (
                     f"conservation drift {drift:.3e} beyond {config.drift_abort}")
-                series.truncated = True
                 break
             try:
                 state = decompose(field, expansion, guess)
             except TubeExit as exc:
-                series.tube_exit = True
-                series.truncated = True
-                series.abort_reason = str(exc)
+                series.stop, series.abort_reason = "tube_exit", str(exc)
                 break
-            lyap = lyapunov_S(state)
             series.snapshots.append(Snapshot(
                 t=t, s=s, lam=state.lam, b=state.b, gamma=state.gamma,
                 eps_H1=state.eps_H1, eps_P=state.eps_P, lam_hat=lam_h,
-                grad_norm=math.sqrt(g),
-                mass=mass, energy=energy, lyap=lyap, drift=drift))
+                grad_norm=math.sqrt(g), mass=mass, energy=energy,
+                lyap=lyapunov_S(state), drift=drift))
             ds = config.snapshot_ds
             theta = expansion.theta(state.lam, state.b)
             guess = (state.lam * (1.0 - ds * state.b),
@@ -424,19 +431,18 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
             s_next_snap += ds
 
         if lam_h <= floor:
+            series.stop = "floor"
             break
         if time.time() - t_wall > _WALL_BUDGET_S:
-            series.abort_reason = "wall budget exhausted"
-            series.truncated = True
+            series.stop, series.abort_reason = "wall", "wall budget exhausted"
+            break
+        if n_step == _MAX_STEPS:
+            series.stop, series.abort_reason = "max_steps", "max_steps exhausted"
             break
 
         if lam_h <= lam_hat_regrid / _RESCALE_FACTOR:
-            v = stepper.settle(v)
-            field = RadialField(grid, v)
-            g = grad_norm_sq(field)
-            lam_h = math.sqrt(gs.norms["grad"] / g)
-            before = _mass_energy(field, params, g)
-            v, grid = _regrid(v, grid)
+            field, _, lam_h, before = _measure(stepper, v, gs)
+            v, grid = _regrid(field)
             after = conserved(RadialField(grid, v), params)
             series.regrid_log.append({
                 "t": t, "s": s, "lam_hat": lam_h, "rmax": grid.rmax,
@@ -459,9 +465,6 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
         t += dt
         s += dt / lam_h ** 2
         lam_h = math.sqrt(gs.norms["grad"] / g)
-    else:
-        series.abort_reason = "max_steps exhausted"
-        series.truncated = True
 
     return series
 

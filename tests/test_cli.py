@@ -140,9 +140,13 @@ def test_validate_missing_ground_state(tmp_path, capsys):
 
 
 def test_domain_error_is_machine_readable(tmp_path, capsys):
-    code, out = _run(capsys, ["ground", "--N", "9", "--out", str(tmp_path)])
-    assert code == 1
-    assert "error" in out
+    # C0 = 1.001 omega on this grid: the reduced ODE fails to integrate
+    for argv in (["ground", "--N", "9"],
+                 ["reduced", "--branch", "plusminus", "--C0", "2.4521",
+                  "--grid-n", "1024", "--rmax", "15"]):
+        code, out = _run(capsys, argv + ["--out", str(tmp_path)])
+        assert code == 1
+        assert out["subcommand"] == argv[0] and "error" in out
 
 
 def test_usage_error_exit_code(tmp_path):

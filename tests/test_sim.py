@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from nlsblowup.core import (RadialField, apply_neg_laplacian, grad_norm_sq,
                             make_grid, make_params, neg_laplacian_banded,
                             norm_L2, penta_symbol, potential_weights)
 from nlsblowup.groundstate import solve_ground_state
+from nlsblowup.modulation import TubeExit, decompose
 from nlsblowup.reduced import initial_params
 from nlsblowup.sim import (SimConfig, Snapshot, SnapshotSeries, _Stepper,
                            conserved, energy_positivity_check,
@@ -313,6 +315,43 @@ def test_each_field_gradient_is_measured_once(short_run):
     _, series, calls = short_run
     assert (len(series.snapshots), len(series.regrid_log)) == (80, 1)
     assert calls == 1 + len(series.snapshots) + 2 * len(series.regrid_log)
+
+
+_STOP_REASONS = {"floor": "", "drift": "conservation drift",
+                 "tube_exit": "left the tube",
+                 "wall": "wall budget exhausted",
+                 "max_steps": "max_steps exhausted"}
+
+
+@pytest.mark.parametrize("stop", list(_STOP_REASONS))
+def test_each_ending_is_one_stop_record(short_run, expansion_balanced,
+                                        monkeypatch, stop):
+    config, series, _ = short_run
+    if stop == "drift":
+        # the first snapshot is the datum itself (drift 0); the next drifts
+        config = dataclasses.replace(config, drift_abort=1e-14)
+    elif stop == "tube_exit":
+        calls = []
+
+        def exit_later(field, expansion, guess):
+            calls.append(guess)
+            if len(calls) > 1:
+                raise TubeExit(_STOP_REASONS["tube_exit"])
+            return decompose(field, expansion, guess)
+        monkeypatch.setattr(sim, "decompose", exit_later)
+    elif stop == "wall":
+        monkeypatch.setattr(sim, "_WALL_BUDGET_S", -1.0)
+    elif stop == "max_steps":
+        monkeypatch.setattr(sim, "_MAX_STEPS", 0)
+    if stop != "floor":
+        series = simulate_blowup(config, expansion_balanced, 1.0, 30.0)
+    assert series.stop == stop
+    assert series.truncated == (stop != "floor")
+    assert series.tube_exit == (stop == "tube_exit")
+    assert series.abort_reason.startswith(_STOP_REASONS[stop])
+    assert bool(series.abort_reason) == (stop != "floor")
+    # each early ending here keeps the first snapshot only
+    assert len(series.snapshots) == (80 if stop == "floor" else 1)
 
 
 def test_series_csv_roundtrip(short_run, tmp_path):
