@@ -456,11 +456,12 @@ def _pipe_profile(cfg: dict, rundir: Path) -> dict:
     gs, omega, expansion = _profile_stage(cfg)
     entries = []
     field_cols: dict[str, np.ndarray] = {}
-    for (j, k), entry in sorted(expansion.entries.items()):
-        entries.append({"j": j, "k": k, "beta": entry.beta, "c": entry.c,
-                        "nu": entry.nu})
-        field_cols[f"Pplus_{j}{k}"] = entry.Pp.values
-        field_cols[f"Pminus_{j}{k}"] = entry.Pm.values
+    for j, k, Pp, Pm, beta, c, nu in zip(
+            expansion.j, expansion.k, expansion.Pp, expansion.Pm,
+            expansion.beta, expansion.c, expansion.nu):
+        entries.append({"j": j, "k": k, "beta": beta, "c": c, "nu": nu})
+        field_cols[f"Pplus_{j}{k}"] = Pp
+        field_cols[f"Pminus_{j}{k}"] = Pm
     sweep = psi_slope_sweep(expansion)
     slope = fit_loglog_slope([row["x"] for row in sweep],
                              [row["weighted_norm"] for row in sweep])
@@ -487,7 +488,7 @@ def _pipe_profile(cfg: dict, rundir: Path) -> dict:
 def _pipe_reduced(cfg: dict, rundir: Path) -> dict:
     cfg = dict(cfg, profile_n=cfg["grid_n"], profile_rmax=cfg["rmax"])
     gs, omega, expansion = _profile_stage(cfg)
-    beta00 = expansion.beta_table.get((0, 0), 0.0)
+    beta00 = expansion.beta00
     regime = classify_regime(expansion)
     balanced = regime == "balanced"
     if regime == "subthreshold":

@@ -28,7 +28,10 @@ beta's solved so far; the unknown entry and its beta are not in it yet,
 so their linear part (Lplus or Lminus, and beta (r^2/4) Q) drops out.
 Within one j+k level the right-hand sides reference entries only of
 larger j, so levels are processed in increasing j+k and decreasing j
-inside each level.
+inside each level.  The solved entries are then stored once, as stacked
+rows sorted by (j, k) (``ProfileExpansion``), and P, theta and their
+parameter derivatives are matrix-vector products of those rows with
+each row's monomial b^(2j) lam^((k+1)a).
 
 Solvability of the imaginary system is arranged by prescribing the
 soliton component (P_{j,k}^+, Q)_2 = c_{j,k}: the defect
@@ -69,7 +72,6 @@ from .groundstate import GroundState
 from .linops import solve_bordered, solve_lminus_orthogonal
 
 __all__ = [
-    "ProfileEntry",
     "ProfileExpansion",
     "build_profile",
     "eval_profile",
@@ -86,33 +88,27 @@ MAX_ORDER = 2
 
 
 @dataclass
-class ProfileEntry:
-    """One (j, k) entry of the expansion.
-
-    ``Pp`` multiplies b^(2j) lam^((k+1)a); ``Pm`` multiplies
-    i b^(2j+1) lam^((k+1)a); ``beta`` is the matching theta coefficient.
-    ``c`` is the prescribed soliton component (Pp, Q)_2 and ``nu`` the
-    measured solvability defect of the imaginary solve (should be at
-    roundoff level).
-    """
-
-    j: int
-    k: int
-    Pp: RadialField
-    Pm: RadialField
-    beta: float
-    c: float
-    nu: float
-
-
-@dataclass
 class ProfileExpansion:
-    """Immutable-after-build table of profile corrections."""
+    """The expansion's (j, k) entries as stacked rows, sorted by (j, k), so
+    row 0 is (0, 0) (immutable after build).
+
+    Row i holds entry (j[i], k[i]): ``Pp[i]`` multiplies
+    b^(2j) lam^((k+1)a) and ``Pm[i]`` multiplies i b^(2j+1) lam^((k+1)a),
+    both as (rows, n) arrays on the ground state's grid; ``beta[i]`` is the
+    matching theta coefficient, ``c[i]`` the prescribed soliton component
+    (Pp, Q)_2 and ``nu[i]`` the measured solvability defect of the
+    imaginary solve (roundoff level).
+    """
 
     gs: GroundState
     params: ProblemParams
-    order: int
-    entries: dict[tuple[int, int], ProfileEntry]
+    j: np.ndarray
+    k: np.ndarray
+    Pp: np.ndarray
+    Pm: np.ndarray
+    beta: np.ndarray
+    c: np.ndarray
+    nu: np.ndarray
     eps_weight: float
 
     @property
@@ -120,16 +116,17 @@ class ProfileExpansion:
         return self.gs.grid
 
     @property
-    def beta_table(self) -> dict[tuple[int, int], float]:
-        return {key: e.beta for key, e in self.entries.items()}
+    def beta00(self) -> float:
+        """theta's leading coefficient beta_{0,0}, row 0."""
+        return float(self.beta[0])
+
+    def _weight(self, lam: float, b: float) -> np.ndarray:
+        """Each row's monomial b^(2j) lam^((k+1)a)."""
+        return b ** (2 * self.j) * lam ** ((self.k + 1) * self.params.alpha)
 
     def theta(self, lam: float, b: float) -> float:
         """theta(lam, b) = sum b^(2j) lam^((k+1)a) beta_{j,k}."""
-        a = self.params.alpha
-        th = 0.0
-        for (j, k), e in self.entries.items():
-            th += b ** (2 * j) * lam ** ((k + 1) * a) * e.beta
-        return float(th)
+        return float(self._weight(lam, b) @ self.beta)
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +172,8 @@ def build_profile(gs: GroundState, params: ProblemParams,
     a level, in decreasing j (the imaginary equation at (j, k) references
     the real entry at (j+1, k-1) of the same level).  Each right-hand
     side is one coefficient of the equation's series in (b, lam^a),
-    evaluated over the entries solved so far.
+    evaluated over the entries solved so far.  The entries are stacked
+    as rows sorted by (j, k) once all are solved.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -227,7 +225,7 @@ def build_profile(gs: GroundState, params: ProblemParams,
         # i mu_s dP/dmu with mu_s = -a b mu
         return out - a * n * w.get((m - 1, n), 0.0)
 
-    entries: dict[tuple[int, int], ProfileEntry] = {}
+    rows = []
     for level in range(order + 1):
         for j in range(level, -1, -1):
             k = level - j
@@ -247,14 +245,11 @@ def build_profile(gs: GroundState, params: ProblemParams,
             w[(2 * j, k + 1)] = sign * Pp
             w[(2 * j + 1, k + 1)] = sign * Pm
             theta[(2 * j, k + 1)] = sign * beta
-            entries[(j, k)] = ProfileEntry(
-                j=j, k=k,
-                Pp=RadialField(grid, Pp), Pm=RadialField(grid, Pm),
-                beta=float(beta), c=float(c), nu=float(nu))
+            rows.append((j, k, Pp, Pm, beta, c, nu))
 
-    eps = _default_weight_rate(gs)
-    return ProfileExpansion(gs=gs, params=params, order=order,
-                            entries=entries, eps_weight=eps)
+    rows.sort(key=lambda row: row[:2])
+    return ProfileExpansion(gs, params, *map(np.array, zip(*rows)),
+                            eps_weight=_default_weight_rate(gs))
 
 
 def _default_weight_rate(gs: GroundState) -> float:
@@ -282,14 +277,10 @@ def eval_profile(expansion: ProfileExpansion, lam: float,
     if lam + abs(b) > 0.5:
         warnings.warn("profile evaluated outside its accuracy region "
                       f"(lam + |b| = {lam + abs(b):.3f} > 0.5)", stacklevel=2)
-    a = expansion.params.alpha
-    P = expansion.gs.Q.values.astype(complex)
-    th = 0.0
-    for (j, k), e in expansion.entries.items():
-        u = b ** (2 * j) * lam ** ((k + 1) * a)
-        P = P + u * e.Pp.values + 1j * (u * b) * e.Pm.values
-        th += u * e.beta
-    return RadialField(expansion.grid, P), float(th)
+    u = expansion._weight(lam, b)
+    P = (expansion.gs.Q.values + u @ expansion.Pp
+         + 1j * ((b * u) @ expansion.Pm))
+    return RadialField(expansion.grid, P), float(u @ expansion.beta)
 
 
 def profile_derivatives(expansion: ProfileExpansion, lam: float,
@@ -297,20 +288,15 @@ def profile_derivatives(expansion: ProfileExpansion, lam: float,
     """Partial derivatives (dP/dlam, dP/db) at (lam, b), lam > 0."""
     if lam <= 0.0:
         raise ValueError("parameter derivatives require lam > 0")
-    a = expansion.params.alpha
-    n = expansion.grid.n
-    dP_dlam = np.zeros(n, dtype=complex)
-    dP_db = np.zeros(n, dtype=complex)
-    for (j, k), e in expansion.entries.items():
-        m = (k + 1) * a
-        lam_m = lam ** m
-        lam_m1 = m * lam ** (m - 1.0)
-        term = e.Pp.values + 1j * b * e.Pm.values
-        dP_dlam += lam_m1 * b ** (2 * j) * term
-        if j >= 1:
-            dP_db += 2 * j * b ** (2 * j - 1) * lam_m * e.Pp.values
-        dP_db += 1j * (2 * j + 1) * b ** (2 * j) * lam_m * e.Pm.values
-    return dP_dlam, dP_db
+    j, m = expansion.j, (expansion.k + 1) * expansion.params.alpha
+    Pp, Pm = expansion.Pp, expansion.Pm
+    u = expansion._weight(lam, b)
+    u_lam = m / lam * u
+    # d(b^(2j))/db = 2j b^(2j-1), with an exponent that stays >= 0 at j = 0
+    # so that b = 0 gives 0, not 0 * inf
+    u_b = 2 * j * b ** np.maximum(2 * j - 1, 0) * lam ** m
+    return (u_lam @ Pp + 1j * ((b * u_lam) @ Pm),
+            u_b @ Pp + 1j * (((2 * j + 1) * u) @ Pm))
 
 
 def residual_Psi(expansion: ProfileExpansion, lam: float, b: float,
@@ -443,18 +429,24 @@ def _even_cubic(f: RadialField, K: int) -> PPoly:
 def _resample(f: RadialField, q: np.ndarray, y: np.ndarray, amp: float,
               b: float, gamma: float) -> np.ndarray:
     """f's cubic ``even_spline`` at the increasing points q, times the
-    chirp amp * exp(-i(b/4) y^2 + i gamma), and 0 beyond f's support.
+    chirp amp * exp(-i(b/4) y^2 + i gamma), continuous at the edge.
 
-    Only the leading points q <= f.grid.nodes[-1] are sampled, one
-    ``unit_phase`` entry each, and the spline is built on the window of
-    nodes they reach (``_window``, ``_even_cubic``): bit for bit the
-    spline on all of f's nodes there.
+    The points q <= f.grid.nodes[-1] are sampled on the spline, built on
+    the window of nodes they reach (``_window``, ``_even_cubic``): bit for
+    bit the spline on all of f's nodes there.  Points in (nodes[-1], rmax)
+    fall linearly from f's last value to 0 at rmax, where f's Dirichlet
+    ghost sits, and points past rmax are 0; so a point that crosses the
+    last node by one ulp moves the result by one ulp, not by f's last
+    value.  Each point below rmax takes one ``unit_phase`` entry.
     """
-    m = int(np.searchsorted(q, f.grid.nodes[-1], side="right"))
-    phase = amp * unit_phase(gamma - 0.25 * b * y[:m] ** 2)
-    spline = _even_cubic(f, _window(f.grid, q[m - 1]))
+    grid = f.grid
+    m = int(np.searchsorted(q, grid.nodes[-1], side="right"))
+    e = int(np.searchsorted(q, grid.rmax))
     out = np.zeros(q.size, dtype=complex)
-    out[:m] = spline(q[:m]) * phase
+    out[:m] = _even_cubic(f, _window(grid, q[m - 1]))(q[:m])
+    out[m:e] = (f.values[-1] * (grid.rmax - q[m:e])
+                / (grid.rmax - grid.nodes[-1]))
+    out[:e] *= amp * unit_phase(gamma - 0.25 * b * y[:e] ** 2)
     return out
 
 
@@ -464,9 +456,10 @@ def rescale_to_physical(P: RadialField, lam: float, b: float, gamma: float,
 
     P lives on its own (renormalized) grid; the result is interpolated to
     ``grid`` with ``even_spline`` of P, evaluated only at the nodes with
-    x/lam inside the source domain and zero beyond it (where P has decayed
-    to roundoff), and built on the window of source nodes those points
-    reach.  The phase is applied exactly at the target nodes.
+    x/lam inside the source nodes, and built on the window of source nodes
+    those points reach.  Between the last source node and rmax it falls
+    linearly to zero, and it is zero beyond (``_resample``; P has decayed
+    there).  The phase is applied exactly at the target nodes.
     """
     if P.grid.N != grid.N:
         raise ValueError("source and target grids must share the dimension")

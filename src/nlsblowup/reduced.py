@@ -198,7 +198,7 @@ def classify_regime(expansion: ProfileExpansion) -> str:
     where beta00 > 0 (lambda ~ (T - t)^(2/(4 - alpha))), "subthreshold"
     where beta00 < 0 (the reduced flow does not blow up)."""
 
-    beta00 = expansion.beta_table.get((0, 0), 0.0)
+    beta00 = expansion.beta00
     if abs(beta00) < 1e-3:
         return "balanced"
     return "power-law" if beta00 > 0.0 else "subthreshold"
@@ -222,7 +222,7 @@ def power_law_solutions(expansion: ProfileExpansion, s):
     power-law regime's initial data (no energy match; needs beta00 > 0)."""
 
     alpha = expansion.params.alpha
-    beta00 = expansion.beta_table[(0, 0)]
+    beta00 = expansion.beta00
     if beta00 <= 0.0:
         raise ValueError("unbalanced initialization needs beta00 > 0")
     s = np.asarray(s, dtype=float)

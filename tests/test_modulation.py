@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import lapack
 
 from nlsblowup import modulation, profile
@@ -168,6 +168,10 @@ def _small_expansion(N, branch, ratio):
 @settings(max_examples=25, deadline=None)
 @given(lam=st.floats(0.15, 0.3), b=st.floats(-0.08, 0.08),
        gamma=st.floats(-10.0, 10.0))
+# draws where a field node maps onto P's last node: decompose's lam, one
+# ulp off, moves it across that node, where the resample must be continuous
+@example(lam=0.2, b=0.0, gamma=0.0)
+@example(lam=0.2, b=0.0625, gamma=0.0)
 def test_decompose_and_reconstruct_invert_the_tube_map(N, branch, ratio, lam,
                                                        b, gamma):
     # from a biased seed, decompose recovers the parameters of a state on

@@ -20,10 +20,18 @@ from nlsblowup.reduced import init_params
 
 
 def test_entry_layout(expansion_balanced):
-    # orders j + k <= J with both parities present
-    keys = set(expansion_balanced.entries)
-    assert (0, 0) in keys and (1, 0) in keys and (0, 1) in keys
-    assert all(j + k <= 2 for j, k in keys)
+    # the rows are every (j, k) with j + k <= J, sorted, so row 0 is (0, 0)
+    # and beta00 is theta's row-0 coefficient
+    e = expansion_balanced
+    keys = list(zip(e.j.tolist(), e.k.tolist()))
+    assert keys == sorted((j, level - j) for level in range(3)
+                          for j in range(level + 1))
+    assert keys[0] == (0, 0) and all(j + k <= 2 for j, k in keys)
+    assert e.Pp.shape == e.Pm.shape == (len(keys), e.grid.n)
+    assert e.beta.shape == e.c.shape == e.nu.shape == (len(keys),)
+    # the order-0 build solves only (0, 0), the same first solve
+    assert e.beta00 == e.beta[0] == build_profile(e.gs, e.params,
+                                                  order=0).beta00
 
 
 def test_balanced_beta00_vanishes(expansion_balanced, expansion_unbalanced):
@@ -31,27 +39,28 @@ def test_balanced_beta00_vanishes(expansion_balanced, expansion_unbalanced):
     # multiplier and the closed-form threshold (it comes from the cell-
     # averaged potential pairing): it falls at second order from n to 2n
     # and is negligible against beta00 at twice the threshold.
-    beta00 = expansion_balanced.beta_table[(0, 0)]
+    beta00 = expansion_balanced.beta00
     grid = expansion_balanced.grid
     critical = make_params(1, None, 0.2, 0.0, "critical", 1.0)
     fine = solve_ground_state(critical, make_grid(1, 2 * grid.n, grid.rmax))
     omega = compute_omega(fine, critical)
     params = make_params(1, None, 0.2, omega, "plusminus", 1.0)
-    beta00_fine = build_profile(fine, params, order=0).beta_table[(0, 0)]
+    beta00_fine = build_profile(fine, params, order=0).beta00
     assert beta00 * beta00_fine > 0.0
     assert 3.5 <= beta00 / beta00_fine <= 4.5
-    assert abs(beta00) < 1e-4 * expansion_unbalanced.beta_table[(0, 0)]
+    assert abs(beta00) < 1e-4 * expansion_unbalanced.beta00
 
 
 def test_unbalanced_beta00_positive(expansion_unbalanced):
-    assert expansion_unbalanced.beta_table[(0, 0)] > 0.1
+    assert expansion_unbalanced.beta00 > 0.1
 
 
 def test_zero_point_solvability_constant(expansion_balanced):
     # the (0,1) compatibility constant equals -||P00||_2^2 / 2
-    entry = expansion_balanced.entries[(0, 1)]
-    p00 = expansion_balanced.entries[(0, 0)].Pp
-    assert entry.c == pytest.approx(-0.5 * norm_L2(p00) ** 2, rel=1e-10)
+    e = expansion_balanced
+    row01 = np.flatnonzero((e.j == 0) & (e.k == 1))[0]
+    p00 = RadialField(e.grid, e.Pp[0])
+    assert e.c[row01] == pytest.approx(-0.5 * norm_L2(p00) ** 2, rel=1e-10)
 
 
 def test_eval_profile_matches_manual_assembly(expansion_balanced):
@@ -60,19 +69,22 @@ def test_eval_profile_matches_manual_assembly(expansion_balanced):
     alpha = expansion_balanced.params.alpha
     manual = expansion_balanced.gs.Q.values.astype(complex).copy()
     th_manual = 0.0
-    for (j, k), entry in expansion_balanced.entries.items():
+    e = expansion_balanced
+    for j, k, Pp, Pm, beta in zip(e.j, e.k, e.Pp, e.Pm, e.beta):
         nu = lam ** ((k + 1) * alpha)
-        manual = manual + b ** (2 * j) * nu * entry.Pp.values
-        manual = manual + 1j * b ** (2 * j + 1) * nu * entry.Pm.values
-        th_manual += b ** (2 * j) * nu * entry.beta
+        manual = manual + b ** (2 * j) * nu * Pp
+        manual = manual + 1j * b ** (2 * j + 1) * nu * Pm
+        th_manual += b ** (2 * j) * nu * beta
     assert np.max(np.abs(P.values - manual)) < 1e-12 * np.max(np.abs(manual))
     assert theta == pytest.approx(th_manual, rel=1e-12)
     assert theta == pytest.approx(expansion_balanced.theta(lam, b),
                                   rel=1e-14)
 
 
-def test_profile_derivatives_finite_difference(expansion_balanced):
-    lam, b = 0.08, 0.04
+@pytest.mark.parametrize("b", [0.04, 0.0, -0.03])
+def test_profile_derivatives_finite_difference(expansion_balanced, b):
+    # b = 0: d(b^(2j))/db at j = 0 must not form 0 * b^(-1)
+    lam = 0.08
     d_lam, d_b = profile_derivatives(expansion_balanced, lam, b)
     eps = 1e-6
     fd_lam = (eval_profile(expansion_balanced, lam + eps, b)[0].values
@@ -198,12 +210,18 @@ def test_rescale_to_physical_evaluates_only_the_source_support(N):
     u = rescale_to_physical(P, lam, b, gamma, grid)
     y = grid.nodes / lam
     inside = y <= src.nodes[-1]
+    past = y >= src.rmax
+    ramp = ~inside & ~past
     assert 0 < np.count_nonzero(inside) < grid.n
-    assert np.all(u.values[~inside] == 0.0)
-    ref = (even_spline(P)(y) * lam ** (-0.5 * N)
-           * np.exp(-0.25j * b * y ** 2 + 1j * gamma))[inside]
-    err = np.max(np.abs(u.values[inside] - ref))
+    assert np.count_nonzero(ramp) == 1
+    assert np.all(u.values[past] == 0.0)
+    chirp = lam ** (-0.5 * N) * np.exp(-0.25j * b * y ** 2 + 1j * gamma)
+    # from P's last node to rmax, a line from P's last value down to 0
+    line = P.values[-1] * (src.rmax - y) / (src.rmax - src.nodes[-1])
+    ref = np.where(inside, even_spline(P)(y), line) * chirp
+    err = np.max(np.abs(u.values[inside] - ref[inside]))
     assert err <= 1e-14 * np.max(np.abs(ref))
+    assert np.allclose(u.values[ramp], ref[ramp], rtol=1e-14, atol=0.0)
 
 
 def test_profile_energy_matches_initialization(expansion_balanced):

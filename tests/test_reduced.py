@@ -115,7 +115,7 @@ def test_alpha_lt1_power_law_solves_ode():
 def test_unbalanced_flow_power_law(expansion_unbalanced):
     # beta00 > 0: lambda ~ s^(-2/alpha) along the reduced flow
     alpha = expansion_unbalanced.params.alpha
-    beta00 = expansion_unbalanced.beta_table[(0, 0)]
+    beta00 = expansion_unbalanced.beta00
     A = (2.0 * (2.0 - alpha) / (alpha ** 2 * beta00)) ** (1.0 / alpha)
     s1 = 20.0
     lam1, b1 = A * s1 ** (-2.0 / alpha), 2.0 / (alpha * s1)
