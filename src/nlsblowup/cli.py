@@ -336,7 +336,7 @@ def _finish(rundir: Path, subcommand: str, cfg: dict, t0: float) -> None:
         "seed": cfg["seed"],
         "outdir": rundir.name,
         "version": __version__,
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
     }
     _write_json(rundir / "manifest.json", manifest)
     (rundir.parent / "latest").write_text(rundir.name + "\n")
@@ -685,7 +685,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        t0 = time.time()
+        t0 = time.perf_counter()
         rundir = _rundir(cfg["out"], args.subcommand, cfg, cfg["seed"])
         try:
             summary = _PIPELINES[args.subcommand](cfg, rundir)

@@ -94,11 +94,11 @@ def _sim_config(params) -> SimConfig:
 # --------------------------------------------------------------------------
 
 def test_criterion_01_ground_state_exactness(params_critical):
-    t0 = time.time()
+    t0 = time.perf_counter()
     gs = solve_ground_state(params_critical, make_grid(1, 32768, 30.0))
     q0_rel = abs(gs.Q0 / Q0_EXACT - 1.0)
     mass_rel = abs(gs.norms["mass"] / MASS_EXACT - 1.0)
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     ok = q0_rel <= 1e-6 and mass_rel <= 1e-6 and gs.residual_inf < 1e-9 and wall < 5.0
     _emit(1, ok,
           f"Q(0) rel err={q0_rel:.2e}<=1e-6, mass rel err={mass_rel:.2e}<=1e-6, "
@@ -106,12 +106,12 @@ def test_criterion_01_ground_state_exactness(params_critical):
 
 
 def test_criterion_02_operator_identities(gs_fine_n1, gs_fine_n2):
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst: dict = {}
     for label, gs in (("N=1", gs_fine_n1), ("N=2", gs_fine_n2)):
         res = operator_identity_residuals(gs)
         worst[label] = max(res.values())
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     ok = all(v < 1e-6 for v in worst.values()) and wall < 10.0
     _emit(2, ok,
           f"identity residuals N=1 max={worst['N=1']:.2e}, "
@@ -119,7 +119,7 @@ def test_criterion_02_operator_identities(gs_fine_n1, gs_fine_n2):
 
 
 def test_criterion_03_threshold_coefficient(gs_fine_n1, params_critical):
-    t0 = time.time()
+    t0 = time.perf_counter()
     omega_fine = compute_omega(gs_fine_n1, params_critical)
     diffs = []
     for ratio in (0.5, 1.0, 2.0):
@@ -132,7 +132,7 @@ def test_criterion_03_threshold_coefficient(gs_fine_n1, params_critical):
                                    branch_forcing(gs_fine_n1, pr_bal)).beta
     pr_2 = make_params(1, None, 0.2, 2.0 * omega_fine, "plusminus", 1.0)
     beta_plus = solve_bordered(gs_fine_n1, branch_forcing(gs_fine_n1, pr_2)).beta
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     ok = (max(diffs) < 1e-6 and abs(beta_at_omega) < 1e-6
           and beta_plus > 0.0 and wall < 10.0)
     _emit(3, ok,
@@ -142,11 +142,11 @@ def test_criterion_03_threshold_coefficient(gs_fine_n1, params_critical):
 
 
 def test_criterion_04_discrete_coercivity(params_critical):
-    t0 = time.time()
+    t0 = time.perf_counter()
     gs = solve_ground_state(params_critical, make_grid(1, 4096, 20.0))
     constrained_min = coercivity_spectrum(gs)
     free_min = lplus_unconstrained_min(gs)
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     ok = constrained_min > 0.0 and free_min < 0.0 and wall < 30.0
     _emit(4, ok,
           f"constrained min eig={constrained_min:.4f}>0, unconstrained "
@@ -154,14 +154,14 @@ def test_criterion_04_discrete_coercivity(params_critical):
 
 
 def test_criterion_05_profile_residual_scaling(gs_profile, params_balanced):
-    t0 = time.time()
+    t0 = time.perf_counter()
     slopes = {}
     for J in (0, 1):
         expansion = build_profile(gs_profile, params_balanced, order=J)
         rows = psi_slope_sweep(expansion)
         slopes[J] = fit_loglog_slope([r["x"] for r in rows],
                                      [r["weighted_norm"] for r in rows])
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     ok = (slopes[0] >= 2.0 - 0.1 and slopes[1] >= 3.0 - 0.1 and wall < 60.0)
     _emit(5, ok,
           f"residual slopes J=0: {slopes[0]:.3f}>=1.9, J=1: {slopes[1]:.3f}>=2.9, "
@@ -169,7 +169,7 @@ def test_criterion_05_profile_residual_scaling(gs_profile, params_balanced):
 
 
 def test_criterion_06_pseudo_conformal_validation(params_critical):
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = make_grid(1, 8192, 15.0)          # default resolution n
     gs = solve_ground_state(params_critical, grid)
     u0 = pseudo_conformal_reference(-1.0, grid, gs)
@@ -179,7 +179,7 @@ def test_criterion_06_pseudo_conformal_validation(params_critical):
         u = propagate(u0, dt, round(0.5 / dt), params_critical)
         errs.append(norm_L2(RadialField(grid, u.values - exact.values)))
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     ok = (all(3.0 <= r <= 5.0 for r in ratios) and errs[-1] < 1e-3
           and wall < 120.0)
     _emit(6, ok,
@@ -190,11 +190,11 @@ def test_criterion_06_pseudo_conformal_validation(params_critical):
 
 def test_criterion_07_balanced_rate(expansion_balanced, params_balanced,
                                     gs_profile):
-    t0 = time.time()
+    t0 = time.perf_counter()
     config = _sim_config(params_balanced)
     series = simulate_blowup(config, expansion_balanced, 1.0, 10.0)
     fit = fit_blowup_rate(series)
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     RUNS["balanced"] = (series, fit)
 
     coeff_target = math.sqrt(8.0 * 1.0 / gs_profile.norms["virial"])
@@ -215,11 +215,11 @@ def test_criterion_07_balanced_rate(expansion_balanced, params_balanced,
 
 
 def test_criterion_08_unbalanced_rate(expansion_unbalanced, params_unbalanced):
-    t0 = time.time()
+    t0 = time.perf_counter()
     config = _sim_config(params_unbalanced)
     series = simulate_blowup(config, expansion_unbalanced, 1.0, 10.0)
     fit = fit_blowup_rate(series)
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     RUNS["unbalanced"] = (series, fit)
 
     alpha = params_unbalanced.alpha
@@ -252,7 +252,7 @@ def test_criterion_09_lower_bound_and_positivity(expansion_balanced,
 
 
 def test_criterion_10_modulation_round_trip(expansion_balanced):
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     # decompose resamples only u - P(lam, b) between frames, which vanishes
     # on the profile family, so the round trip is limited by the parameter
@@ -296,7 +296,7 @@ def test_criterion_10_modulation_round_trip(expansion_balanced):
                                     hat_epsilon(state3).values
                                     - eps_ref.values)))
             worst_gauge = max(worst_gauge, gauge_err)
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     ok = (worst_recon <= 1e-8 and worst_param <= 1e-8
           and worst_guess <= 1e-8 and worst_gauge <= 1e-7 and wall < 120.0)
     _emit(10, ok,

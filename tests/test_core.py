@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +100,25 @@ def test_grid_cells_and_total_volume(N):
     surface = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[N]
     assert integrate(grid, np.ones(grid.n)) == pytest.approx(
         surface * 10.0 ** N / N, rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]), n=st.integers(8, 200),
+       rmax=st.floats(0.5, 50.0),
+       values=st.lists(st.floats(-10.0, 10.0), min_size=200, max_size=200))
+def test_integrate_is_exact_on_cell_constants(N, n, rmax, values):
+    # a function constant on each cell [r_i, r_i+1], r_i = i rmax / n, has
+    # integral surface * sum c_i (r_i+1^N - r_i^N) / N: the reference sums
+    # it in exact rationals, the gate scales with sum |c_i| cell volume
+    grid = make_grid(N, n, rmax)
+    c = values[:n]
+    edges = [Fraction(rmax) * i / n for i in range(n + 1)]
+    cells = [(edges[i + 1] ** N - edges[i] ** N) / N for i in range(n)]
+    exact = sum(Fraction(ci) * w for ci, w in zip(c, cells))
+    scale = sum(abs(Fraction(ci)) * w for ci, w in zip(c, cells))
+    surface = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[N]
+    err = abs(integrate(grid, np.array(c)) - surface * float(exact))
+    assert err <= 1e-13 * surface * float(scale)
 
 
 def test_integrate_gaussian_vs_quad():

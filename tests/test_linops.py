@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigvalsh
 
 from nlsblowup.core import (Operator, RadialField, make_grid, make_params,
@@ -101,6 +103,32 @@ def test_beta_affine_in_coupling(gs_profile, omega_profile, branch):
         assert slope1 == pytest.approx(slope2, rel=1e-12)
     # the closed form vanishes at the balance point by construction of omega
     assert abs(closed[1]) < 1e-10 * abs(closed[2])
+
+
+@functools.cache
+def _ground_and_omega(N):
+    """An N-dimensional soliton on a coarse grid and its balance point."""
+    crit = make_params(N, None, 0.2, 0.0, "critical", 1.0)
+    gs = solve_ground_state(crit, make_grid(N, 1024, default_rmax(N)))
+    return gs, compute_omega(gs, crit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]),
+       branch=st.sampled_from(["plusminus", "minusplus"]),
+       ratio=st.floats(0.0, 4.0))
+def test_beta_is_affine_in_C0_and_vanishes_at_omega(N, branch, ratio):
+    # beta(r omega) lies on the line through beta(omega) = 0 and beta(2 omega)
+    gs, omega = _ground_and_omega(N)
+
+    def beta(r):
+        return beta_closed_form(gs, make_params(N, None, 0.2, r * omega,
+                                                branch, 1.0))
+
+    two = beta(2.0)
+    assert abs(beta(1.0)) <= 1e-10 * abs(two)
+    assert abs(beta(ratio) - (ratio - 1.0) * two) <= (
+        1e-10 * max(1.0, ratio) * abs(two))
 
 
 def test_beta_sign_flips_across_branches(gs_profile, omega_profile):

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import dct
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
@@ -242,6 +243,33 @@ def test_nan_raises_at_its_step(N):
     bad[-1] = np.nan
     with pytest.raises(RuntimeError, match="at step 0"):
         propagate(RadialField(grid, bad), 1e-3, 5, params)
+
+
+@pytest.mark.parametrize("n", [64, 4095, 4096, 8192])
+def test_dct4_is_scipys_orthonormal_dct_iv(n):
+    # _dct4 calls pocketfft's private entry point: a change of its
+    # signature or scaling must fail here, not move the march silently
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w = sim._dct4(v)
+    assert np.array_equal(w.real, dct(v.real, type=4, norm="ortho"))
+    assert np.array_equal(w.imag, dct(v.imag, type=4, norm="ortho"))
+    assert np.max(np.abs(sim._dct4(w) - v)) <= 1e-14 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_propagate_makes_two_transforms_per_step(k, monkeypatch):
+    calls = []
+    dct4 = sim._dct4
+
+    def counted(v):
+        calls.append(v.size)
+        return dct4(v)
+
+    monkeypatch.setattr(sim, "_dct4", counted)
+    grid = make_grid(1, 256, 12.0)
+    propagate(RadialField(grid, _wave(grid)), 1e-3, k, PLUSMINUS[1])
+    assert calls == [grid.n] * (2 * k)
 
 
 @settings(max_examples=25, deadline=None)
