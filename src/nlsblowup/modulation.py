@@ -21,10 +21,10 @@ and the pairing directions once, and the returned state carries the
 converged iterate's P and remainder, which ``reconstruct`` and
 ``lyapunov_S`` read.
 
-The only field-grid spline is that of D, sampled at x = lam y <= lam y[-1]
-and built by ``profile._resample`` on the nodes those samples reach plus
-64; a spline's end condition fades by 2 - sqrt(3) per node inward, so the
-samples are bit for bit those of the spline on the whole field grid.
+The only field-grid spline is the cubic of D, sampled at x = lam y <=
+lam y[-1] by ``profile._resample`` from the slopes of the nodes those
+samples reach plus 64; a spline's end condition fades by 2 - sqrt(3) per
+node inward, so the samples are bit for bit those of the whole grid's.
 """
 
 from __future__ import annotations

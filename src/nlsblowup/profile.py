@@ -42,6 +42,11 @@ is realized through rho: adding t*rho to P^+ adds exactly 4t to beta and
 keeps the bordered equation exact.  A pleasant by-product is mass
 neutrality: the prescribed components make ||P||_2^2 - ||Q||_2^2 vanish
 to the expansion's order.
+
+P reaches a physical grid through ``rescale_to_physical``: the not-a-knot
+cubic spline of its even extension across r = 0, evaluated in Hermite form
+from nodal values and slopes (``_resample``), the slopes solved on the
+window of nodes the samples reach.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PPoly, make_interp_spline
+from scipy.interpolate import make_interp_spline
 from scipy.linalg import lapack
 
 from .core import (
@@ -336,42 +341,37 @@ def residual_Psi(expansion: ProfileExpansion, lam: float, b: float,
 @functools.lru_cache(maxsize=4)
 def _slope_factor(n: int) -> tuple:
     """``dgttrf`` factor of the slope system of the cubic spline through n
-    uniform nodes (i + 1/2) h and their mirror images, on the half line.
+    uniform nodes (i + 1/2) h and their mirror images, on the half line,
+    copied to complex for ``zgttrs``.
 
     Row 0 folds in the mirror (odd slopes): 3 s_0 + s_1; rows 1..n-2 are
     (1, 4, 1); the last is CubicSpline's not-a-knot row 2 s_(n-2) + s_(n-1).
     The unknowns are h times the slopes, so one factor serves every h.
+    The factor is real, so ``zgttrs`` solves a complex right-hand side in
+    one call, each part bit for bit ``dgttrs``'s solve of that part.
     The matrix is diagonally dominant but for its last row, so ``dgttrf``
     never pivots: the LU of a leading K x K block is the leading block of
-    this LU, and a window of K < n rows (see ``_even_cubic``) solves with
-    the sliced factor, with no factorization of its own.
+    this LU, and a window of K < n rows (see ``_slopes``) solves with the
+    sliced factor, with no factorization of its own.
     """
     d = np.full(n, 4.0)
     d[0], d[-1] = 3.0, 1.0
     dl = np.ones(n - 1)
     dl[-1] = 2.0
-    *factor, _ = lapack.dgttrf(dl, d, np.ones(n - 1))
-    return tuple(factor)
+    *factor, ipiv, _ = lapack.dgttrf(dl, d, np.ones(n - 1))
+    return (*(a.astype(complex) for a in factor), ipiv)
 
 
-def even_spline(f: RadialField, *, k: int = 3):
-    """Spline of degree k for a radial field on its even extension across r = 0.
-
-    k = 3 is the not-a-knot cubic spline of the 2n-point even extension
-    (``CubicSpline``'s, to roundoff), solved on the half line with a
-    tridiagonal factor cached per point count; it returns a complex
-    ``PPoly`` on the breakpoints -h/2, nodes..., whose first piece is the
-    even cubic across r = 0.  Other k interpolate the extension with
-    ``make_interp_spline``.  The resamples of ``rescale_to_physical`` and
-    ``modulation`` go through ``_resample``, which builds the cubic on the
-    window of nodes their samples reach, bit for bit this spline there.
+def even_spline(f: RadialField):
+    """Quintic interpolating spline of a radial field on its even extension
+    across r = 0 (``make_interp_spline`` through the 2n points -nodes[::-1],
+    nodes), the resample of ``sim``'s regrid.  The cubic resamples of
+    ``rescale_to_physical`` and ``modulation`` go through ``_resample``.
     """
-    if k == 3:
-        return _even_cubic(f, f.grid.n)
     nodes = f.grid.nodes
     vals = np.asarray(f.values, dtype=complex)
     xs = np.concatenate([-nodes[::-1], nodes])
-    return make_interp_spline(xs, np.concatenate([vals[::-1], vals]), k=k)
+    return make_interp_spline(xs, np.concatenate([vals[::-1], vals]), k=5)
 
 
 # Nodes a windowed spline keeps past the last node its samples reach.
@@ -385,65 +385,63 @@ def _window(grid: RadialGrid, reach: float) -> int:
     return min(grid.n, k + _WINDOW_MARGIN)
 
 
-def _even_cubic(f: RadialField, K: int) -> PPoly:
-    """The cubic ``even_spline`` of f on its first K nodes (K = n: all).
+def _slopes(f: RadialField, K: int) -> np.ndarray:
+    """h times the slopes at f's first K nodes (K = n: all) of the
+    not-a-knot cubic spline of f's even extension (``CubicSpline``'s, to
+    roundoff), in one ``zgttrs`` solve with ``_slope_factor(n)``.
 
     A window K < n keeps rows 0..K-1 of the slope system: row K-1 stays
-    the interior (1, 4, 1) row, whose right-hand side reads vals[K], and the
-    rows are solved with the leading block of ``_slope_factor(n)``.  The
-    result has pieces up to nodes[K-1] only.  Cutting the system changes
-    the slopes by a factor (2 - sqrt(3)) ~ 0.27 per node inward (de Boor,
-    A Practical Guide to Splines, 1978), so ``_WINDOW_MARGIN`` = 64 nodes
-    past the last sample leave it ~1e-37 relative: far below one ulp, and
-    the spline's values and derivatives there are bit for bit the full
-    spline's.
+    the interior (1, 4, 1) row, whose right-hand side reads f at node K,
+    and the rows are solved with the leading block of the factor.
+    Cutting the system changes the slopes by a factor (2 - sqrt(3)) ~ 0.27
+    per node inward (de Boor, A Practical Guide to Splines, 1978), so
+    ``_WINDOW_MARGIN`` = 64 nodes past the last sample leave it ~1e-37
+    relative, far below one ulp: the slopes there are the full system's.
     """
-    vals = np.asarray(f.values, dtype=complex)
-    n, h = vals.size, f.grid.h
+    vals, n = f.values, f.grid.n
     dy = np.diff(vals[:K + 1])
     rhs = np.empty(K, dtype=complex)
     rhs[0] = 3.0 * dy[0]
     rhs[1:dy.size] = 3.0 * (dy[:-1] + dy[1:])
     if K == n:  # the not-a-knot row
         rhs[-1] = 0.5 * (dy[-2] + 5.0 * dy[-1])
-    cols = np.empty((K, 2), order="F")
-    cols[:, 0], cols[:, 1] = rhs.real, rhs.imag
     dl, d, du, du2, ipiv = _slope_factor(n)
-    x, _ = lapack.dgttrs(dl[:K - 1], d[:K], du[:K - 1], du2[:K - 2],
-                         ipiv[:K], cols, overwrite_b=1)
-    s = (x[:, 0] + 1j * x[:, 1]) / h
-    # Hermite pieces from the left slope s_l, right slope s and secant m of
-    # each interval; the first, [-h/2, h/2], has the mirrored slope -s_0
-    c = np.empty((4, K), dtype=complex)
-    s_l = c[2]
-    s_l[0], s_l[1:] = -s[0], s[:-1]
-    c[3, 0], c[3, 1:] = vals[0], vals[:K - 1]
-    m = np.concatenate(([0.0], dy[:K - 1])) / h
-    t = (s_l + s - 2.0 * m) / h
-    c[0] = t / h
-    c[1] = (m - s_l) / h - t
-    nodes = f.grid.nodes
-    return PPoly.construct_fast(c, np.concatenate(([-nodes[0]], nodes[:K])))
+    return lapack.zgttrs(dl[:K - 1], d[:K], du[:K - 1], du2[:K - 2],
+                         ipiv[:K], rhs, overwrite_b=1)[0]
 
 
 def _resample(f: RadialField, q: np.ndarray, y: np.ndarray, amp: float,
               b: float, gamma: float) -> np.ndarray:
-    """f's cubic ``even_spline`` at the increasing points q, times the
-    chirp amp * exp(-i(b/4) y^2 + i gamma), continuous at the edge.
+    """f's cubic spline at the increasing points q >= 0, times the chirp
+    amp * exp(-i(b/4) y^2 + i gamma), continuous at the edge.
 
-    The points q <= f.grid.nodes[-1] are sampled on the spline, built on
-    the window of nodes they reach (``_window``, ``_even_cubic``): bit for
-    bit the spline on all of f's nodes there.  Points in (nodes[-1], rmax)
-    fall linearly from f's last value to 0 at rmax, where f's Dirichlet
-    ghost sits, and points past rmax are 0; so a point that crosses the
-    last node by one ulp moves the result by one ulp, not by f's last
-    value.  Each point below rmax takes one ``unit_phase`` entry.
+    The points q <= f.grid.nodes[-1] are sampled in Hermite form on the
+    breakpoints x_j = (j - 1/2) h, j = 0..K (x_0 = -h/2 mirrors node 0),
+    from values V = (f_0, f_0, ..., f_(K-1)) and h-slopes
+    S = (-S_0, S_0, ..., S_(K-1)) of ``_slopes`` on the window of K nodes
+    they reach (``_window``): with u = q/h + 1/2, j = min(floor(u), K - 1)
+    and t = u - j, p = V_j + t^2 (3 - 2t) (V_(j+1) - V_j)
+    + t (t - 1)^2 S_j + t^2 (t - 1) S_(j+1), bit for bit the cubic on all
+    of f's nodes.  Points in (nodes[-1], rmax) fall linearly from f's last
+    value to 0 at rmax, where f's Dirichlet ghost sits, and points past
+    rmax are 0; so a point that crosses the last node by one ulp moves the
+    result by one ulp, not by f's last value.  Each point below rmax takes
+    one ``unit_phase`` entry.
     """
     grid = f.grid
     m = int(np.searchsorted(q, grid.nodes[-1], side="right"))
     e = int(np.searchsorted(q, grid.rmax))
+    K = _window(grid, q[m - 1])
+    s = _slopes(f, K)
+    V = np.concatenate((f.values[:1], f.values[:K]))
+    S = np.concatenate((-s[:1], s))
+    u = q[:m] / grid.h + 0.5
+    j = np.minimum(u.astype(np.intp), K - 1)
+    t = u - j
+    t2, w, Vj = t * t, t - 1.0, V[j]
     out = np.zeros(q.size, dtype=complex)
-    out[:m] = _even_cubic(f, _window(grid, q[m - 1]))(q[:m])
+    out[:m] = (Vj + t2 * (3.0 - 2.0 * t) * (V[j + 1] - Vj)
+               + t * w * w * S[j] + t2 * w * S[j + 1])
     out[m:e] = (f.values[-1] * (grid.rmax - q[m:e])
                 / (grid.rmax - grid.nodes[-1]))
     out[:e] *= amp * unit_phase(gamma - 0.25 * b * y[:e] ** 2)
@@ -455,11 +453,12 @@ def rescale_to_physical(P: RadialField, lam: float, b: float, gamma: float,
     """Rescaled field lam^(-N/2) P(x/lam) exp(-i(b/4)|x|^2/lam^2 + i gamma).
 
     P lives on its own (renormalized) grid; the result is interpolated to
-    ``grid`` with ``even_spline`` of P, evaluated only at the nodes with
-    x/lam inside the source nodes, and built on the window of source nodes
-    those points reach.  Between the last source node and rmax it falls
-    linearly to zero, and it is zero beyond (``_resample``; P has decayed
-    there).  The phase is applied exactly at the target nodes.
+    ``grid`` with the not-a-knot cubic spline of P's even extension,
+    evaluated only at the nodes with x/lam inside the source nodes, from
+    the slopes of the window of source nodes those points reach.  Between
+    the last source node and rmax it falls linearly to zero, and it is
+    zero beyond (``_resample``; P has decayed there).  The phase is
+    applied exactly at the target nodes.
     """
     if P.grid.N != grid.N:
         raise ValueError("source and target grids must share the dimension")

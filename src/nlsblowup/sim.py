@@ -324,7 +324,7 @@ def _regrid(f: RadialField) -> tuple[np.ndarray, RadialGrid]:
     """
 
     new_grid = make_grid(f.grid.N, f.grid.n, f.grid.rmax / _RESCALE_FACTOR)
-    return even_spline(f, k=5)(new_grid.nodes), new_grid
+    return even_spline(f)(new_grid.nodes), new_grid
 
 
 def _measure(stepper: _Stepper, v: np.ndarray, gs: GroundState

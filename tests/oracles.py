@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from nlsblowup.core import RadialField, RadialGrid
 from nlsblowup.groundstate import GroundState
-from nlsblowup.profile import even_spline
+
+
+def even_cubic(f: RadialField) -> CubicSpline:
+    """scipy's not-a-knot cubic spline of f's 2n-point even extension."""
+    r = f.grid.nodes
+    return CubicSpline(np.concatenate([-r[::-1], r]),
+                       np.concatenate([f.values[::-1], f.values]))
 
 
 def pseudo_conformal_reference(t: float, grid: RadialGrid,
@@ -21,7 +28,7 @@ def pseudo_conformal_reference(t: float, grid: RadialGrid,
         raise ValueError("pseudo-conformal reference requires t < 0")
     N = grid.N
     x = grid.nodes
-    spl = even_spline(groundstate.Q)
+    spl = even_cubic(groundstate.Q)
     y = x / abs(t)
     qv = np.where(y <= groundstate.grid.rmax, spl(y), 0.0)
     vals = (abs(t) ** (-0.5 * N) * qv

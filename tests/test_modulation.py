@@ -130,10 +130,10 @@ def test_decompose_solves_a_window_of_the_cached_slope_factor(
     u, guess = _tube_cases(expansion_balanced)[1]
     rows = []
 
-    def counted(dl, d, *args, _trs=lapack.dgttrs, **kw):
+    def counted(dl, d, *args, _trs=lapack.zgttrs, **kw):
         rows.append(d.size)
         return _trs(dl, d, *args, **kw)
-    monkeypatch.setattr(lapack, "dgttrs", counted)
+    monkeypatch.setattr(lapack, "zgttrs", counted)
     for n in (u.grid.n, expansion_balanced.grid.n):
         profile._slope_factor(n)
     factorizations.clear()

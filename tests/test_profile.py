@@ -7,16 +7,19 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.interpolate import CubicSpline
+from scipy.linalg import lapack
 
+from nlsblowup import profile
 from nlsblowup.core import RadialField, make_grid, make_params, norm_L2
 from nlsblowup.groundstate import compute_omega, solve_ground_state
-from nlsblowup.profile import (build_profile, eval_profile, even_spline,
-                               fit_loglog_slope, profile_derivatives,
-                               profile_energy, psi_slope_sweep,
-                               rescale_to_physical, residual_Psi)
-from nlsblowup.profile import _WINDOW_MARGIN, _even_cubic, _window
+from nlsblowup.profile import (build_profile, eval_profile, fit_loglog_slope,
+                               profile_derivatives, profile_energy,
+                               psi_slope_sweep, rescale_to_physical,
+                               residual_Psi)
+from nlsblowup.profile import (_WINDOW_MARGIN, _resample, _slope_factor,
+                               _slopes, _window)
 from nlsblowup.reduced import init_params
+from oracles import even_cubic
 
 
 def test_entry_layout(expansion_balanced):
@@ -158,20 +161,55 @@ def _bump(r, kind):
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_even_spline_is_the_not_a_knot_cubic_of_the_even_extension(N, n,
                                                                   kind):
+    # _resample (amp 1, b = gamma = 0) and its slopes are CubicSpline's
     grid = make_grid(N, n, 6.0)
     r, h = grid.nodes, grid.h
     vals = _bump(r, kind)
-    ref = CubicSpline(np.concatenate([-r[::-1], r]),
-                      np.concatenate([vals[::-1], vals]))
-    spline = even_spline(RadialField(grid, vals))
+    f = RadialField(grid, vals)
+    ref = even_cubic(f)
     # across r = 0, the interior, and the last cell
     q = np.concatenate([np.linspace(0.0, 0.5 * h, 5, endpoint=False),
                         np.linspace(r[0], r[-2], 301),
                         np.linspace(r[-2], r[-1], 5)])
     scale = np.max(np.abs(vals))
-    for nu in (0, 1):
-        err = np.max(np.abs(spline(q, nu) - ref(q, nu)))
-        assert err <= 1e-13 * scale, (nu, err)
+    err = np.max(np.abs(_resample(f, q, q, 1.0, 0.0, 0.0) - ref(q)))
+    assert err <= 1e-13 * scale, err
+    err = np.max(np.abs(_slopes(f, n) / h - ref(r, 1)))
+    assert err <= 1e-13 * scale, err
+
+
+@pytest.mark.parametrize("window", ["part", "all"])
+@pytest.mark.parametrize("n", [8, 4096, 16384])
+def test_complex_slope_solve_is_the_real_solve_bit_for_bit(n, window):
+    # zgttrs on the complex copy of the factor solves each part as dgttrs
+    # on the real factor does, to the last bit
+    grid = make_grid(1, n, 6.0)
+    rng = np.random.default_rng(n)
+    f = RadialField(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    K = n if window == "all" else n // 2 + 1
+    dy = np.diff(f.values[:K + 1])
+    rhs = np.empty((K, 2), order="F")
+    rhs[0] = 3.0 * dy[0].real, 3.0 * dy[0].imag
+    inner = 3.0 * (dy[:-1] + dy[1:])
+    rhs[1:dy.size, 0], rhs[1:dy.size, 1] = inner.real, inner.imag
+    if K == n:
+        last = 0.5 * (dy[-2] + 5.0 * dy[-1])
+        rhs[-1] = last.real, last.imag
+    dl, d, du, du2, ipiv = (a.real.copy() if a.dtype == complex else a
+                            for a in _slope_factor(n))
+    x, info = lapack.dgttrs(dl[:K - 1], d[:K], du[:K - 1], du2[:K - 2],
+                            ipiv[:K], rhs)
+    assert info == 0
+    s = _slopes(f, K)
+    assert s.shape == (K,)
+    assert np.array_equal(s.real, x[:, 0]) and np.array_equal(s.imag, x[:, 1])
+
+
+def _full_resample(f, q):
+    """_resample with the slopes of all of f's nodes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profile, "_WINDOW_MARGIN", 10 ** 9)
+        return _resample(f, q, q, 1.0, 0.0, 0.0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -180,9 +218,12 @@ def test_even_spline_is_the_not_a_knot_cubic_of_the_even_extension(N, n,
        at=st.floats(0.0, 1.2), seed=st.integers(0, 2 ** 32 - 1))
 @example(N=1, n=4096, kind="noise", at=1.0, seed=0)     # at the last node
 @example(N=3, n=4096, kind="noise", at=0.3, seed=1)     # deep inside
+@example(N=2, n=300, kind="noise", at=0.0, seed=2)      # q = 0 only
+@example(N=1, n=4096, kind="noise", at=1e-4, seed=3)    # in [0, h/2)
+@example(N=2, n=8, kind="smooth", at=1.0, seed=4)       # on node K - 1 = n - 1
 def test_windowed_spline_is_the_full_spline_bit_for_bit(N, n, kind, at, seed):
-    # samples r <= reach of the spline built on _window(reach) nodes are
-    # those of the full spline, to the last bit, for values and slopes
+    # samples r <= reach of the cubic from the slopes of _window(reach)
+    # nodes are those of the cubic on all nodes, to the last bit
     grid = make_grid(N, n, 6.0)
     r = grid.nodes
     rng = np.random.default_rng(seed)
@@ -195,10 +236,11 @@ def test_windowed_spline_is_the_full_spline_bit_for_bit(N, n, kind, at, seed):
     top = min(reach, r[-1])
     q = np.sort(np.concatenate([rng.uniform(0.0, top, 200), r[r <= top],
                                 [0.0, top]]))
-    window, full = _even_cubic(f, K), even_spline(f)
-    assert window.x[-1] == r[K - 1]
-    for nu in (0, 1):
-        assert np.array_equal(window(q, nu), full(q, nu)), nu
+    assert np.array_equal(_resample(f, q, q, 1.0, 0.0, 0.0),
+                          _full_resample(f, q))
+    # the slopes the samples read: up to the node after the last reached
+    k = np.count_nonzero(r <= reach) + 1
+    assert np.array_equal(_slopes(f, K)[:k], _slopes(f, n)[:k])
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -218,7 +260,7 @@ def test_rescale_to_physical_evaluates_only_the_source_support(N):
     chirp = lam ** (-0.5 * N) * np.exp(-0.25j * b * y ** 2 + 1j * gamma)
     # from P's last node to rmax, a line from P's last value down to 0
     line = P.values[-1] * (src.rmax - y) / (src.rmax - src.nodes[-1])
-    ref = np.where(inside, even_spline(P)(y), line) * chirp
+    ref = np.where(inside, even_cubic(P)(y), line) * chirp
     err = np.max(np.abs(u.values[inside] - ref[inside]))
     assert err <= 1e-14 * np.max(np.abs(ref))
     assert np.allclose(u.values[ramp], ref[ramp], rtol=1e-14, atol=0.0)

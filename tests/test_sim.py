@@ -25,7 +25,7 @@ from nlsblowup.sim import (SimConfig, Snapshot, SnapshotSeries, _Stepper,
                            conserved, energy_positivity_check,
                            fit_blowup_rate, initial_datum, lambda_hat,
                            lower_bound_check, propagate, simulate_blowup)
-from oracles import pseudo_conformal_reference
+from oracles import even_cubic, pseudo_conformal_reference
 
 CRIT = make_params(1, None, 0.2, 0.0, "critical", 1.0)
 # all three local terms switched on, in each dimension
@@ -127,8 +127,7 @@ def test_lambda_hat_tracks_rescaling():
     gs = solve_ground_state(CRIT, grid)
     lam = 0.25
     small = make_grid(1, 4096, 18.0 * lam)
-    from nlsblowup.profile import even_spline
-    spline = even_spline(gs.Q)
+    spline = even_cubic(gs.Q)
     u = RadialField(small, (spline(small.nodes / lam) / math.sqrt(lam)
                             ).astype(complex))
     assert lambda_hat(u, gs) == pytest.approx(lam, rel=1e-3)
