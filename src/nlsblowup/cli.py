@@ -11,7 +11,8 @@ Numerics are deterministic and every float is serialized with 17
 significant digits, so re-running an identical configuration reproduces
 identical artifact bytes.  JSON goes through ``_json17`` and every CSV
 through ``_write_csv``: %.17g floats, csv-module quoting (QUOTE_MINIMAL)
-and ``\\r\\n`` line ends.
+and ``\\r\\n`` line ends.  ``manifest.json``'s ``wall_time_s`` includes
+the import of any scipy solver the pipeline loads on its first call.
 
 Exit codes: 0 on success, 1 on a domain error (a machine-readable error
 record is printed to stdout), 2 on a usage error (argparse).
@@ -28,7 +29,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Optional
@@ -648,13 +648,15 @@ def _pipe_sweep(cfg: dict, rundir: Path) -> dict:
     cells = [dict(cfg, sigma=s, c0_ratio=r, E0=e)
              for s, r, e in points]
 
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     if not cells:
         rows = []
-    elif len(cells) == 1 or (os.cpu_count() or 1) == 1:
+    elif len(cells) == 1 or cpus == 1:
         rows = [_sweep_cell(cell) for cell in cells]
     else:
-        workers = min(len(cells), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(len(cells), cpus)) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     rows.sort(key=lambda r: (r["sigma"], r["C0_over_omega"], r["E0"]))
     _write_csv(rundir / "sweep.csv", _SWEEP_COLUMNS,

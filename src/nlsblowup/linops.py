@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from .core import (
     LocalTerms,
@@ -283,7 +282,7 @@ def _lowest_eigenvalue(gs: GroundState, ops: list[Operator], sigma: float,
     factor, with the penalty inverted through the Woodbury identity.  In
     this mode ARPACK applies only that inverse, never S itself.
     """
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import LinearOperator, eigsh
 
     grid = gs.grid
     n = grid.n

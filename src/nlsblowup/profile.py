@@ -58,7 +58,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 from scipy.linalg import lapack
 
 from .core import (
@@ -368,6 +367,8 @@ def even_spline(f: RadialField):
     nodes), the resample of ``sim``'s regrid.  The cubic resamples of
     ``rescale_to_physical`` and ``modulation`` go through ``_resample``.
     """
+    from scipy.interpolate import make_interp_spline
+
     nodes = f.grid.nodes
     vals = np.asarray(f.values, dtype=complex)
     xs = np.concatenate([-nodes[::-1], nodes])

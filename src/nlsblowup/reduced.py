@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .groundstate import GroundState
 from .profile import ProfileExpansion, profile_energy
@@ -115,6 +113,7 @@ def integrate_reduced(
     the dense output spread over [s0, s_event], ending exactly at the
     floor event.
     """
+    from scipy.integrate import solve_ivp
 
     s_arr = np.asarray(s_range, dtype=float)
     if s_arr.shape != (2,) or not s_arr[0] < s_arr[1]:
@@ -267,6 +266,7 @@ def init_params(
     too small for the energy balance to hold; a root with
     |E - E0| > 1e-8 E0 is an error.
     """
+    from scipy.optimize import brentq
 
     lam_app, b_app = app_solutions(expansion.gs, E0, s1)
     lam1 = float(lam_app)

@@ -12,8 +12,9 @@ half-step into the next one's leading half-step (one rotation per step),
 and ``_Stepper.settle`` applies the last trailing half-step wherever the
 stepped field is read; both substeps conserve the discrete mass.  The
 N = 1 linear substep's two orthonormal DCT-IV transforms call scipy's
-compiled pocketfft kernel directly (``_dct4``).  The energy is
-1/2 grad_norm_sq minus the integral of ``LocalTerms.density``.
+compiled pocketfft kernel directly (``_dct4``), imported on the first
+transform and then read from one cached lookup (``_pocketfft``).  The
+energy is 1/2 grad_norm_sq minus the integral of ``LocalTerms.density``.
 
 Blow-up runs start from profile data, tie the time step to the gradient
 scale (dt = c_dt * lambda_hat^2, so each step advances rescaled time by
@@ -28,14 +29,13 @@ lambda(t) = c (T - t)^e over the last decade of scale decrease.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.fft._pocketfft import pypocketfft
-from scipy.optimize import minimize_scalar
 
 from .core import (LocalTerms, Operator, ProblemParams, RadialField,
                    RadialGrid, _cayley, grad_norm_sq, integrate, make_grid,
@@ -164,13 +164,21 @@ class SnapshotSeries:
 # Strang-split propagator
 # --------------------------------------------------------------------------
 
+@functools.cache
+def _pocketfft():
+    """scipy's compiled pocketfft module, imported on the first transform."""
+    from scipy.fft._pocketfft import pypocketfft
+    return pypocketfft
+
+
 def _dct4(v: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-IV (its own inverse) of a contiguous complex vector,
     as one real transform of both columns of its float (n, 2) view, by
     pocketfft's compiled kernel (type 4, axis 0, inorm 1 = orthonormal, one
     thread): bit for bit ``scipy.fft.dct(type=4, norm="ortho", axis=0)``
-    without that call's backend dispatch."""
-    w = pypocketfft.dct(v.view(np.float64).reshape(-1, 2), 4, (0,), 1, None, 1)
+    without that call's backend dispatch.  The kernel comes from one cached
+    lookup (``_pocketfft``), so no step runs an import statement."""
+    w = _pocketfft().dct(v.view(np.float64).reshape(-1, 2), 4, (0,), 1, None, 1)
     return w.view(np.complex128).ravel()
 
 
@@ -497,6 +505,7 @@ def fit_blowup_rate(series: SnapshotSeries) -> RateFit:
     The blow-up time is the outer variable: for each T the best (ln c, e)
     is a linear least-squares solve, and T minimizes the residual.
     """
+    from scipy.optimize import minimize_scalar
 
     snaps = _fit_window(series)
     if len(snaps) < 5:

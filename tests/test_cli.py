@@ -6,12 +6,14 @@ import csv
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nlsblowup import cli
 from nlsblowup.cli import _READS, _write_csv, build_parser, run
 from nlsblowup.core import make_grid, make_params
 from nlsblowup.groundstate import compute_omega, solve_ground_state
@@ -485,3 +487,27 @@ def test_sweep_dedupes_and_records_failures(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert rows[0]["regime"] == "subthreshold"
     assert rows[0]["error"]
+
+
+def test_sweep_on_one_allowed_cpu_runs_serially(tmp_path, capsys,
+                                                monkeypatch):
+    # the pool is sized by the CPUs this process may use, not by
+    # os.cpu_count(): on one allowed CPU both cells run in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    pids = []
+
+    def failing_stage(cfg, c0_ratio=None):
+        pids.append(os.getpid())
+        raise RuntimeError("stage skipped")
+
+    monkeypatch.setattr(cli, "_profile_stage", failing_stage)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sigma_values": [0.2, 0.3],
+                               "C0_over_omega_values": [1.0],
+                               "E0_values": [1.0]}))
+    code, out = _run(capsys, ["sweep", "--config", str(cfg),
+                              "--out", str(tmp_path)])
+    assert code == 0
+    assert (out["n_cells"], out["n_failed"]) == (2, 2)
+    assert pids == [os.getpid()] * 2
