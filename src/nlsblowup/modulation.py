@@ -12,14 +12,13 @@ where Lam is the scaling generator and rho the bordered-system profile.
 Only the physical-space difference between u and the modulated profile is
 resampled onto the renormalized grid; P stays exact on its own grid, so a
 field on the profile family decomposes with eps = 0.  The three scalar
-parameters are found by a Newton iteration on the condition vector; the
-Jacobian is assembled analytically on the renormalized grid (the scaling
+parameters are found by a Newton iteration on the condition vector with
+one Jacobian, assembled analytically on the renormalized grid (the scaling
 generator and y^2 acting on the sample eps + P of the field, monomial
-derivatives for P) with a finite-difference fallback, and tube membership
-is judged on the converged remainder.  Each iterate evaluates the profile
-and the pairing directions once, and the returned state carries the
-converged iterate's P and remainder, which ``reconstruct`` and
-``lyapunov_S`` read.
+derivatives for P), and tube membership is judged on the converged
+remainder.  Each iterate evaluates the profile and the pairing directions
+once, and the returned state carries the converged iterate's P and
+remainder, which ``reconstruct`` and ``lyapunov_S`` read.
 
 The only field-grid spline is the cubic of D, sampled at x = lam y <=
 lam y[-1] by ``profile._resample`` from the slopes of the nodes those
@@ -83,9 +82,8 @@ class ModulationState:
     P(lam, b) of the converged iterate and ``eps`` the remainder, both on
     the renormalized grid.
 
-    ``iterations`` counts the condition evaluations of the Newton run
-    (finite-difference Jacobian columns included) and ``fd_jacobian``
-    says whether the finite-difference Jacobian took over.
+    ``iterations`` counts the condition evaluations of the Newton run,
+    one per iterate.
     """
 
     lam: float
@@ -98,7 +96,6 @@ class ModulationState:
     eps_P: float
     orth: tuple[float, float, float]
     iterations: int = 0
-    fd_jacobian: bool = False
 
     @property
     def grid(self) -> RadialGrid:
@@ -135,16 +132,17 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
 
     ``guess`` is the Newton seed (lam, b, gamma), lam > 0; there is no
     default seed.  Tube membership is judged after convergence: TubeExit
-    is raised when the Newton iteration fails or when the converged
-    remainder has ||eps||_H1 >= ``_TUBE_DELTA``.
+    is raised when the Jacobian is singular, when the iteration has not
+    converged after ``_NEWTON_MAX_ITER`` iterates, or when the converged
+    remainder has ||eps||_H1 >= ``_TUBE_DELTA``.  A step that would take
+    lam to or below 0 is halved until it does not.
 
     The remainder is the renormalized resample of D = u - P_(lam,b,gamma)
     in physical space (see ``_remainder``); P itself is never resampled.
     The Jacobian treats the resample of the profile term as P, which makes
     it a quasi-Newton matrix: the renormalized sample of u is then
     T = eps + P, and its parameter derivatives are operators on the
-    renormalized grid (see ``jacobian``), so u is never resampled.  A
-    finite-difference Jacobian takes over when the iteration stalls.
+    renormalized grid (see ``jacobian``), so u is never resampled.
     """
     grid = expansion.grid
     y2 = grid.nodes ** 2
@@ -155,17 +153,6 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
         raise ValueError("guess scale must be positive")
 
     m = np.array([lam_g, b_g, gamma_g])
-    evaluations = 0
-
-    def conditions(mvec):
-        nonlocal evaluations
-        evaluations += 1
-        lam, b, gamma = mvec
-        eps, P = _remainder(u, expansion, lam, b, gamma)
-        # the pairing directions i Lam P, y^2 P, i rho
-        W = (1j * apply_scaling_generator(grid, P), y2 * P, irho)
-        R = np.array([pair(grid, eps, w) for w in W])
-        return R, P, eps, W
 
     def jacobian(mvec, P, eps, W):
         lam, b, gamma = mvec
@@ -187,52 +174,27 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
                 J[a, col] = val
         return J
 
-    def fd_jacobian(mvec):
-        J = np.empty((3, 3))
-        for col in range(3):
-            h = 1e-7 * max(abs(mvec[col]), 1.0)
-            mp, mm = mvec.copy(), mvec.copy()
-            mp[col] += h
-            mm[col] -= h
-            Rp, *_ = conditions(mp)
-            Rm, *_ = conditions(mm)
-            J[:, col] = (Rp - Rm) / (2.0 * h)
-        return J
-
-    converged = False
-    use_fd = False
-    prev = np.inf
-    stalls = 0
-    for _ in range(_NEWTON_MAX_ITER):
-        R, P, eps, W = conditions(m)
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
+        eps, P = _remainder(u, expansion, *m)
+        # the pairing directions i Lam P, y^2 P, i rho
+        W = (1j * apply_scaling_generator(grid, P), y2 * P, irho)
+        R = np.array([pair(grid, eps, w) for w in W])
         rmax_R = float(np.max(np.abs(R)))
         if rmax_R < _NEWTON_TOL:
-            converged = True
             break
-        if rmax_R > 0.5 * prev:
-            stalls += 1
-            if stalls >= 3:
-                use_fd = True
-        else:
-            stalls = 0
-        prev = rmax_R
-        J = fd_jacobian(m) if use_fd else jacobian(m, P, eps, W)
         try:
-            step = np.linalg.solve(J, R)
-        except np.linalg.LinAlgError:
-            if use_fd:
-                raise TubeExit("modulation Newton: singular Jacobian")
-            use_fd = True
-            step = np.linalg.solve(fd_jacobian(m), R)
+            step = np.linalg.solve(jacobian(m, P, eps, W), R)
+        except np.linalg.LinAlgError as exc:
+            raise TubeExit("modulation Newton: singular Jacobian") from exc
         for _ in range(20):
             if m[0] - step[0] > 0.0:
                 break
             step *= 0.5
         m = m - step
-    if not converged:
+    else:
         raise TubeExit(
             f"modulation Newton stagnated after {_NEWTON_MAX_ITER} iterations "
-            f"(condition vector {prev:.3e})")
+            f"(condition vector {rmax_R:.3e})")
 
     lam, b, gamma = float(m[0]), float(m[1]), float(m[2])
     gamma = gamma_g + math.remainder(gamma - gamma_g, 2.0 * math.pi)
@@ -245,7 +207,7 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
         lam=lam, b=b, gamma=gamma, P=RadialField(grid, P), eps=eps_field,
         expansion=expansion, eps_H1=eps_H1,
         eps_P=pair(grid, eps, P), orth=tuple(float(r) for r in R),
-        iterations=evaluations, fd_jacobian=use_fd)
+        iterations=iterations)
 
 
 def reconstruct(state: ModulationState, grid: RadialGrid) -> RadialField:

@@ -89,6 +89,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 2
+# eval_profile's accuracy region: lam + |b| <= _ACCURACY_BOUND.
+_ACCURACY_BOUND = 0.5
 
 
 @dataclass
@@ -278,9 +280,10 @@ def eval_profile(expansion: ProfileExpansion, lam: float,
     """Evaluate (P, theta) at scale lam >= 0 and curvature b."""
     if lam < 0.0:
         raise ValueError("scale parameter lam must be >= 0")
-    if lam + abs(b) > 0.5:
+    if lam + abs(b) > _ACCURACY_BOUND:
         warnings.warn("profile evaluated outside its accuracy region "
-                      f"(lam + |b| = {lam + abs(b):.3f} > 0.5)", stacklevel=2)
+                      f"(lam + |b| = {lam + abs(b):.3f} > {_ACCURACY_BOUND})",
+                      stacklevel=2)
     u = expansion._weight(lam, b)
     P = (expansion.gs.Q.values + u @ expansion.Pp
          + 1j * ((b * u) @ expansion.Pm))
@@ -304,14 +307,14 @@ def profile_derivatives(expansion: ProfileExpansion, lam: float,
 
 
 def residual_Psi(expansion: ProfileExpansion, lam: float, b: float,
-                 dlambda_ds: float, db_ds: float) -> tuple[RadialField, float]:
+                 dlambda_ds: float, db_ds: float) -> float:
     """Residual of the renormalized equation along supplied velocities,
     at lam > 0 (as for ``profile_derivatives``):
 
         Psi = i dP/ds - Lap P + (rate(|P|^2) - 1 + theta r^2/4) P,
 
-    with the ``LocalTerms`` rate at shift lam^a.  Returns
-    (Psi, ||exp(eps*r) Psi||_H1) with eps the expansion's ``eps_weight``
+    with the ``LocalTerms`` rate at shift lam^a.  Returns the weighted
+    norm ||exp(eps*r) Psi||_H1, with eps the expansion's ``eps_weight``
     and -Lap the grid's one discrete operator (the one Q and the
     corrections solve with).  The full nonlinearities are evaluated at the
     complex P (no truncation), so the norm measures both the collection
@@ -328,9 +331,8 @@ def residual_Psi(expansion: ProfileExpansion, lam: float, b: float,
         P.real ** 2 + P.imag ** 2)
     Psi = (1j * dPds - apply_neg_laplacian(grid, P)
            + (rate - 1.0 + th * 0.25 * grid.nodes ** 2) * P)
-    weighted = RadialField(grid,
-                           np.exp(expansion.eps_weight * grid.nodes) * Psi)
-    return RadialField(grid, Psi), norm_H1(weighted)
+    return norm_H1(RadialField(
+        grid, np.exp(expansion.eps_weight * grid.nodes) * Psi))
 
 
 # --------------------------------------------------------------------------
@@ -521,7 +523,7 @@ def psi_slope_sweep(expansion: ProfileExpansion) -> list[dict]:
         lam = (0.5 * x) ** (1.0 / a)
         b = math.sqrt(0.5 * x)
         th = expansion.theta(lam, b)
-        _, wn = residual_Psi(expansion, lam, b, -b * lam, th - b * b)
+        wn = residual_Psi(expansion, lam, b, -b * lam, th - b * b)
         rows.append({"x": float(x), "lam": float(lam), "b": float(b),
                      "theta": float(th), "weighted_norm": float(wn)})
     return rows

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .groundstate import GroundState
-from .profile import ProfileExpansion, profile_energy
+from .profile import _ACCURACY_BOUND, ProfileExpansion, profile_energy
 
 __all__ = [
     "ReducedTrajectory",
@@ -262,21 +262,24 @@ def init_params(
 
     lambda1 = sqrt(||y Q||_2^2/(8 E0))/s1; b1 > 0 is the root of
     E(P_{lambda1, b, 0}) = E0, located by Brent's method in the bracket
-    [b_app/4, 4 b_app].  A missing sign change in the bracket means s1 is
-    too small for the energy balance to hold; a root with
-    |E - E0| > 1e-8 E0 is an error.
+    [b_app/4, 4 b_app], its upper end capped so that the profile stays in
+    its accuracy region (lambda1 + b <= 0.5).  An empty bracket or a missing
+    sign change means s1 is too small for the energy balance to hold; a
+    root with |E - E0| > 1e-8 E0 is an error.
     """
     from scipy.optimize import brentq
 
     lam_app, b_app = app_solutions(expansion.gs, E0, s1)
     lam1 = float(lam_app)
-    b_lo, b_hi = float(b_app) / 4.0, 4.0 * float(b_app)
+    # lam1 + (0.5 - lam1) rounds to 0.5 for 0 < lam1 <= 0.5, so the capped
+    # end stays inside the region in floating point
+    b_lo = float(b_app) / 4.0
+    b_hi = min(4.0 * float(b_app), _ACCURACY_BOUND - lam1)
 
     def f(b: float) -> float:
         return profile_energy(expansion, lam1, b) - E0
 
-    f_lo, f_hi = f(b_lo), f(b_hi)
-    if f_lo * f_hi > 0.0:
+    if b_hi <= b_lo or f(b_lo) * f(b_hi) > 0.0:
         raise ValueError(
             "init_params: energy residual has no sign change in "
             f"[{b_lo:.3e}, {b_hi:.3e}] (s1={s1} too small for E0={E0})"

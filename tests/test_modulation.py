@@ -66,7 +66,7 @@ def test_decompose_evaluates_the_profile_once_per_iterate(expansion_balanced,
     monkeypatch.setattr(modulation, "eval_profile", counted)
     state = decompose(u, expansion_balanced, (lam, b, gamma))
     assert len(calls) == 1
-    assert state.iterations == 1 and not state.fd_jacobian
+    assert state.iterations == 1
     # the state carries the converged iterate's profile; reconstruct and
     # the Lyapunov functional read it instead of evaluating it again
     assert np.array_equal(
@@ -113,13 +113,12 @@ def test_windowed_splines_decompose_bit_for_bit(expansion_balanced,
     states = [decompose(u, expansion_balanced, g) for u, g in cases]
     # the analytic Jacobian converges on the biased case in 5 evaluations
     assert [s.iterations for s in states] == [1, 5, 1]
-    assert not any(s.fd_jacobian for s in states)
     # the reference: every spline on all of its nodes
     monkeypatch.setattr(profile, "_WINDOW_MARGIN", 10 ** 9)
     for (u, g), s in zip(cases, states):
         ref = decompose(u, expansion_balanced, g)
         for name in ("lam", "b", "gamma", "eps_H1", "eps_P", "orth",
-                     "iterations", "fd_jacobian"):
+                     "iterations"):
             assert np.array_equal(getattr(s, name), getattr(ref, name)), name
         assert np.array_equal(s.P.values, ref.P.values)
         assert np.array_equal(s.eps.values, ref.eps.values)
@@ -147,6 +146,24 @@ def test_decompose_solves_a_window_of_the_cached_slope_factor(
     # two slope solves per condition evaluation, one for P's rescale and
     # one for D's resample; the Jacobian resamples nothing
     assert len(rows) == 2 * state.iterations == 10
+
+
+def test_singular_jacobian_is_a_tube_exit(expansion_balanced, monkeypatch):
+    u, guess = _tube_cases(expansion_balanced)[1]
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(TubeExit, match="singular Jacobian"):
+        decompose(u, expansion_balanced, guess)
+
+
+def test_newton_stagnation_is_a_tube_exit(expansion_balanced, monkeypatch):
+    # the biased tube case needs 5 condition evaluations
+    u, guess = _tube_cases(expansion_balanced)[1]
+    monkeypatch.setattr(modulation, "_NEWTON_MAX_ITER", 2)
+    with pytest.raises(TubeExit, match="stagnated after 2 iterations"):
+        decompose(u, expansion_balanced, guess)
 
 
 @functools.lru_cache(maxsize=None)

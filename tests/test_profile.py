@@ -108,7 +108,7 @@ def test_residual_decreases_with_order(gs_profile, params_balanced):
     for order in (0, 1):
         exp_j = build_profile(gs_profile, params_balanced, order=order)
         th = exp_j.theta(lam, b)
-        _, wn = residual_Psi(exp_j, lam, b, -b * lam, th - b * b)
+        wn = residual_Psi(exp_j, lam, b, -b * lam, th - b * b)
         norms.append(wn)
     assert norms[1] < 0.5 * norms[0]
 

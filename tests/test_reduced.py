@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nlsblowup.profile import profile_energy
+from nlsblowup.core import make_grid, make_params
+from nlsblowup.groundstate import compute_omega, solve_ground_state
+from nlsblowup.profile import build_profile, profile_energy
 from nlsblowup.reduced import (alpha_lt1_solutions, app_solutions,
                                init_params, integrate_reduced)
 
@@ -84,6 +87,37 @@ def test_init_params_energy_matched(expansion_balanced, gs_profile):
     lead = math.sqrt(gs_profile.norms["virial"] / (8.0 * E0))
     assert lam1 * s1 == pytest.approx(lead, rel=0.02)
     assert b1 * s1 == pytest.approx(1.0, rel=0.02)
+
+
+@functools.lru_cache(maxsize=None)
+def _balanced_expansion(N):
+    """Order-2 balanced expansion at sigma = 0.3 on a 2048-point grid."""
+    critical = make_params(N, None, 0.3, 0.0, "critical", 1.0)
+    gs = solve_ground_state(critical, make_grid(N, 2048, 20.0))
+    params = make_params(N, None, 0.3, compute_omega(gs, critical),
+                         "plusminus", 1.0)
+    return build_profile(gs, params, order=2)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_init_params_stays_in_the_accuracy_region(N):
+    # at sigma = 0.3 and s1 = 10, the bracket's uncapped upper end 4 b_app
+    # gives lam1 + b = 0.532 (N = 2) and 0.772 (N = 3); the root b1 ~ 0.099
+    # lies inside the capped bracket (an accuracy warning fails the test:
+    # pyproject's filterwarnings)
+    expansion = _balanced_expansion(N)
+    lam1, b1 = init_params(expansion, 1.0, 10.0)
+    assert lam1 + b1 <= 0.5
+    assert b1 * 10.0 == pytest.approx(1.0, rel=0.02)
+    assert profile_energy(expansion, lam1, b1) == pytest.approx(1.0,
+                                                                rel=1e-8)
+
+
+def test_init_params_needs_a_bracket_inside_the_accuracy_region():
+    # N = 3 at s1 = 5 has lam1 = 0.744 > 0.5: the accuracy region holds no
+    # b > 0, so the bracket is empty and nothing is evaluated outside it
+    with pytest.raises(ValueError, match="no sign change"):
+        init_params(_balanced_expansion(3), 1.0, 5.0)
 
 
 def test_app_solutions_satisfy_energy_balance(gs_profile):
