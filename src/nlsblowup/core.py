@@ -48,6 +48,7 @@ __all__ = [
     "make_grid",
     "integrate",
     "pair",
+    "pairings",
     "norm_L2",
     "norm_Lq",
     "norm_H1",
@@ -272,6 +273,10 @@ def _check_finite(v: np.ndarray) -> None:
 
 # --------------------------------------------------------------------------
 # Quadrature, inner products, norms
+#
+# ``pair`` is one real L^2 pairing; ``pairings`` is the matrix of them for
+# two stacks of rows, one BLAS product, for callers that need many at once
+# (the decomposition's condition vector and Jacobian).
 # --------------------------------------------------------------------------
 
 def integrate(grid: RadialGrid, values: np.ndarray) -> float | complex:
@@ -283,6 +288,17 @@ def pair(grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> float:
     """Real L^2 pairing (u, v)_2 = Re integral(u * conj(v))."""
     return float(np.real(grid.surface
                          * np.sum(grid.quad_weights * u * np.conj(v))))
+
+
+def pairings(grid: RadialGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The real L^2 pairings (a_i, b_j)_2 of two stacks of complex rows,
+    (m, n) and (k, n), as an (m, k) matrix: one real product of the
+    weighted (re, im)-interleaved view of a, (m, 2n), with that of b,
+    (2n, k), since Re(a conj(b)) = Re a Re b + Im a Im b.  Each entry is
+    ``pair``'s to rounding."""
+    aw = np.asarray(a, dtype=complex) * (grid.surface * grid.quad_weights)
+    return aw.view(np.float64) @ np.ascontiguousarray(
+        b, dtype=complex).view(np.float64).T
 
 
 def norm_L2(f: RadialField) -> float:

@@ -11,19 +11,25 @@ with the remainder eps pinned down by three orthogonality conditions
 where Lam is the scaling generator and rho the bordered-system profile.
 Only the physical-space difference between u and the modulated profile is
 resampled onto the renormalized grid; P stays exact on its own grid, so a
-field on the profile family decomposes with eps = 0.  The three scalar
-parameters are found by a Newton iteration on the condition vector with
-one Jacobian, assembled analytically on the renormalized grid (the scaling
-generator and y^2 acting on the sample eps + P of the field, monomial
-derivatives for P), and tube membership is judged on the converged
-remainder.  Each iterate evaluates the profile and the pairing directions
-once, and the returned state carries the converged iterate's P and
-remainder, which ``reconstruct`` and ``lyapunov_S`` read.
+field on the profile family decomposes with eps = 0 to rounding.  The
+three scalar parameters are found by a Newton iteration on the condition
+vector with one Jacobian, assembled analytically on the renormalized grid
+(the scaling generator and y^2 acting on the sample eps + P of the field,
+monomial derivatives for P), and tube membership is judged on the
+converged remainder.  Each iterate evaluates the profile and the pairing
+directions once, and the returned state carries the converged iterate's
+P and remainder, which ``reconstruct`` and ``lyapunov_S`` read.
 
-The only field-grid spline is the cubic of D, sampled at x = lam y <=
-lam y[-1] by ``profile._resample`` from the slopes of the nodes those
-samples reach plus 64; a spline's end condition fades by 2 - sqrt(3) per
-node inward, so the samples are bit for bit those of the whole grid's.
+P is linear in the expansion's rows, so its scaling generator, that of its
+parameter derivatives and the slopes of its cubic are combinations of the
+rows' images, cached on the expansion: an iterate makes one slope solve,
+for the cubic of D, and applies the scaling generator once, to eps in the
+Jacobian.  D's cubic, the only field-grid spline, is formed and solved
+only on the nodes its samples x = lam y <= lam y[-1] reach plus 64 (and
+the one past them, which its last slope row reads); a spline's end
+condition fades by 2 - sqrt(3) per node inward, so the samples are bit
+for bit those of the whole grid's.  The condition vector and the
+Jacobian are each one ``core.pairings`` product.
 """
 
 from __future__ import annotations
@@ -41,12 +47,15 @@ from .core import (
     integrate,
     norm_H1,
     pair,
+    pairings,
     unit_phase,
     weighted_norm,
 )
 from .profile import (
     ProfileExpansion,
+    _rescale,
     _resample,
+    _window,
     eval_profile,
     profile_derivatives,
     rescale_to_physical,
@@ -104,26 +113,33 @@ class ModulationState:
 
 def _remainder(u: RadialField, expansion: ProfileExpansion, lam: float,
                b: float, gamma: float
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """(eps, P) at the parameters (lam, b, gamma).
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eps, P, w) at the parameters (lam, b, gamma), w being P's row
+    weights (``ProfileExpansion._weight``).
 
     P = P(lam, b) stays exact on its own grid; only the physical-space
     difference D = u - rescale_to_physical(P) is resampled, so a field on
-    the profile family has eps = 0 exactly.  (Resampling u itself would
-    carry the spline error of the |r|^(2-2 sigma) cusp of the corrections.)
-    D is sampled at x = lam y and multiplied by the chirp
-    lam^(N/2) exp(i(b/4) y^2 - i gamma) in one ``profile._resample``.
+    the profile family has eps = 0 to rounding: P's cubic is evaluated from
+    the expansion's combined slope rows, which are its slopes to rounding,
+    and D's is the one slope solve.  (Resampling u itself would carry the
+    spline error of the |r|^(2-2 sigma) cusp of the corrections.)  D is
+    formed only on the field nodes its window reads, sampled at x = lam y
+    and multiplied by the chirp lam^(N/2) exp(i(b/4) y^2 - i gamma) in one
+    ``profile._resample``.
     """
-    grid = expansion.grid
+    grid, fine = expansion.grid, u.grid
+    y = grid.nodes
     P = eval_profile(expansion, lam, b)[0].values
+    w = expansion._weight(lam, b)
+    n = min(fine.n, _window(fine, lam * y[-1]) + 1)
     try:
-        P_phys = rescale_to_physical(RadialField(grid, P), lam, b, gamma,
-                                     u.grid)
+        D = u.values[:n] - _rescale(
+            grid, P, lam, b, gamma, fine, n,
+            expansion._combine(expansion._slope_rows, w, b * w))
     except ValueError as exc:  # scale under-resolved on the field grid
         raise TubeExit(str(exc)) from exc
-    D = RadialField(u.grid, u.values - P_phys.values)
-    y = grid.nodes
-    return _resample(D, lam * y, y, lam ** (0.5 * grid.N), -b, -gamma), P
+    return _resample(fine, D, lam * y, y, lam ** (0.5 * grid.N), -b,
+                     -gamma), P, w
 
 
 def decompose(u: RadialField, expansion: ProfileExpansion,
@@ -132,10 +148,10 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
 
     ``guess`` is the Newton seed (lam, b, gamma), lam > 0; there is no
     default seed.  Tube membership is judged after convergence: TubeExit
-    is raised when the Jacobian is singular, when the iteration has not
+    is raised when the Jacobian is singular, when a step cannot be halved
+    to keep lam > 0 within 20 halvings, when the iteration has not
     converged after ``_NEWTON_MAX_ITER`` iterates, or when the converged
-    remainder has ||eps||_H1 >= ``_TUBE_DELTA``.  A step that would take
-    lam to or below 0 is halved until it does not.
+    remainder has ||eps||_H1 >= ``_TUBE_DELTA``.
 
     The remainder is the renormalized resample of D = u - P_(lam,b,gamma)
     in physical space (see ``_remainder``); P itself is never resampled.
@@ -143,53 +159,68 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
     it a quasi-Newton matrix: the renormalized sample of u is then
     T = eps + P, and its parameter derivatives are operators on the
     renormalized grid (see ``jacobian``), so u is never resampled.
+    The scaling generator of P and of its parameter derivatives is the
+    combination of the expansion's scaling rows; the conditions are one
+    ``pairings`` product of eps with the directions and the Jacobian one
+    of (dT - dP, eps) with the directions and their derivatives.
     """
     grid = expansion.grid
     y2 = grid.nodes ** 2
-    irho = 1j * expansion.gs.rho.values
+    scaling = expansion._scaling_rows
 
     lam_g, b_g, gamma_g = float(guess[0]), float(guess[1]), float(guess[2])
     if lam_g <= 0.0:
         raise ValueError("guess scale must be positive")
 
     m = np.array([lam_g, b_g, gamma_g])
+    # the pairing directions i Lam P, y^2 P, i rho, then those of the
+    # parameter derivatives: i Lam dP/dlam, y^2 dP/dlam, i Lam dP/db,
+    # y^2 dP/db
+    W = np.empty((7, grid.n), dtype=complex)
+    W[2] = 1j * expansion.gs.rho.values
 
-    def jacobian(mvec, P, eps, W):
-        lam, b, gamma = mvec
-        dPdl, dPdb = profile_derivatives(expansion, lam, b)
+    def jacobian(lam, b, P, LamP, eps):
+        dP = profile_derivatives(expansion, lam, b)
+        for i, weights in enumerate(expansion._derivative_weights(lam, b)):
+            W[3 + 2 * i] = 1j * expansion._combine(scaling[1:], *weights)
+            W[4 + 2 * i] = y2 * dP[i]
         # T = lam^(N/2) u(lam y) exp(i(b/4) y^2 - i gamma) = eps + P has
         # lam dT/dlam = (Lam - (i b/2) y^2) T, dT/db = (i/4) y^2 T and
         # dT/dgamma = -i T, with Lam = N/2 + y d/dy the scaling generator
         T = eps + P
-        dTdl = (apply_scaling_generator(grid, T) - 0.5j * b * y2 * T) / lam
-        de = (dTdl - dPdl, 0.25j * y2 * T - dPdb, -1j * T)
-        dW = ((1j * apply_scaling_generator(grid, dPdl), y2 * dPdl, None),
-              (1j * apply_scaling_generator(grid, dPdb), y2 * dPdb, None))
-        J = np.empty((3, 3))
-        for a in range(3):
-            for col in range(3):
-                val = pair(grid, de[col], W[a])
-                if col < 2 and dW[col][a] is not None:
-                    val += pair(grid, eps, dW[col][a])
-                J[a, col] = val
+        y2T = y2 * T
+        de = np.empty((4, grid.n), dtype=complex)
+        de[0] = (apply_scaling_generator(grid, eps) + LamP
+                 - 0.5j * b * y2T) / lam - dP[0]
+        de[1] = 0.25j * y2T - dP[1]
+        de[2] = -1j * T
+        de[3] = eps
+        # J[a, col] = (de_col, W_a) + (eps, d W_a / d m_col); W_2 is fixed
+        G = pairings(grid, de, W)
+        J = G[:3, :3].T.copy()
+        J[:2, :2] += G[3, 3:].reshape(2, 2).T
         return J
 
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
-        eps, P = _remainder(u, expansion, *m)
-        # the pairing directions i Lam P, y^2 P, i rho
-        W = (1j * apply_scaling_generator(grid, P), y2 * P, irho)
-        R = np.array([pair(grid, eps, w) for w in W])
+        eps, P, w = _remainder(u, expansion, *m)
+        LamP = expansion._combine(scaling, w, m[1] * w)
+        W[0] = 1j * LamP
+        W[1] = y2 * P
+        R = pairings(grid, eps[None], W[:3])[0]
         rmax_R = float(np.max(np.abs(R)))
         if rmax_R < _NEWTON_TOL:
             break
         try:
-            step = np.linalg.solve(jacobian(m, P, eps, W), R)
+            step = np.linalg.solve(jacobian(m[0], m[1], P, LamP, eps), R)
         except np.linalg.LinAlgError as exc:
             raise TubeExit("modulation Newton: singular Jacobian") from exc
         for _ in range(20):
             if m[0] - step[0] > 0.0:
                 break
             step *= 0.5
+        if m[0] - step[0] <= 0.0:
+            raise TubeExit("modulation Newton: step cut-back cannot keep "
+                           "lam > 0")
         m = m - step
     else:
         raise TubeExit(

@@ -46,7 +46,8 @@ to the expansion's order.
 P reaches a physical grid through ``rescale_to_physical``: the not-a-knot
 cubic spline of its even extension across r = 0, evaluated in Hermite form
 from nodal values and slopes (``_resample``), the slopes solved on the
-window of nodes the samples reach.
+window of nodes the samples reach, or, in ``modulation.decompose``,
+combined from the slopes of the expansion's rows.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from .core import (
     RadialField,
     RadialGrid,
     apply_neg_laplacian,
+    apply_scaling_generator,
     grad_norm_sq,
     integrate,
     norm_H1,
@@ -104,6 +106,13 @@ class ProfileExpansion:
     matching theta coefficient, ``c[i]`` the prescribed soliton component
     (Pp, Q)_2 and ``nu[i]`` the measured solvability defect of the
     imaginary solve (roundoff level).
+
+    P is linear in Q and the rows, so every linear image of P is the same
+    combination of the rows' images (``_combine``).  Two real image tables
+    are built on their first read, by ``modulation.decompose``, and then
+    kept (about 1.7 MB at n = 8192 and order 2): ``_scaling_rows``, the
+    scaling generator N/2 + y d/dy of Q and of the rows, and
+    ``_slope_rows``, the h-slopes of their even not-a-knot cubics.
     """
 
     gs: GroundState
@@ -130,9 +139,57 @@ class ProfileExpansion:
         """Each row's monomial b^(2j) lam^((k+1)a)."""
         return b ** (2 * self.j) * lam ** ((self.k + 1) * self.params.alpha)
 
+    def _derivative_weights(self, lam: float, b: float) -> tuple:
+        """The (Pp, Pm) row weights of dP/dlam and of dP/db at lam > 0."""
+        j, m = self.j, (self.k + 1) * self.params.alpha
+        u = self._weight(lam, b)
+        u_lam = m / lam * u
+        # d(b^(2j))/db = 2j b^(2j-1), with an exponent that stays >= 0 at
+        # j = 0 so that b = 0 gives 0, not 0 * inf
+        u_b = 2 * j * b ** np.maximum(2 * j - 1, 0) * lam ** m
+        return (u_lam, b * u_lam), (u_b, (2 * j + 1) * u)
+
     def theta(self, lam: float, b: float) -> float:
         """theta(lam, b) = sum b^(2j) lam^((k+1)a) beta_{j,k}."""
         return float(self._weight(lam, b) @ self.beta)
+
+    @property
+    def _field_rows(self) -> tuple:
+        """(Q, Pp, Pm): the table P combines."""
+        return self.gs.Q.values, self.Pp, self.Pm
+
+    def _table(self, rows: np.ndarray) -> tuple:
+        """Stacked rows of (Q, Pp, Pm) as a (base, plus, minus) table."""
+        r = self.j.size
+        return rows[0], rows[1:r + 1], rows[r + 1:]
+
+    @functools.cached_property
+    def _scaling_rows(self) -> tuple:
+        """(Lam Q, Lam Pp, Lam Pm), Lam = N/2 + y d/dy."""
+        return self._table(np.array([apply_scaling_generator(self.grid, row)
+                                     for row in np.vstack(self._field_rows)]))
+
+    @functools.cached_property
+    def _slope_rows(self) -> tuple:
+        """The h-slopes of (Q, Pp, Pm)'s even not-a-knot cubics, one column
+        each of a single ``_slopes`` solve; the real rows' slopes are the
+        real part of the complex solve, bit for bit."""
+        rows = np.vstack(self._field_rows)
+        s = _slopes(self.grid, rows.T, self.grid.n)
+        return self._table(np.ascontiguousarray(s.real.T))
+
+    def _combine(self, table: tuple, wp: np.ndarray,
+                 wm: np.ndarray) -> np.ndarray:
+        """base + wp @ plus + i wm @ minus of a (base, plus, minus) table;
+        base is Q's row, dropped for a parameter derivative (pass
+        ``table[1:]``)."""
+        *base, plus, minus = table
+        out = np.empty(plus.shape[1], dtype=complex)
+        out.real = wp @ plus
+        if base:
+            out.real += base[0]
+        out.imag = wm @ minus
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -285,8 +342,7 @@ def eval_profile(expansion: ProfileExpansion, lam: float,
                       f"(lam + |b| = {lam + abs(b):.3f} > {_ACCURACY_BOUND})",
                       stacklevel=2)
     u = expansion._weight(lam, b)
-    P = (expansion.gs.Q.values + u @ expansion.Pp
-         + 1j * ((b * u) @ expansion.Pm))
+    P = expansion._combine(expansion._field_rows, u, b * u)
     return RadialField(expansion.grid, P), float(u @ expansion.beta)
 
 
@@ -295,15 +351,9 @@ def profile_derivatives(expansion: ProfileExpansion, lam: float,
     """Partial derivatives (dP/dlam, dP/db) at (lam, b), lam > 0."""
     if lam <= 0.0:
         raise ValueError("parameter derivatives require lam > 0")
-    j, m = expansion.j, (expansion.k + 1) * expansion.params.alpha
-    Pp, Pm = expansion.Pp, expansion.Pm
-    u = expansion._weight(lam, b)
-    u_lam = m / lam * u
-    # d(b^(2j))/db = 2j b^(2j-1), with an exponent that stays >= 0 at j = 0
-    # so that b = 0 gives 0, not 0 * inf
-    u_b = 2 * j * b ** np.maximum(2 * j - 1, 0) * lam ** m
-    return (u_lam @ Pp + 1j * ((b * u_lam) @ Pm),
-            u_b @ Pp + 1j * (((2 * j + 1) * u) @ Pm))
+    rows = expansion._field_rows[1:]
+    return tuple(expansion._combine(rows, *w)
+                 for w in expansion._derivative_weights(lam, b))
 
 
 def residual_Psi(expansion: ProfileExpansion, lam: float, b: float,
@@ -388,24 +438,26 @@ def _window(grid: RadialGrid, reach: float) -> int:
     return min(grid.n, k + _WINDOW_MARGIN)
 
 
-def _slopes(f: RadialField, K: int) -> np.ndarray:
-    """h times the slopes at f's first K nodes (K = n: all) of the
-    not-a-knot cubic spline of f's even extension (``CubicSpline``'s, to
-    roundoff), in one ``zgttrs`` solve with ``_slope_factor(n)``.
+def _slopes(grid: RadialGrid, vals: np.ndarray, K: int) -> np.ndarray:
+    """h times the slopes at the first K nodes (K = n: all) of the
+    not-a-knot cubic spline of the even extension of ``vals`` (node values
+    on ``grid`` along axis 0, each column its own spline; only the K + 1
+    nodes a window reads are needed), ``CubicSpline``'s to roundoff, in
+    one ``zgttrs`` solve with ``_slope_factor(n)``.
 
     A window K < n keeps rows 0..K-1 of the slope system: row K-1 stays
-    the interior (1, 4, 1) row, whose right-hand side reads f at node K,
-    and the rows are solved with the leading block of the factor.
+    the interior (1, 4, 1) row, whose right-hand side reads node K, and
+    the rows are solved with the leading block of the factor.
     Cutting the system changes the slopes by a factor (2 - sqrt(3)) ~ 0.27
     per node inward (de Boor, A Practical Guide to Splines, 1978), so
     ``_WINDOW_MARGIN`` = 64 nodes past the last sample leave it ~1e-37
     relative, far below one ulp: the slopes there are the full system's.
     """
-    vals, n = f.values, f.grid.n
-    dy = np.diff(vals[:K + 1])
-    rhs = np.empty(K, dtype=complex)
+    n = grid.n
+    dy = np.diff(vals[:K + 1], axis=0)
+    rhs = np.empty((K,) + vals.shape[1:], dtype=complex, order="F")
     rhs[0] = 3.0 * dy[0]
-    rhs[1:dy.size] = 3.0 * (dy[:-1] + dy[1:])
+    rhs[1:len(dy)] = 3.0 * (dy[:-1] + dy[1:])
     if K == n:  # the not-a-knot row
         rhs[-1] = 0.5 * (dy[-2] + 5.0 * dy[-1])
     dl, d, du, du2, ipiv = _slope_factor(n)
@@ -413,31 +465,36 @@ def _slopes(f: RadialField, K: int) -> np.ndarray:
                          ipiv[:K], rhs, overwrite_b=1)[0]
 
 
-def _resample(f: RadialField, q: np.ndarray, y: np.ndarray, amp: float,
-              b: float, gamma: float) -> np.ndarray:
-    """f's cubic spline at the increasing points q >= 0, times the chirp
+def _resample(grid: RadialGrid, vals: np.ndarray, q: np.ndarray,
+              y: np.ndarray, amp: float, b: float, gamma: float,
+              s: np.ndarray | None = None) -> np.ndarray:
+    """The cubic spline of ``vals`` (node values on ``grid``) at the
+    increasing points q >= 0, times the chirp
     amp * exp(-i(b/4) y^2 + i gamma), continuous at the edge.
 
-    The points q <= f.grid.nodes[-1] are sampled in Hermite form on the
+    The points q <= grid.nodes[-1] are sampled in Hermite form on the
     breakpoints x_j = (j - 1/2) h, j = 0..K (x_0 = -h/2 mirrors node 0),
     from values V = (f_0, f_0, ..., f_(K-1)) and h-slopes
-    S = (-S_0, S_0, ..., S_(K-1)) of ``_slopes`` on the window of K nodes
-    they reach (``_window``): with u = q/h + 1/2, j = min(floor(u), K - 1)
-    and t = u - j, p = V_j + t^2 (3 - 2t) (V_(j+1) - V_j)
-    + t (t - 1)^2 S_j + t^2 (t - 1) S_(j+1), bit for bit the cubic on all
-    of f's nodes.  Points in (nodes[-1], rmax) fall linearly from f's last
-    value to 0 at rmax, where f's Dirichlet ghost sits, and points past
-    rmax are 0; so a point that crosses the last node by one ulp moves the
-    result by one ulp, not by f's last value.  Each point below rmax takes
-    one ``unit_phase`` entry.
+    S = (-S_0, S_0, ..., S_(K-1)) on the window of K nodes they reach
+    (``_window``): ``s``, h-slopes on at least those nodes, or if None,
+    ``_slopes`` solved on the window.  With u = q/h + 1/2,
+    j = min(floor(u), K - 1) and t = u - j, p = V_j + t^2 (3 - 2t)
+    (V_(j+1) - V_j) + t (t - 1)^2 S_j + t^2 (t - 1) S_(j+1), bit for bit
+    the cubic on all nodes.  Points in (nodes[-1], rmax) fall linearly
+    from the last value to 0 at rmax, where the Dirichlet ghost sits, and
+    points past rmax are 0; so a point that crosses the last node by one
+    ulp moves the result by one ulp, not by the last value.  ``vals``
+    needs only the K + 1 nodes the window reads, or all n when some q
+    passes the last node.  Each point below rmax takes one ``unit_phase``
+    entry.
     """
-    grid = f.grid
     m = int(np.searchsorted(q, grid.nodes[-1], side="right"))
     e = int(np.searchsorted(q, grid.rmax))
     K = _window(grid, q[m - 1])
-    s = _slopes(f, K)
-    V = np.concatenate((f.values[:1], f.values[:K]))
-    S = np.concatenate((-s[:1], s))
+    if s is None:
+        s = _slopes(grid, vals, K)
+    V = np.concatenate((vals[:1], vals[:K]))
+    S = np.concatenate((-s[:1], s[:K]))
     u = q[:m] / grid.h + 0.5
     j = np.minimum(u.astype(np.intp), K - 1)
     t = u - j
@@ -445,7 +502,7 @@ def _resample(f: RadialField, q: np.ndarray, y: np.ndarray, amp: float,
     out = np.zeros(q.size, dtype=complex)
     out[:m] = (Vj + t2 * (3.0 - 2.0 * t) * (V[j + 1] - Vj)
                + t * w * w * S[j] + t2 * w * S[j + 1])
-    out[m:e] = (f.values[-1] * (grid.rmax - q[m:e])
+    out[m:e] = (vals[-1] * (grid.rmax - q[m:e])
                 / (grid.rmax - grid.nodes[-1]))
     out[:e] *= amp * unit_phase(gamma - 0.25 * b * y[:e] ** 2)
     return out
@@ -465,13 +522,21 @@ def rescale_to_physical(P: RadialField, lam: float, b: float, gamma: float,
     """
     if P.grid.N != grid.N:
         raise ValueError("source and target grids must share the dimension")
+    return RadialField(grid, _rescale(P.grid, P.values, lam, b, gamma, grid))
+
+
+def _rescale(source: RadialGrid, vals: np.ndarray, lam: float, b: float,
+             gamma: float, grid: RadialGrid, n: int | None = None,
+             s: np.ndarray | None = None) -> np.ndarray:
+    """``rescale_to_physical`` of the node values ``vals`` on ``source``
+    at the first n of ``grid``'s nodes (None: all), from the h-slopes
+    ``s`` if given (``_resample``)."""
     if lam < 4.0 * grid.h:
         raise ValueError(
             f"scale under-resolved: lam = {lam:.3e} below 4 grid spacings "
             f"({4.0 * grid.h:.3e})")
-    y = grid.nodes / lam
-    return RadialField(grid, _resample(P, y, y, lam ** (-0.5 * grid.N), b,
-                                       gamma))
+    x = grid.nodes[:n] / lam
+    return _resample(source, vals, x, x, lam ** (-0.5 * grid.N), b, gamma, s)
 
 
 def profile_energy(expansion: ProfileExpansion, lam: float, b: float) -> float:

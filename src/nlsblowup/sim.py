@@ -112,7 +112,12 @@ class RateFit:
 
 @dataclass
 class Snapshot:
-    """Per-decomposition diagnostics along a blow-up run."""
+    """Per-decomposition diagnostics along a blow-up run.
+
+    ``lyap`` is ``modulation.lyapunov_S``.  Its remainder integrand is a
+    difference of O(1) densities scaled by lam^(-10), so where eps is at
+    rounding level, as at a datum on the profile family (the first
+    snapshot), it reads rounding noise of either sign."""
 
     t: float
     s: float

@@ -16,7 +16,7 @@ from nlsblowup.core import (Branch, LocalTerms, Operator, RadialField,
                             apply_neg_laplacian, apply_scaling_generator,
                             grad_norm_sq, integrate, make_grid, make_params,
                             neg_laplacian_banded, norm_L2, norm_Lq, pair,
-                            penta_symbol, potential_weights,
+                            pairings, penta_symbol, potential_weights,
                             radial_derivative, unit_phase, weighted_norm)
 
 
@@ -119,6 +119,28 @@ def test_integrate_is_exact_on_cell_constants(N, n, rmax, values):
     surface = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[N]
     err = abs(integrate(grid, np.array(c)) - surface * float(exact))
     assert err <= 1e-13 * surface * float(scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]), n=st.integers(8, 300),
+       m=st.integers(1, 4), k=st.integers(1, 7),
+       real_b=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_pairings_is_pair_entry_by_entry(N, n, m, k, real_b, seed):
+    # one product gives every (a_i, b_j)_2 of two stacks of rows, each
+    # within the rounding of a length-n sum of pair's terms
+    grid = make_grid(N, n, 7.0)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    b = rng.standard_normal((k, n))
+    if not real_b:
+        b = b + 1j * rng.standard_normal((k, n))
+    G = pairings(grid, a, b)
+    assert G.shape == (m, k)
+    for i in range(m):
+        for j in range(k):
+            scale = float(integrate(grid, np.abs(a[i] * b[j])))
+            err = abs(G[i, j] - pair(grid, a[i], b[j]))
+            assert err <= 4 * n * np.finfo(float).eps * scale
 
 
 def test_integrate_gaussian_vs_quad():

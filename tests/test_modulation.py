@@ -17,7 +17,8 @@ from nlsblowup.groundstate import compute_omega, solve_ground_state
 from nlsblowup.modulation import (ModulationState, TubeExit, _remainder,
                                   decompose, energy_inequality_check,
                                   hat_epsilon, lyapunov_S, reconstruct)
-from nlsblowup.profile import build_profile, eval_profile, rescale_to_physical
+from nlsblowup.profile import (build_profile, eval_profile,
+                               profile_derivatives, rescale_to_physical)
 from nlsblowup.reduced import classify_regime
 
 
@@ -85,8 +86,8 @@ def test_decompose_evaluates_the_profile_once_per_iterate(expansion_balanced,
     state = decompose(up, expansion_balanced, (0.21, 0.04, 0.8))
     assert state.iterations == len(calls) > 1
     grid = expansion_balanced.grid
-    eps, P = _remainder(up, expansion_balanced, state.lam, state.b,
-                        state.gamma)
+    eps, P, _ = _remainder(up, expansion_balanced, state.lam, state.b,
+                           state.gamma)
     R = (pair(grid, eps, 1j * apply_scaling_generator(grid, P)),
          pair(grid, eps, grid.nodes ** 2 * P),
          pair(grid, eps, 1j * expansion_balanced.gs.rho.values))
@@ -135,7 +136,9 @@ def test_decompose_solves_a_window_of_the_cached_slope_factor(
     monkeypatch.setattr(lapack, "zgttrs", counted)
     for n in (u.grid.n, expansion_balanced.grid.n):
         profile._slope_factor(n)
+    expansion_balanced._slope_rows
     factorizations.clear()
+    rows.clear()
     state = decompose(u, expansion_balanced, guess)
     assert factorizations == []
     # D's spline solves the rows its samples lam * y <= lam * y[-1] reach
@@ -143,9 +146,9 @@ def test_decompose_solves_a_window_of_the_cached_slope_factor(
     assert reach < u.grid.nodes[-1]
     assert profile._window(u.grid, reach) in rows
     assert max(rows) < u.grid.n
-    # two slope solves per condition evaluation, one for P's rescale and
-    # one for D's resample; the Jacobian resamples nothing
-    assert len(rows) == 2 * state.iterations == 10
+    # one slope solve per condition evaluation, D's: P's rescale reads the
+    # expansion's combined slope rows and the Jacobian resamples nothing
+    assert len(rows) == state.iterations == 5
 
 
 def test_singular_jacobian_is_a_tube_exit(expansion_balanced, monkeypatch):
@@ -155,6 +158,18 @@ def test_singular_jacobian_is_a_tube_exit(expansion_balanced, monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(TubeExit, match="singular Jacobian"):
+        decompose(u, expansion_balanced, guess)
+
+
+def test_failed_step_cut_back_is_a_tube_exit(expansion_balanced,
+                                             monkeypatch):
+    # a Newton step that 20 halvings cannot keep at lam > 0 ends the run
+    # as a tube exit, which simulate_blowup records, not as eval_profile's
+    # ValueError at a negative scale
+    u, guess = _tube_cases(expansion_balanced)[1]
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda J, R: np.array([1e9, 0.0, 0.0]))
+    with pytest.raises(TubeExit, match="step cut-back"):
         decompose(u, expansion_balanced, guess)
 
 
@@ -204,6 +219,34 @@ def test_decompose_and_reconstruct_invert_the_tube_map(N, branch, ratio, lam,
     assert abs(math.remainder(state.gamma - gamma, 2.0 * math.pi)) <= 1e-8
     back = reconstruct(state, grid)
     assert norm_H1(RadialField(grid, back.values - u.values)) <= 1e-8
+
+
+@pytest.mark.parametrize("branch,ratio", [("plusminus", 1.0),
+                                          ("minusplus", 0.5)])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(1e-3, 0.3), b=st.floats(-0.2, 0.2))
+def test_combined_row_images_are_the_images_of_the_profile(N, branch, ratio,
+                                                           lam, b):
+    # the cached scaling and slope rows, combined with P's and its
+    # derivatives' row weights, are the scaling generator of P, dP/dlam
+    # and dP/db and the slopes of P's cubic, to rounding
+    expansion = _small_expansion(N, branch, ratio)
+    grid = expansion.grid
+    P = eval_profile(expansion, lam, b)[0].values
+    w = expansion._weight(lam, b)
+    scaling = expansion._scaling_rows
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert_close(expansion._combine(scaling, w, b * w),
+                 apply_scaling_generator(grid, P))
+    for weights, dP in zip(expansion._derivative_weights(lam, b),
+                           profile_derivatives(expansion, lam, b)):
+        assert_close(expansion._combine(scaling[1:], *weights),
+                     apply_scaling_generator(grid, dP))
+    assert_close(expansion._combine(expansion._slope_rows, w, b * w),
+                 profile._slopes(grid, P, grid.n))
 
 
 def test_guess_independence(expansion_balanced):

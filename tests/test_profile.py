@@ -172,9 +172,9 @@ def test_even_spline_is_the_not_a_knot_cubic_of_the_even_extension(N, n,
                         np.linspace(r[0], r[-2], 301),
                         np.linspace(r[-2], r[-1], 5)])
     scale = np.max(np.abs(vals))
-    err = np.max(np.abs(_resample(f, q, q, 1.0, 0.0, 0.0) - ref(q)))
+    err = np.max(np.abs(_resample(grid, vals, q, q, 1.0, 0.0, 0.0) - ref(q)))
     assert err <= 1e-13 * scale, err
-    err = np.max(np.abs(_slopes(f, n) / h - ref(r, 1)))
+    err = np.max(np.abs(_slopes(grid, f.values, n) / h - ref(r, 1)))
     assert err <= 1e-13 * scale, err
 
 
@@ -200,7 +200,7 @@ def test_complex_slope_solve_is_the_real_solve_bit_for_bit(n, window):
     x, info = lapack.dgttrs(dl[:K - 1], d[:K], du[:K - 1], du2[:K - 2],
                             ipiv[:K], rhs)
     assert info == 0
-    s = _slopes(f, K)
+    s = _slopes(grid, f.values, K)
     assert s.shape == (K,)
     assert np.array_equal(s.real, x[:, 0]) and np.array_equal(s.imag, x[:, 1])
 
@@ -209,7 +209,7 @@ def _full_resample(f, q):
     """_resample with the slopes of all of f's nodes."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(profile, "_WINDOW_MARGIN", 10 ** 9)
-        return _resample(f, q, q, 1.0, 0.0, 0.0)
+        return _resample(f.grid, f.values, q, q, 1.0, 0.0, 0.0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -236,11 +236,12 @@ def test_windowed_spline_is_the_full_spline_bit_for_bit(N, n, kind, at, seed):
     top = min(reach, r[-1])
     q = np.sort(np.concatenate([rng.uniform(0.0, top, 200), r[r <= top],
                                 [0.0, top]]))
-    assert np.array_equal(_resample(f, q, q, 1.0, 0.0, 0.0),
+    assert np.array_equal(_resample(grid, vals, q, q, 1.0, 0.0, 0.0),
                           _full_resample(f, q))
     # the slopes the samples read: up to the node after the last reached
     k = np.count_nonzero(r <= reach) + 1
-    assert np.array_equal(_slopes(f, K)[:k], _slopes(f, n)[:k])
+    assert np.array_equal(_slopes(grid, vals, K)[:k],
+                          _slopes(grid, vals, n)[:k])
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
