@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
@@ -232,6 +232,12 @@ class RadialGrid:
     def surface(self) -> float:
         return _SURFACE[self.N]
 
+    @cached_property
+    def _pairing_weights(self) -> np.ndarray:
+        """surface * quad_weights as complex, the weights ``pairings``
+        multiplies a complex stack by (kept from the first call)."""
+        return (self.surface * self.quad_weights).astype(complex)
+
     @property
     def fourth_order(self) -> bool:
         """True where the grid's -Lap is the fourth-order pentadiagonal
@@ -296,7 +302,7 @@ def pairings(grid: RadialGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     weighted (re, im)-interleaved view of a, (m, 2n), with that of b,
     (2n, k), since Re(a conj(b)) = Re a Re b + Im a Im b.  Each entry is
     ``pair``'s to rounding."""
-    aw = np.asarray(a, dtype=complex) * (grid.surface * grid.quad_weights)
+    aw = np.asarray(a, dtype=complex) * grid._pairing_weights
     return aw.view(np.float64) @ np.ascontiguousarray(
         b, dtype=complex).view(np.float64).T
 
@@ -544,6 +550,13 @@ def penta_symbol(grid: RadialGrid) -> np.ndarray:
         12.0 * grid.h ** 2)
 
 
+def _divide(x: np.ndarray, d: float) -> np.ndarray:
+    """x / d for finite x and a real scalar d != 0, bit for bit: numpy
+    divides a complex array by a real scalar as the product with its
+    reciprocal, which this forms without the complex division loop."""
+    return x * (1.0 / d) if np.iscomplexobj(x) else x / d
+
+
 def _penta_apply(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     """Matrix-vector product with the fourth-order -Lap stencil (N = 1).
 
@@ -559,7 +572,7 @@ def _penta_apply(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     d2 = np.diff(ext, 2)[1:-1]
     e2 = ext[2:] - ext[:-2]
     w2 = e2[2:] - e2[:-2]
-    return (w2 - 16.0 * d2) / (12.0 * grid.h ** 2)
+    return _divide(w2 - 16.0 * d2, 12.0 * grid.h ** 2)
 
 
 def radial_derivative(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
@@ -577,7 +590,10 @@ def radial_derivative(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     # -(i+1)) and odd mirror across rmax (Dirichlet).  Consistent ghosts
     # keep operator identities free of boundary kinks.
     ext = np.concatenate([v[1::-1], v, -v[:-3:-1]])
-    return (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * grid.h)
+    # -a + b written as b - a (the same bits): numpy negates a complex
+    # array in a slow loop
+    return _divide(8.0 * ext[3:-1] - ext[4:] - 8.0 * ext[1:-3] + ext[:-4],
+                   12.0 * grid.h)
 
 
 def apply_scaling_generator(grid: RadialGrid, values: np.ndarray) -> np.ndarray:

@@ -20,10 +20,12 @@ converged remainder.  Each iterate evaluates the profile and the pairing
 directions once, and the returned state carries the converged iterate's
 P and remainder, which ``reconstruct`` and ``lyapunov_S`` read.
 
-P is linear in the expansion's rows, so its scaling generator, that of its
-parameter derivatives and the slopes of its cubic are combinations of the
-rows' images, cached on the expansion: an iterate makes one slope solve,
-for the cubic of D, and applies the scaling generator once, to eps in the
+P is linear in the expansion's rows, so P, its scaling generator, its
+parameter derivatives and their scaling generator, and the slopes of P's
+cubic are combinations of the rows' images, stacked in one table on the
+expansion: an iterate is one product per table, one for P, Lam P and P's
+slopes and one more for the Jacobian's derivatives, with one slope solve,
+for the cubic of D, and the scaling generator applied once, to eps in the
 Jacobian.  D's cubic, the only field-grid spline, is formed and solved
 only on the nodes its samples x = lam y <= lam y[-1] reach plus 64 (and
 the one past them, which its last slope row reads); a spline's end
@@ -43,6 +45,7 @@ from .core import (
     LocalTerms,
     RadialField,
     RadialGrid,
+    _divide,
     apply_scaling_generator,
     integrate,
     norm_H1,
@@ -56,8 +59,7 @@ from .profile import (
     _rescale,
     _resample,
     _window,
-    eval_profile,
-    profile_derivatives,
+    eval_profile,  # noqa: F401  (perfbench's tracer wraps it here)
     rescale_to_physical,
 )
 from .reduced import classify_regime
@@ -114,44 +116,41 @@ class ModulationState:
 def _remainder(u: RadialField, expansion: ProfileExpansion, lam: float,
                b: float, gamma: float
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eps, P, w) at the parameters (lam, b, gamma), w being P's row
-    weights (``ProfileExpansion._weight``).
+    """(eps, P, Lam P) at the parameters (lam, b, gamma).
 
     P = P(lam, b) stays exact on its own grid; only the physical-space
     difference D = u - rescale_to_physical(P) is resampled, so a field on
     the profile family has eps = 0 to rounding: P's cubic is evaluated from
-    the expansion's combined slope rows, which are its slopes to rounding,
-    and D's is the one slope solve.  (Resampling u itself would carry the
-    spline error of the |r|^(2-2 sigma) cusp of the corrections.)  D is
-    formed only on the field nodes its window reads, sampled at x = lam y
-    and multiplied by the chirp lam^(N/2) exp(i(b/4) y^2 - i gamma) in one
-    ``profile._resample``.
+    the slopes of the iterate's one table product (``_images``), which are
+    its slopes to rounding, and D's is the one slope solve.  (Resampling u
+    itself would carry the spline error of the |r|^(2-2 sigma) cusp of the
+    corrections.)  D is formed only on the field nodes its window reads,
+    sampled at x = lam y and multiplied by the chirp
+    lam^(N/2) exp(i(b/4) y^2 - i gamma) in one ``profile._resample``.
     """
     grid, fine = expansion.grid, u.grid
     y = grid.nodes
-    P = eval_profile(expansion, lam, b)[0].values
-    w = expansion._weight(lam, b)
+    P, LamP, S = expansion._images(lam, b)
     n = min(fine.n, _window(fine, lam * y[-1]) + 1)
     try:
-        D = u.values[:n] - _rescale(
-            grid, P, lam, b, gamma, fine, n,
-            expansion._combine(expansion._slope_rows, w, b * w))
+        D = u.values[:n] - _rescale(grid, P, lam, b, gamma, fine, n, S)
     except ValueError as exc:  # scale under-resolved on the field grid
         raise TubeExit(str(exc)) from exc
     return _resample(fine, D, lam * y, y, lam ** (0.5 * grid.N), -b,
-                     -gamma), P, w
+                     -gamma), P, LamP
 
 
 def decompose(u: RadialField, expansion: ProfileExpansion,
               guess: tuple[float, float, float]) -> ModulationState:
     """Solve the three orthogonality conditions for (lam, b, gamma).
 
-    ``guess`` is the Newton seed (lam, b, gamma), lam > 0; there is no
-    default seed.  Tube membership is judged after convergence: TubeExit
-    is raised when the Jacobian is singular, when a step cannot be halved
-    to keep lam > 0 within 20 halvings, when the iteration has not
-    converged after ``_NEWTON_MAX_ITER`` iterates, or when the converged
-    remainder has ||eps||_H1 >= ``_TUBE_DELTA``.
+    ``guess`` is the Newton seed (lam, b, gamma), finite with lam > 0;
+    there is no default seed.  Tube membership is judged after
+    convergence: TubeExit is raised when a condition vector is not finite
+    (a non-finite field), when the Jacobian is singular, when a step
+    cannot be halved to keep lam > 0 within 20 halvings, when the
+    iteration has not converged after ``_NEWTON_MAX_ITER`` iterates, or
+    when the converged remainder has ||eps||_H1 >= ``_TUBE_DELTA``.
 
     The remainder is the renormalized resample of D = u - P_(lam,b,gamma)
     in physical space (see ``_remainder``); P itself is never resampled.
@@ -159,41 +158,47 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
     it a quasi-Newton matrix: the renormalized sample of u is then
     T = eps + P, and its parameter derivatives are operators on the
     renormalized grid (see ``jacobian``), so u is never resampled.
-    The scaling generator of P and of its parameter derivatives is the
-    combination of the expansion's scaling rows; the conditions are one
-    ``pairings`` product of eps with the directions and the Jacobian one
-    of (dT - dP, eps) with the directions and their derivatives.
+    An iterate is one product per table: P, Lam P and P's slopes are one
+    product of the expansion's image table (``_images``), and the
+    Jacobian's dP/dlam, dP/db and their Lam images one more
+    (``_derivative_images``); the conditions are one ``pairings`` product
+    of eps with the directions and the Jacobian one of (dT - dP, eps) with
+    the directions and their derivatives.
     """
     grid = expansion.grid
-    y2 = grid.nodes ** 2
-    scaling = expansion._scaling_rows
+    *_, y2, irho = expansion._stack
 
-    lam_g, b_g, gamma_g = float(guess[0]), float(guess[1]), float(guess[2])
-    if lam_g <= 0.0:
-        raise ValueError("guess scale must be positive")
-
-    m = np.array([lam_g, b_g, gamma_g])
+    m = np.array(guess, dtype=float)
+    if not (m[0] > 0.0 and np.all(np.isfinite(m))):
+        raise ValueError("guess must be finite with a positive scale")
+    gamma_g = float(m[2])
     # the pairing directions i Lam P, y^2 P, i rho, then those of the
     # parameter derivatives: i Lam dP/dlam, y^2 dP/dlam, i Lam dP/db,
-    # y^2 dP/db
+    # y^2 dP/db; i X is written in place as (-Im X, Re X)
     W = np.empty((7, grid.n), dtype=complex)
-    W[2] = 1j * expansion.gs.rho.values
+    W[2] = irho
 
     def jacobian(lam, b, P, LamP, eps):
-        dP = profile_derivatives(expansion, lam, b)
-        for i, weights in enumerate(expansion._derivative_weights(lam, b)):
-            W[3 + 2 * i] = 1j * expansion._combine(scaling[1:], *weights)
-            W[4 + 2 * i] = y2 * dP[i]
+        dP, LamdP = expansion._derivative_images(lam, b).transpose(1, 0, 2)
+        np.negative(LamdP.imag, out=W[3::2].real)
+        W[3::2].imag = LamdP.real
+        np.multiply(y2, dP, out=W[4::2])
         # T = lam^(N/2) u(lam y) exp(i(b/4) y^2 - i gamma) = eps + P has
         # lam dT/dlam = (Lam - (i b/2) y^2) T, dT/db = (i/4) y^2 T and
         # dT/dgamma = -i T, with Lam = N/2 + y d/dy the scaling generator
-        T = eps + P
-        y2T = y2 * T
+        # de rows: the derivatives of T - P in lam, b and gamma, then eps;
+        # T and y^2 T are formed in rows 2 and 1, which become -i T and
+        # (i/4) y^2 T - dP/db once row 0 has read them
         de = np.empty((4, grid.n), dtype=complex)
-        de[0] = (apply_scaling_generator(grid, eps) + LamP
-                 - 0.5j * b * y2T) / lam - dP[0]
-        de[1] = 0.25j * y2T - dP[1]
-        de[2] = -1j * T
+        T = np.add(eps, P, out=de[2])
+        y2T = np.multiply(y2, T, out=de[1])
+        d0 = apply_scaling_generator(grid, eps)
+        d0 += LamP
+        d0 -= (0.5j * b) * y2T
+        np.subtract(_divide(d0, lam), dP[0], out=de[0])
+        y2T *= 0.25j
+        y2T -= dP[1]
+        T *= -1j
         de[3] = eps
         # J[a, col] = (de_col, W_a) + (eps, d W_a / d m_col); W_2 is fixed
         G = pairings(grid, de, W)
@@ -202,12 +207,14 @@ def decompose(u: RadialField, expansion: ProfileExpansion,
         return J
 
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
-        eps, P, w = _remainder(u, expansion, *m)
-        LamP = expansion._combine(scaling, w, m[1] * w)
-        W[0] = 1j * LamP
-        W[1] = y2 * P
+        eps, P, LamP = _remainder(u, expansion, *m)
+        np.negative(LamP.imag, out=W[0].real)
+        W[0].imag = LamP.real
+        np.multiply(y2, P, out=W[1])
         R = pairings(grid, eps[None], W[:3])[0]
         rmax_R = float(np.max(np.abs(R)))
+        if not math.isfinite(rmax_R):
+            raise TubeExit("modulation Newton: non-finite condition vector")
         if rmax_R < _NEWTON_TOL:
             break
         try:

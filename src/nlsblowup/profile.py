@@ -47,7 +47,7 @@ P reaches a physical grid through ``rescale_to_physical``: the not-a-knot
 cubic spline of its even extension across r = 0, evaluated in Hermite form
 from nodal values and slopes (``_resample``), the slopes solved on the
 window of nodes the samples reach, or, in ``modulation.decompose``,
-combined from the slopes of the expansion's rows.
+combined from the slopes of the expansion's rows in its image table.
 """
 
 from __future__ import annotations
@@ -108,11 +108,16 @@ class ProfileExpansion:
     imaginary solve (roundoff level).
 
     P is linear in Q and the rows, so every linear image of P is the same
-    combination of the rows' images (``_combine``).  Two real image tables
-    are built on their first read, by ``modulation.decompose``, and then
-    kept (about 1.7 MB at n = 8192 and order 2): ``_scaling_rows``, the
-    scaling generator N/2 + y d/dy of Q and of the rows, and
-    ``_slope_rows``, the h-slopes of their even not-a-knot cubics.
+    combination of the rows' images (``_combine``).  ``modulation.decompose``
+    reads one image table, ``_stack``, which its first call builds and the
+    expansion then keeps (``build_profile`` and ``eval_profile`` never
+    build it): for each of Q, Pp and Pm one real row of its values, its
+    scaling generator N/2 + y d/dy and the h-slopes of its even not-a-knot
+    cubic side by side, (rows, 3n), 2.6 MB at n = 8192 and order 2, with
+    y^2 and i rho as complex rows (0.26 MB).  One product of the table
+    with P's row weights gives P, Lam P and P's slopes (``_images``), and
+    one with the derivatives' weights gives dP/dlam, dP/db and their Lam
+    images (``_derivative_images``).
     """
 
     gs: GroundState
@@ -139,15 +144,16 @@ class ProfileExpansion:
         """Each row's monomial b^(2j) lam^((k+1)a)."""
         return b ** (2 * self.j) * lam ** ((self.k + 1) * self.params.alpha)
 
-    def _derivative_weights(self, lam: float, b: float) -> tuple:
-        """The (Pp, Pm) row weights of dP/dlam and of dP/db at lam > 0."""
+    def _derivative_weights(self, lam: float, b: float) -> np.ndarray:
+        """The row weights of dP/dlam and dP/db at lam > 0, stacked as
+        (Pp's, Pm's) x (dlam, db) x rows."""
         j, m = self.j, (self.k + 1) * self.params.alpha
         u = self._weight(lam, b)
         u_lam = m / lam * u
         # d(b^(2j))/db = 2j b^(2j-1), with an exponent that stays >= 0 at
         # j = 0 so that b = 0 gives 0, not 0 * inf
         u_b = 2 * j * b ** np.maximum(2 * j - 1, 0) * lam ** m
-        return (u_lam, b * u_lam), (u_b, (2 * j + 1) * u)
+        return np.array([[u_lam, u_b], [b * u_lam, (2 * j + 1) * u]])
 
     def theta(self, lam: float, b: float) -> float:
         """theta(lam, b) = sum b^(2j) lam^((k+1)a) beta_{j,k}."""
@@ -158,25 +164,44 @@ class ProfileExpansion:
         """(Q, Pp, Pm): the table P combines."""
         return self.gs.Q.values, self.Pp, self.Pm
 
-    def _table(self, rows: np.ndarray) -> tuple:
-        """Stacked rows of (Q, Pp, Pm) as a (base, plus, minus) table."""
-        r = self.j.size
-        return rows[0], rows[1:r + 1], rows[r + 1:]
-
     @functools.cached_property
-    def _scaling_rows(self) -> tuple:
-        """(Lam Q, Lam Pp, Lam Pm), Lam = N/2 + y d/dy."""
-        return self._table(np.array([apply_scaling_generator(self.grid, row)
-                                     for row in np.vstack(self._field_rows)]))
-
-    @functools.cached_property
-    def _slope_rows(self) -> tuple:
-        """The h-slopes of (Q, Pp, Pm)'s even not-a-knot cubics, one column
-        each of a single ``_slopes`` solve; the real rows' slopes are the
-        real part of the complex solve, bit for bit."""
+    def _stack(self) -> tuple:
+        """(base, plus, minus, y^2, i rho): Q's row, the Pp rows and the Pm
+        rows of [values | Lam images | h-slopes], then y^2 and i rho as
+        complex rows.  The slopes are one ``_slopes`` solve of all rows as
+        complex right-hand sides, whose real part is the real solve, bit
+        for bit."""
+        grid = self.grid
         rows = np.vstack(self._field_rows)
-        s = _slopes(self.grid, rows.T, self.grid.n)
-        return self._table(np.ascontiguousarray(s.real.T))
+        table = np.hstack(
+            (rows, [apply_scaling_generator(grid, row) for row in rows],
+             _slopes(grid, rows.T, grid.n).real.T))
+        r = self.j.size
+        return (table[0], table[1:r + 1], table[r + 1:],
+                (grid.nodes ** 2).astype(complex), 1j * self.gs.rho.values)
+
+    def _images(self, lam: float, b: float) -> np.ndarray:
+        """P(lam, b), Lam P and P's h-slopes as the rows of one complex
+        (3, n) array: one product of the table with P's row weights."""
+        _check_region(lam, b)
+        base, plus, minus = self._stack[:3]
+        w = self._weight(lam, b)
+        out = np.empty(plus.shape[1], dtype=complex)
+        np.add(w @ plus, base, out=out.real)
+        out.imag = (b * w) @ minus
+        return out.reshape(3, -1)
+
+    def _derivative_images(self, lam: float, b: float) -> np.ndarray:
+        """(dP/dlam, Lam dP/dlam) and (dP/db, Lam dP/db) as a complex
+        (2, 2, n) array: one product of the table's values and Lam images
+        with the derivatives' row weights."""
+        _, plus, minus = self._stack[:3]
+        wp, wm = self._derivative_weights(lam, b)
+        k = 2 * self.grid.n
+        out = np.empty((2, k), dtype=complex)
+        out.real = wp @ plus[:, :k]
+        out.imag = wm @ minus[:, :k]
+        return out.reshape(2, 2, -1)
 
     def _combine(self, table: tuple, wp: np.ndarray,
                  wm: np.ndarray) -> np.ndarray:
@@ -332,15 +357,21 @@ def _default_weight_rate(gs: GroundState) -> float:
 # Evaluation
 # --------------------------------------------------------------------------
 
+def _check_region(lam: float, b: float) -> None:
+    """Warn, at the profile evaluation's caller, when (lam, b) lies outside
+    the expansion's accuracy region lam + |b| <= ``_ACCURACY_BOUND``."""
+    if lam + abs(b) > _ACCURACY_BOUND:
+        warnings.warn("profile evaluated outside its accuracy region "
+                      f"(lam + |b| = {lam + abs(b):.3f} > {_ACCURACY_BOUND})",
+                      stacklevel=3)
+
+
 def eval_profile(expansion: ProfileExpansion, lam: float,
                  b: float) -> tuple[RadialField, float]:
     """Evaluate (P, theta) at scale lam >= 0 and curvature b."""
     if lam < 0.0:
         raise ValueError("scale parameter lam must be >= 0")
-    if lam + abs(b) > _ACCURACY_BOUND:
-        warnings.warn("profile evaluated outside its accuracy region "
-                      f"(lam + |b| = {lam + abs(b):.3f} > {_ACCURACY_BOUND})",
-                      stacklevel=2)
+    _check_region(lam, b)
     u = expansion._weight(lam, b)
     P = expansion._combine(expansion._field_rows, u, b * u)
     return RadialField(expansion.grid, P), float(u @ expansion.beta)
@@ -353,7 +384,7 @@ def profile_derivatives(expansion: ProfileExpansion, lam: float,
         raise ValueError("parameter derivatives require lam > 0")
     rows = expansion._field_rows[1:]
     return tuple(expansion._combine(rows, *w)
-                 for w in expansion._derivative_weights(lam, b))
+                 for w in zip(*expansion._derivative_weights(lam, b)))
 
 
 def residual_Psi(expansion: ProfileExpansion, lam: float, b: float,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -10,15 +11,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import lapack
 
-from nlsblowup import modulation, profile
+from nlsblowup import cli, modulation, profile
 from nlsblowup.core import (RadialField, apply_scaling_generator, make_grid,
                             make_params, norm_H1, norm_L2, pair)
 from nlsblowup.groundstate import compute_omega, solve_ground_state
 from nlsblowup.modulation import (ModulationState, TubeExit, _remainder,
                                   decompose, energy_inequality_check,
                                   hat_epsilon, lyapunov_S, reconstruct)
-from nlsblowup.profile import (build_profile, eval_profile,
-                               profile_derivatives, rescale_to_physical)
+from nlsblowup.profile import (ProfileExpansion, build_profile, eval_profile,
+                               profile_derivatives, profile_energy,
+                               rescale_to_physical)
 from nlsblowup.reduced import classify_regime
 
 
@@ -55,18 +57,31 @@ def test_orthogonality_conditions_enforced(expansion_balanced):
     assert max(abs(o) for o in state.orth) < 1e-9
 
 
+def _count_profile_products(monkeypatch):
+    """Names of the profile evaluations made while the test runs: the
+    image table's two products and ``modulation``'s ``eval_profile``."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in ("_images", "_derivative_images"):
+        monkeypatch.setattr(ProfileExpansion, name,
+                            counted(name, getattr(ProfileExpansion, name)))
+    monkeypatch.setattr(modulation, "eval_profile",
+                        counted("eval_profile", eval_profile))
+    return calls
+
+
 def test_decompose_evaluates_the_profile_once_per_iterate(expansion_balanced,
                                                           monkeypatch):
     lam, b, gamma = 0.2, 0.05, 0.9
     u = _pure_profile_field(expansion_balanced, lam, b, gamma)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return eval_profile(*args, **kwargs)
-    monkeypatch.setattr(modulation, "eval_profile", counted)
+    calls = _count_profile_products(monkeypatch)
     state = decompose(u, expansion_balanced, (lam, b, gamma))
-    assert len(calls) == 1
+    assert calls == ["_images"]
     assert state.iterations == 1
     # the state carries the converged iterate's profile; reconstruct and
     # the Lyapunov functional read it instead of evaluating it again
@@ -84,7 +99,11 @@ def test_decompose_evaluates_the_profile_once_per_iterate(expansion_balanced,
     up = RadialField(u.grid, u.values + bump * np.exp(0.3j))
     calls.clear()
     state = decompose(up, expansion_balanced, (0.21, 0.04, 0.8))
-    assert state.iterations == len(calls) > 1
+    # one table product per condition evaluation and one per Jacobian
+    assert state.iterations > 1
+    assert calls.count("_images") == state.iterations
+    assert calls.count("_derivative_images") == state.iterations - 1
+    assert "eval_profile" not in calls
     grid = expansion_balanced.grid
     eps, P, _ = _remainder(up, expansion_balanced, state.lam, state.b,
                            state.gamma)
@@ -136,7 +155,7 @@ def test_decompose_solves_a_window_of_the_cached_slope_factor(
     monkeypatch.setattr(lapack, "zgttrs", counted)
     for n in (u.grid.n, expansion_balanced.grid.n):
         profile._slope_factor(n)
-    expansion_balanced._slope_rows
+    expansion_balanced._stack
     factorizations.clear()
     rows.clear()
     state = decompose(u, expansion_balanced, guess)
@@ -147,7 +166,8 @@ def test_decompose_solves_a_window_of_the_cached_slope_factor(
     assert profile._window(u.grid, reach) in rows
     assert max(rows) < u.grid.n
     # one slope solve per condition evaluation, D's: P's rescale reads the
-    # expansion's combined slope rows and the Jacobian resamples nothing
+    # slopes of the iterate's table product and the Jacobian resamples
+    # nothing
     assert len(rows) == state.iterations == 5
 
 
@@ -171,6 +191,24 @@ def test_failed_step_cut_back_is_a_tube_exit(expansion_balanced,
                         lambda J, R: np.array([1e9, 0.0, 0.0]))
     with pytest.raises(TubeExit, match="step cut-back"):
         decompose(u, expansion_balanced, guess)
+
+
+@pytest.mark.parametrize("guess", [(math.nan, 0.0, 0.0), (0.2, math.nan, 0.0),
+                                   (0.2, 0.0, math.inf), (0.0, 0.0, 0.0)])
+def test_guess_must_be_finite_with_a_positive_scale(expansion_balanced,
+                                                    guess):
+    u = _pure_profile_field(expansion_balanced, 0.2, 0.05, 0.3)
+    with pytest.raises(ValueError, match="finite with a positive scale"):
+        decompose(u, expansion_balanced, guess)
+
+
+def test_non_finite_field_is_a_tube_exit(expansion_balanced):
+    # a NaN sample ends the run at the first condition vector, without
+    # iterating on NaN (numpy's invalid-value warnings are errors here)
+    u = _pure_profile_field(expansion_balanced, 0.2, 0.05, 0.3)
+    u.values[100] = math.nan
+    with pytest.raises(TubeExit, match="non-finite condition vector"):
+        decompose(u, expansion_balanced, (0.2, 0.05, 0.3))
 
 
 def test_newton_stagnation_is_a_tube_exit(expansion_balanced, monkeypatch):
@@ -228,25 +266,51 @@ def test_decompose_and_reconstruct_invert_the_tube_map(N, branch, ratio, lam,
 @given(lam=st.floats(1e-3, 0.3), b=st.floats(-0.2, 0.2))
 def test_combined_row_images_are_the_images_of_the_profile(N, branch, ratio,
                                                            lam, b):
-    # the cached scaling and slope rows, combined with P's and its
-    # derivatives' row weights, are the scaling generator of P, dP/dlam
-    # and dP/db and the slopes of P's cubic, to rounding
+    # every block of the table's products: P is eval_profile's bit for
+    # bit; Lam P, P's slopes, dP/dlam, dP/db and their Lam images are the
+    # scaling generator, the slopes of P's cubic and profile_derivatives,
+    # to rounding
     expansion = _small_expansion(N, branch, ratio)
     grid = expansion.grid
-    P = eval_profile(expansion, lam, b)[0].values
-    w = expansion._weight(lam, b)
-    scaling = expansion._scaling_rows
+    P, LamP, S = expansion._images(lam, b)
+    ref = eval_profile(expansion, lam, b)[0].values
+    assert np.array_equal(P, ref)
 
     def assert_close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert_close(expansion._combine(scaling, w, b * w),
-                 apply_scaling_generator(grid, P))
-    for weights, dP in zip(expansion._derivative_weights(lam, b),
-                           profile_derivatives(expansion, lam, b)):
-        assert_close(expansion._combine(scaling[1:], *weights),
-                     apply_scaling_generator(grid, dP))
-    assert_close(expansion._combine(expansion._slope_rows, w, b * w),
-                 profile._slopes(grid, P, grid.n))
+    assert_close(LamP, apply_scaling_generator(grid, ref))
+    assert_close(S, profile._slopes(grid, ref, grid.n))
+    for (dP, LamdP), want in zip(expansion._derivative_images(lam, b),
+                                 profile_derivatives(expansion, lam, b)):
+        assert_close(dP, want)
+        assert_close(LamdP, apply_scaling_generator(grid, want))
+
+
+def test_image_table_is_built_by_the_first_decompose_only(
+        gs_profile, params_balanced, tmp_path, capsys, monkeypatch):
+    table = ProfileExpansion.__dict__["_stack"]
+    builds = []
+
+    def counted(expansion, _build=table.func):
+        builds.append(expansion)
+        return _build(expansion)
+    monkeypatch.setattr(table, "func", counted)
+    # the reports build, evaluate and integrate the profile but never
+    # decompose
+    for sub in ("profile", "reduced"):
+        assert cli.run([sub, "--grid-n", "1024", "--rmax", "15", "--order",
+                        "1", "--out", str(tmp_path)]) == 0
+    expansion = build_profile(gs_profile, params_balanced, order=2)
+    u = _pure_profile_field(expansion, 0.2, 0.05, 0.3)
+    profile_energy(expansion, 0.2, 0.05)
+    assert builds == []
+    assert "_stack" not in vars(expansion)
+    decompose(u, expansion, (0.21, 0.04, 0.3))
+    stack = vars(expansion)["_stack"]
+    decompose(u, expansion, (0.2, 0.05, 0.3))
+    assert builds == [expansion]
+    assert vars(expansion)["_stack"] is stack
+    assert "_stack" not in vars(dataclasses.replace(expansion))
 
 
 def test_guess_independence(expansion_balanced):
