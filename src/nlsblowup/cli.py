@@ -51,9 +51,6 @@ from .sim import (SimConfig, Snapshot, SnapshotSeries, fit_blowup_rate,
 
 __all__ = ["main", "run", "DomainError"]
 
-SUBCOMMANDS = ("ground", "linops", "profile", "reduced", "simulate",
-               "validate", "sweep")
-
 
 class DomainError(ValueError):
     """Invalid parameter combination or failed pipeline precondition."""
@@ -178,7 +175,8 @@ _SETTINGS: dict[str, tuple[Any, Any, str]] = {
     "out": (str, "runs", "output root directory"),
 }
 
-# The settings each subcommand's pipeline reads.
+# The settings each subcommand's pipeline reads; the parser adds one
+# subcommand per key, in this order.
 _GROUND = ("N", "sigma", "grid_n", "rmax", "seed", "out")
 _SIMULATE = ("N", "sigma", "C0", "branch", "E0", "s1", "order", "profile_n",
              "profile_rmax", "grid_n", "dt_c", "rmax_factor", "lambda_floor",
@@ -190,7 +188,6 @@ _READS = {
     "reduced": _GROUND + ("C0", "branch", "order", "E0", "s1",
                           "lambda_floor"),
     "simulate": _SIMULATE,
-    "validate": ("seed", "out"),
     "sweep": tuple(k for k in _SIMULATE if k != "C0") + (
         "sigma_values", "C0_over_omega_values", "E0_values"),
 }
@@ -234,10 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
         "profile": "build the blow-up profile expansion and its diagnostics",
         "reduced": "integrate the reduced scale/curvature flow to a CSV",
         "simulate": "evolve profile data to the scale floor and fit the rate",
-        "validate": "re-derive stored ground-state artifacts and compare",
         "sweep": "run simulate over a (sigma, C0/omega, E0) grid",
     }
-    for name in SUBCOMMANDS:
+    for name in _READS:
         sp = subs.add_parser(name, help=helps[name], allow_abbrev=False)
         for key in _READS[name]:
             kind, _, text = _SETTINGS[key]
@@ -575,39 +571,6 @@ def _pipe_simulate(cfg: dict, rundir: Path) -> dict:
             "tube_exit": series.tube_exit}
 
 
-def _pipe_validate(cfg: dict, rundir: Path) -> dict:
-    root = Path(cfg["out"])
-    targets = sorted(d for d in root.glob("ground-*")
-                     if (d / "manifest.json").exists()
-                     and (d / "ground.json").exists())
-    if not targets:
-        raise DomainError("missing ground state: no ground artifacts under "
-                          f"{root} (run the ground subcommand first)")
-    reports = []
-    all_pass = True
-    for target in targets:
-        manifest = json.loads((target / "manifest.json").read_text())
-        stored = json.loads((target / "ground.json").read_text())
-        gs, omega = _solve_primary(manifest["config"])
-        checks = {
-            "Q0": abs(gs.Q0 / stored["Q0"] - 1.0),
-            "mass": abs(gs.norms["mass"] / stored["norms"]["mass"] - 1.0),
-            "omega": abs(omega / stored["omega"] - 1.0),
-            "elliptic_inf": gs.residual_inf,
-        }
-        ok = (checks["Q0"] < 1e-9 and checks["mass"] < 1e-9
-              and checks["omega"] < 1e-9 and checks["elliptic_inf"] < 1e-8)
-        all_pass = all_pass and ok
-        reports.append({"target": target.name, "pass": bool(ok),
-                        "checks": checks})
-    _write_json(rundir / "validate.json",
-                {"targets": reports, "all_pass": bool(all_pass)})
-    if not all_pass:
-        failing = [r["target"] for r in reports if not r["pass"]]
-        raise DomainError(f"validation failed for {failing}")
-    return {"validated": [r["target"] for r in reports], "all_pass": True}
-
-
 # --------------------------------------------------------------------------
 # Sweep
 # --------------------------------------------------------------------------
@@ -677,7 +640,6 @@ _PIPELINES = {
     "profile": _pipe_profile,
     "reduced": _pipe_reduced,
     "simulate": _pipe_simulate,
-    "validate": _pipe_validate,
     "sweep": _pipe_sweep,
 }
 

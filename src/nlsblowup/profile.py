@@ -108,16 +108,18 @@ class ProfileExpansion:
     imaginary solve (roundoff level).
 
     P is linear in Q and the rows, so every linear image of P is the same
-    combination of the rows' images (``_combine``).  ``modulation.decompose``
-    reads one image table, ``_stack``, which its first call builds and the
-    expansion then keeps (``build_profile`` and ``eval_profile`` never
-    build it): for each of Q, Pp and Pm one real row of its values, its
-    scaling generator N/2 + y d/dy and the h-slopes of its even not-a-knot
-    cubic side by side, (rows, 3n), 2.6 MB at n = 8192 and order 2, with
-    y^2 and i rho as complex rows (0.26 MB).  One product of the table
-    with P's row weights gives P, Lam P and P's slopes (``_images``), and
-    one with the derivatives' weights gives dP/dlam, dP/db and their Lam
-    images (``_derivative_images``).
+    combination of the rows' images.  ``_combine`` is the one code that
+    forms such a combination from row weights: ``eval_profile``,
+    ``profile_derivatives``, ``_images`` and ``_derivative_images`` call
+    it.  ``modulation.decompose`` reads one image table, ``_stack``, which
+    its first call builds and the expansion then keeps (``build_profile``
+    and ``eval_profile`` never build it): for each of Q, Pp and Pm one real
+    row of its values, its scaling generator N/2 + y d/dy and the h-slopes
+    of its even not-a-knot cubic side by side, (rows, 3n), 2.6 MB at
+    n = 8192 and order 2, with y^2 and i rho as complex rows (0.26 MB).
+    One product of the table with P's row weights gives P, Lam P and P's
+    slopes (``_images``), and one with the derivatives' weights gives
+    dP/dlam, dP/db and their Lam images (``_derivative_images``).
     """
 
     gs: GroundState
@@ -184,35 +186,32 @@ class ProfileExpansion:
         """P(lam, b), Lam P and P's h-slopes as the rows of one complex
         (3, n) array: one product of the table with P's row weights."""
         _check_region(lam, b)
-        base, plus, minus = self._stack[:3]
         w = self._weight(lam, b)
-        out = np.empty(plus.shape[1], dtype=complex)
-        np.add(w @ plus, base, out=out.real)
-        out.imag = (b * w) @ minus
-        return out.reshape(3, -1)
+        return self._combine(self._stack[:3], w, b * w).reshape(3, -1)
 
     def _derivative_images(self, lam: float, b: float) -> np.ndarray:
         """(dP/dlam, Lam dP/dlam) and (dP/db, Lam dP/db) as a complex
         (2, 2, n) array: one product of the table's values and Lam images
         with the derivatives' row weights."""
-        _, plus, minus = self._stack[:3]
-        wp, wm = self._derivative_weights(lam, b)
         k = 2 * self.grid.n
-        out = np.empty((2, k), dtype=complex)
-        out.real = wp @ plus[:, :k]
-        out.imag = wm @ minus[:, :k]
-        return out.reshape(2, 2, -1)
+        table = tuple(rows[:, :k] for rows in self._stack[1:3])
+        wp, wm = self._derivative_weights(lam, b)
+        return self._combine(table, wp, wm).reshape(2, 2, -1)
 
     def _combine(self, table: tuple, wp: np.ndarray,
                  wm: np.ndarray) -> np.ndarray:
         """base + wp @ plus + i wm @ minus of a (base, plus, minus) table;
         base is Q's row, dropped for a parameter derivative (pass
-        ``table[1:]``)."""
+        ``table[1:]``).  Weights with leading axes give images with those
+        axes from one matrix product, which is not bit for bit a product
+        per leading index; so ``profile_derivatives`` keeps one product per
+        derivative, from which ``profile.json``'s residual slopes come."""
         *base, plus, minus = table
-        out = np.empty(plus.shape[1], dtype=complex)
-        out.real = wp @ plus
+        out = np.empty(wp.shape[:-1] + plus.shape[1:], dtype=complex)
         if base:
-            out.real += base[0]
+            np.add(wp @ plus, base[0], out=out.real)
+        else:
+            out.real = wp @ plus
         out.imag = wm @ minus
         return out
 

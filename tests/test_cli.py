@@ -129,18 +129,6 @@ def test_manifest_records_resolved_config(ground_root):
     assert manifest["wall_time_s"] >= 0.0
 
 
-def test_validate_passes_on_fresh_artifacts(ground_root, capsys):
-    code, out = _run(capsys, ["validate", "--out", str(ground_root)])
-    assert code == 0
-    assert out["all_pass"] is True
-
-
-def test_validate_missing_ground_state(tmp_path, capsys):
-    code, out = _run(capsys, ["validate", "--out", str(tmp_path)])
-    assert code == 1
-    assert "missing ground state" in out["error"]
-
-
 def test_domain_error_is_machine_readable(tmp_path, capsys):
     # C0 = 1.001 omega on this grid: the reduced ODE fails to integrate
     for argv in (["ground", "--N", "9"],
@@ -171,8 +159,8 @@ def test_exponent_flag_is_gone(tmp_path, capsys):
     assert out["error"].rsplit(": ", 1)[1].split(", ") == ["p"]
 
 
-# cheap argv per subcommand; each writes its manifest (validate and
-# simulate exit 1 after their settings are resolved)
+# cheap argv per subcommand; each writes its manifest (simulate exits 1
+# after its settings are resolved)
 _CHEAP = {
     "ground": ["--grid-n", "512", "--rmax", "15"],
     "linops": ["--grid-n", "512", "--rmax", "15"],
@@ -180,9 +168,16 @@ _CHEAP = {
     "reduced": ["--grid-n", "1024", "--rmax", "15", "--order", "1"],
     "simulate": ["--profile-n", "1024", "--profile-rmax", "15",
                  "--order", "1", "--dt-c", "0.5"],
-    "validate": [],
     "sweep": [],
 }
+
+
+def test_every_subcommand_has_settings_a_pipeline_and_a_cheap_run():
+    # the parser adds one subcommand per _READS key, so each one it takes
+    # has a pipeline and a cheap run below
+    choices = build_parser()._subparsers._group_actions[0].choices
+    assert (list(choices) == list(_READS) == list(cli._PIPELINES)
+            == list(_CHEAP))
 
 
 @pytest.mark.parametrize("sub", list(_CHEAP))
@@ -196,7 +191,7 @@ def test_each_subcommand_takes_and_records_only_what_it_reads(sub, tmp_path,
     cfg.write_text(json.dumps({"sigma_values": []} if sub == "sweep" else {}))
     code, out = _run(capsys, [sub] + _CHEAP[sub] + [
         "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == (1 if sub in ("simulate", "validate") else 0), out
+    assert code == (1 if sub == "simulate" else 0), out
     rundir = next(tmp_path.glob(f"{sub}-*"))
     manifest = json.loads((rundir / "manifest.json").read_text())
     assert set(manifest["config"]) == set(_READS[sub]) | {"seed", "out"}
@@ -211,8 +206,7 @@ def test_unread_settings_are_usage_errors(tmp_path, capsys):
     # a flag the subcommand does not read, or an abbreviation of one it
     # does, exits 2; a config-file key it does not read is unknown
     for argv in (["ground", "--s1", "5"], ["ground", "--lam", "0.5"],
-                 ["simulate", "--rmax", "5"], ["sweep", "--C0", "1"],
-                 ["validate", "--N", "2"]):
+                 ["simulate", "--rmax", "5"], ["sweep", "--C0", "1"]):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2, argv
@@ -223,20 +217,6 @@ def test_unread_settings_are_usage_errors(tmp_path, capsys):
     assert code == 1
     assert out["error"].rsplit(": ", 1)[1].split(", ") == ["s1"]
     assert not list(tmp_path.glob("ground-*"))
-
-
-def test_validate_reads_configs_that_carry_p(ground_root, tmp_path, capsys):
-    # run roots written while p was a flag hold "p": null in each manifest
-    src = next(ground_root.glob("ground-*"))
-    old = tmp_path / src.name
-    old.mkdir()
-    (old / "ground.json").write_bytes((src / "ground.json").read_bytes())
-    manifest = json.loads((src / "manifest.json").read_text())
-    manifest["config"]["p"] = None
-    (old / "manifest.json").write_text(json.dumps(manifest))
-    code, out = _run(capsys, ["validate", "--out", str(tmp_path)])
-    assert code == 0
-    assert out["validated"] == [src.name]
 
 
 def test_branch_requires_coupling(tmp_path, capsys):
