@@ -125,17 +125,19 @@ def _remainder(u: RadialField, expansion: ProfileExpansion, lam: float,
     its slopes to rounding, and D's is the one slope solve.  (Resampling u
     itself would carry the spline error of the |r|^(2-2 sigma) cusp of the
     corrections.)  D is formed only on the field nodes its window reads,
-    sampled at x = lam y and multiplied by the chirp
-    lam^(N/2) exp(i(b/4) y^2 - i gamma) in one ``profile._resample``.
+    in the rescale's output array, sampled at x = lam y and multiplied by
+    the chirp lam^(N/2) exp(i(b/4) y^2 - i gamma) in one
+    ``profile._resample``.
     """
     grid, fine = expansion.grid, u.grid
     y = grid.nodes
     P, LamP, S = expansion._images(lam, b)
     n = min(fine.n, _window(fine, lam * y[-1]) + 1)
     try:
-        D = u.values[:n] - _rescale(grid, P, lam, b, gamma, fine, n, S)
+        D = _rescale(grid, P, lam, b, gamma, fine, n, S)
     except ValueError as exc:  # scale under-resolved on the field grid
         raise TubeExit(str(exc)) from exc
+    np.subtract(u.values[:n], D, out=D)
     return _resample(fine, D, lam * y, y, lam ** (0.5 * grid.N), -b,
                      -gamma), P, LamP
 

@@ -66,6 +66,7 @@ from .core import (
     ProblemParams,
     RadialField,
     RadialGrid,
+    _cayley,
     apply_neg_laplacian,
     apply_scaling_generator,
     grad_norm_sq,
@@ -487,7 +488,8 @@ def _slopes(grid: RadialGrid, vals: np.ndarray, K: int) -> np.ndarray:
     dy = np.diff(vals[:K + 1], axis=0)
     rhs = np.empty((K,) + vals.shape[1:], dtype=complex, order="F")
     rhs[0] = 3.0 * dy[0]
-    rhs[1:len(dy)] = 3.0 * (dy[:-1] + dy[1:])
+    mid = np.add(dy[:-1], dy[1:], out=rhs[1:len(dy)])
+    mid *= 3.0
     if K == n:  # the not-a-knot row
         rhs[-1] = 0.5 * (dy[-2] + 5.0 * dy[-1])
     dl, d, du, du2, ipiv = _slope_factor(n)
@@ -515,8 +517,15 @@ def _resample(grid: RadialGrid, vals: np.ndarray, q: np.ndarray,
     points past rmax are 0; so a point that crosses the last node by one
     ulp moves the result by one ulp, not by the last value.  ``vals``
     needs only the K + 1 nodes the window reads, or all n when some q
-    passes the last node.  Each point below rmax takes one ``unit_phase``
-    entry.
+    passes the last node.
+
+    Each sample is written once, in place: the Hermite sum in the order
+    above from ``take`` gathers, the linear tail, then zeros.  The chirp
+    is ``_cayley`` of tan(gamma/2 - (b/8) y^2), the half angle
+    ``unit_phase`` would form, bit for bit but at subnormal angles (halving
+    is exact).  A real array times a complex one is numpy's complex
+    product with a zero imaginary part in either order, and IEEE sums and
+    products commute, so in-place operands leave every bit as it was.
     """
     m = int(np.searchsorted(q, grid.nodes[-1], side="right"))
     e = int(np.searchsorted(q, grid.rmax))
@@ -528,13 +537,19 @@ def _resample(grid: RadialGrid, vals: np.ndarray, q: np.ndarray,
     u = q[:m] / grid.h + 0.5
     j = np.minimum(u.astype(np.intp), K - 1)
     t = u - j
-    t2, w, Vj = t * t, t - 1.0, V[j]
-    out = np.zeros(q.size, dtype=complex)
-    out[:m] = (Vj + t2 * (3.0 - 2.0 * t) * (V[j + 1] - Vj)
-               + t * w * w * S[j] + t2 * w * S[j + 1])
+    t2, w, Vj, Sj = t * t, t - 1.0, V.take(j), S.take(j)
+    j += 1
+    out = np.empty(q.size, dtype=complex)
+    p = np.subtract(V.take(j), Vj, out=out[:m])
+    p *= t2 * (3.0 - 2.0 * t)
+    np.add(Vj, p, out=p)
+    p += np.multiply(t * w * w, Sj, out=Sj)
+    p += np.multiply(t2 * w, S.take(j), out=Sj)
     out[m:e] = (vals[-1] * (grid.rmax - q[m:e])
                 / (grid.rmax - grid.nodes[-1]))
-    out[:e] *= amp * unit_phase(gamma - 0.25 * b * y[:e] ** 2)
+    out[e:] = 0.0
+    chirp = _cayley(np.tan(0.5 * gamma - 0.125 * b * y[:e] ** 2))
+    out[:e] *= np.multiply(amp, chirp, out=chirp)
     return out
 
 

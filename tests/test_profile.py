@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import lapack
 
 from nlsblowup import profile
-from nlsblowup.core import RadialField, make_grid, make_params, norm_L2
+from nlsblowup.core import (RadialField, make_grid, make_params, norm_L2,
+                            unit_phase)
 from nlsblowup.groundstate import compute_omega, solve_ground_state
 from nlsblowup.profile import (build_profile, eval_profile, fit_loglog_slope,
                                profile_derivatives, profile_energy,
@@ -242,6 +243,58 @@ def test_windowed_spline_is_the_full_spline_bit_for_bit(N, n, kind, at, seed):
     k = np.count_nonzero(r <= reach) + 1
     assert np.array_equal(_slopes(grid, vals, K)[:k],
                           _slopes(grid, vals, n)[:k])
+
+
+def _resample_expression(grid, vals, q, y, amp, b, gamma, s=None):
+    """_resample as one expression per output segment, the reference its
+    in-place evaluation must match bit for bit."""
+    m = int(np.searchsorted(q, grid.nodes[-1], side="right"))
+    e = int(np.searchsorted(q, grid.rmax))
+    K = _window(grid, q[m - 1])
+    if s is None:
+        s = _slopes(grid, vals, K)
+    V = np.concatenate((vals[:1], vals[:K]))
+    S = np.concatenate((-s[:1], s[:K]))
+    u = q[:m] / grid.h + 0.5
+    j = np.minimum(u.astype(np.intp), K - 1)
+    t = u - j
+    t2, w, Vj = t * t, t - 1.0, V[j]
+    out = np.zeros(q.size, dtype=complex)
+    out[:m] = (Vj + t2 * (3.0 - 2.0 * t) * (V[j + 1] - Vj)
+               + t * w * w * S[j] + t2 * w * S[j + 1])
+    out[m:e] = (vals[-1] * (grid.rmax - q[m:e])
+                / (grid.rmax - grid.nodes[-1]))
+    out[:e] *= amp * unit_phase(gamma - 0.25 * b * y[:e] ** 2)
+    return out
+
+
+@pytest.mark.parametrize("slopes", ["solved", "given"])
+@pytest.mark.parametrize("reach", ["window", "past rmax"])
+@pytest.mark.parametrize("gamma", [0.7, -0.0])
+def test_resample_is_the_expression_form_bit_for_bit(gamma, reach, slopes):
+    # the in-place Hermite sum, take gathers and half-angle chirp give the
+    # expression form's bits, signs of zero included
+    grid = make_grid(1, 512, 6.0)
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    r = grid.nodes
+    if reach == "window":         # K < n nodes
+        q = np.sort(np.concatenate([rng.uniform(0.0, 0.3 * r[-1], 300),
+                                    r[:40], [0.0]]))
+        assert _window(grid, q[-1]) < grid.n
+    else:                         # past the last node and past rmax
+        q = np.sort(np.concatenate([rng.uniform(0.0, 1.2 * grid.rmax, 300),
+                                    r, np.linspace(r[-1], grid.rmax, 7)]))
+        assert np.any((q > r[-1]) & (q < grid.rmax))
+        assert np.any(q > grid.rmax)
+    s = (None if slopes == "solved" else
+         rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+    y = q / 0.3
+    amp, b = 1.7, 0.35
+    got = _resample(grid, vals, q, y, amp, b, gamma, s)
+    ref = _resample_expression(grid, vals, q, y, amp, b, gamma, s)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from nlsblowup import reduced
 from nlsblowup.core import make_grid, make_params
 from nlsblowup.groundstate import compute_omega, solve_ground_state
 from nlsblowup.profile import build_profile, profile_energy
@@ -76,6 +77,51 @@ def test_lambda_floor_event(expansion_balanced):
                              lambda_floor=5e-3)
     assert traj.truncated
     assert traj.lam[-1] == pytest.approx(5e-3, rel=1e-6)
+
+
+def _probe_by_probe_residual(sol, theta_fn, s_lo, s_hi):
+    """The residual with one ``sol`` call per probe: the reference the
+    batched evaluation of ``_resubstitution_residual`` must match."""
+    span = s_hi - s_lo
+    if span <= 0.0:
+        return 0.0
+    worst = 0.0
+    for s in np.linspace(s_lo, s_hi, 101):
+        h = min(0.02 * max(abs(s), 0.5), span / 8.0,
+                (s - s_lo) / 3.0, (s_hi - s) / 3.0)
+        if h <= 0.0:
+            continue
+        f = sol(np.array([s - 3 * h, s - 2 * h, s - h, s, s + h, s + 2 * h,
+                          s + 3 * h]))
+        d = (45.0 * (f[:, 4] - f[:, 2]) - 9.0 * (f[:, 5] - f[:, 1])
+             + (f[:, 6] - f[:, 0])) / (60.0 * h)
+        lam, b = f[0, 3], f[1, 3]
+        th = theta_fn(max(lam, 0.0), b)
+        r_lam = abs(d[0] + b * lam) / max(1.0, abs(b * lam))
+        r_b = abs(d[1] + b * b - th) / max(1.0, abs(b * b) + abs(th))
+        worst = max(worst, r_lam, r_b)
+    return worst
+
+
+@pytest.mark.parametrize("s_range, floor", [((30.0, 300.0), None),
+                                            ((30.0, 1e6), 5e-3),
+                                            ((-2.0, 0.5), None)])
+def test_batched_residual_is_the_probe_by_probe_residual(
+        expansion_balanced, monkeypatch, s_range, floor):
+    # one sol call for all 101 x 7 probe points reads each probe's stencil
+    # exactly as seven points of its own call did
+    lam1, b1 = init_params(expansion_balanced, 1.0, 30.0)
+    batched, seen = reduced._resubstitution_residual, []
+
+    def spy(sol, theta_fn, s_lo, s_hi):
+        seen.append(_probe_by_probe_residual(sol, theta_fn, s_lo, s_hi))
+        return batched(sol, theta_fn, s_lo, s_hi)
+
+    monkeypatch.setattr(reduced, "_resubstitution_residual", spy)
+    traj = integrate_reduced(expansion_balanced, s_range, lam1, b1,
+                             lambda_floor=floor)
+    assert traj.truncated == (floor is not None)
+    assert seen == [traj.ode_residual] and traj.ode_residual > 0.0
 
 
 def test_init_params_energy_matched(expansion_balanced, gs_profile):
