@@ -363,19 +363,19 @@ def _resolve_branch_params(cfg: dict, omega: float,
     return _params(cfg, cfg["C0"], branch)
 
 
-def _solve_primary(cfg: dict) -> tuple[GroundState, float]:
+def _ground_stage(cfg: dict, n: int, rmax: float
+                  ) -> tuple[GroundState, float]:
+    """The soliton on the grid (cfg["N"], n, rmax) and its omega."""
     params = _params(cfg, 0.0, "critical")
-    grid = make_grid(cfg["N"], cfg["grid_n"], cfg["rmax"])
-    gs = solve_ground_state(params, grid)
+    gs = solve_ground_state(params, make_grid(cfg["N"], n, rmax))
     return gs, compute_omega(gs, params)
 
 
-def _profile_stage(cfg: dict, c0_ratio: Optional[float] = None
+def _profile_stage(cfg: dict, n: int, rmax: float,
+                   c0_ratio: Optional[float] = None
                    ) -> tuple[GroundState, float, ProfileExpansion]:
-    params = _params(cfg, 0.0, "critical")
-    grid = make_grid(cfg["N"], cfg["profile_n"], cfg["profile_rmax"])
-    gs = solve_ground_state(params, grid)
-    omega = compute_omega(gs, params)
+    """``_ground_stage`` and the expansion of cfg's run on it."""
+    gs, omega = _ground_stage(cfg, n, rmax)
     run_params = _resolve_branch_params(cfg, omega, c0_ratio)
     expansion = build_profile(gs, run_params, order=cfg["order"])
     return gs, omega, expansion
@@ -395,7 +395,7 @@ def _simulate_stage(cfg: dict, expansion: ProfileExpansion):
 # --------------------------------------------------------------------------
 
 def _pipe_ground(cfg: dict, rundir: Path) -> dict:
-    gs, omega = _solve_primary(cfg)
+    gs, omega = _ground_stage(cfg, cfg["grid_n"], cfg["rmax"])
     poh = pohozaev_residuals(gs)
     report = {
         "Q0": gs.Q0,
@@ -420,7 +420,7 @@ def _pipe_ground(cfg: dict, rundir: Path) -> dict:
 
 
 def _pipe_linops(cfg: dict, rundir: Path) -> dict:
-    gs, omega = _solve_primary(cfg)
+    gs, omega = _ground_stage(cfg, cfg["grid_n"], cfg["rmax"])
     residuals = operator_identity_residuals(gs)
     report = {
         "identity_residuals": residuals,
@@ -448,8 +448,7 @@ def _pipe_linops(cfg: dict, rundir: Path) -> dict:
 
 
 def _pipe_profile(cfg: dict, rundir: Path) -> dict:
-    cfg = dict(cfg, profile_n=cfg["grid_n"], profile_rmax=cfg["rmax"])
-    gs, omega, expansion = _profile_stage(cfg)
+    gs, omega, expansion = _profile_stage(cfg, cfg["grid_n"], cfg["rmax"])
     entries = []
     field_cols: dict[str, np.ndarray] = {}
     for j, k, Pp, Pm, beta, c, nu in zip(
@@ -482,8 +481,7 @@ def _pipe_profile(cfg: dict, rundir: Path) -> dict:
 
 
 def _pipe_reduced(cfg: dict, rundir: Path) -> dict:
-    cfg = dict(cfg, profile_n=cfg["grid_n"], profile_rmax=cfg["rmax"])
-    gs, omega, expansion = _profile_stage(cfg)
+    gs, omega, expansion = _profile_stage(cfg, cfg["grid_n"], cfg["rmax"])
     beta00 = expansion.beta00
     regime = classify_regime(expansion)
     balanced = regime == "balanced"
@@ -521,7 +519,8 @@ def _pipe_reduced(cfg: dict, rundir: Path) -> dict:
 
 
 def _pipe_simulate(cfg: dict, rundir: Path) -> dict:
-    gs, _, expansion = _profile_stage(cfg)
+    gs, _, expansion = _profile_stage(cfg, cfg["profile_n"],
+                                      cfg["profile_rmax"])
     series, expected_exponent = _simulate_stage(cfg, expansion)
     _write_snapshots(rundir / "snapshots.csv", series)
 
@@ -588,7 +587,8 @@ def _sweep_cell(cell: dict) -> dict:
            "expected_exponent": float("nan"), "r2": float("nan"),
            "tube_exit": False, "error": ""}
     try:
-        _, _, expansion = _profile_stage(cell, cell["c0_ratio"])
+        _, _, expansion = _profile_stage(cell, cell["profile_n"],
+                                         cell["profile_rmax"], cell["c0_ratio"])
         row["regime"] = classify_regime(expansion)
         series, row["expected_exponent"] = _simulate_stage(cell, expansion)
         row["tube_exit"] = series.tube_exit

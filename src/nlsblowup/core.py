@@ -4,7 +4,9 @@ The power exponent p and the scaling order alpha derive from sigma, so the
 two perturbations always act at one common order (:class:`ProblemParams`).
 
 Everything downstream works with radial fields sampled on a staggered grid
-that excludes the origin.  The discrete calculus is chosen so that the key
+that excludes the origin.  A grid is the value (N, n, rmax): grids compare
+and hash by it, and their nodes, edges and weights derive from it
+(:class:`RadialGrid`).  The discrete calculus is chosen so that the key
 bilinear identities hold exactly in floating point:
 
 - quadrature weights are exact cell integrals of r^(N-1) dr, so the constant
@@ -31,7 +33,6 @@ bilinear identities hold exactly in floating point:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -40,7 +41,6 @@ import numpy as np
 from scipy.linalg import LinAlgError, lapack
 
 __all__ = [
-    "Branch",
     "ProblemParams",
     "RadialGrid",
     "RadialField",
@@ -70,25 +70,11 @@ __all__ = [
 # Parameters
 # --------------------------------------------------------------------------
 
-class Branch(enum.Enum):
-    """Sign branch of the two perturbations.
-
-    PLUS_MINUS : C1 = +C0 (focusing power), C2 = -1 (repulsive potential)
-    MINUS_PLUS : C1 = -C0 (defocusing power), C2 = +1 (attractive potential)
-    CRITICAL   : C1 = C2 = 0 (unperturbed mass-critical equation)
-    """
-
-    PLUS_MINUS = "plusminus"
-    MINUS_PLUS = "minusplus"
-    CRITICAL = "critical"
-
-    @classmethod
-    def from_name(cls, name: str) -> "Branch":
-        for member in cls:
-            if member.value == name.lower():
-                return member
-        raise ValueError(f"unknown branch {name!r}; expected one of "
-                         f"{[m.value for m in cls]}")
+# (C1 / C0, C2) on each sign branch: a focusing power with a repulsive
+# potential, a defocusing power with an attractive one, and the
+# unperturbed mass-critical equation.
+_SIGNS = {"plusminus": (1.0, -1.0), "minusplus": (-1.0, 1.0),
+          "critical": (0.0, 0.0)}
 
 
 @dataclass
@@ -100,13 +86,15 @@ class ProblemParams:
     order alpha = 2 - N(p-1)/2 (= 2 - 2*sigma) derive from sigma.  The
     threshold omega, where they cancel, depends on the soliton profile and
     is returned by ``groundstate.compute_omega``; a run's regime is
-    ``reduced.classify_regime`` of its expansion.
+    ``reduced.classify_regime`` of its expansion.  ``branch`` is the sign
+    branch's word: "plusminus" (C1 = +C0, C2 = -1), "minusplus" (C1 = -C0,
+    C2 = +1) or "critical" (C1 = C2 = 0).
     """
 
     N: int
     sigma: float
     C0: float
-    branch: Branch
+    branch: str
     E0: float
 
     @property
@@ -131,19 +119,11 @@ class ProblemParams:
 
     @property
     def C1(self) -> float:
-        if self.branch is Branch.PLUS_MINUS:
-            return self.C0
-        if self.branch is Branch.MINUS_PLUS:
-            return -self.C0
-        return 0.0
+        return _SIGNS[self.branch][0] * self.C0
 
     @property
     def C2(self) -> float:
-        if self.branch is Branch.PLUS_MINUS:
-            return -1.0
-        if self.branch is Branch.MINUS_PLUS:
-            return 1.0
-        return 0.0
+        return _SIGNS[self.branch][1]
 
 
 def make_params(
@@ -151,7 +131,7 @@ def make_params(
     p: float | None,
     sigma: float,
     C0: float,
-    branch: Branch | str,
+    branch: str,
     E0: float,
 ) -> ProblemParams:
     """Validate the inputs and return the parameter record.
@@ -162,8 +142,9 @@ def make_params(
     """
     if N not in (1, 2, 3):
         raise ValueError(f"dimension N must be 1, 2, or 3, got {N}")
-    if isinstance(branch, str):
-        branch = Branch.from_name(branch)
+    if branch not in _SIGNS:
+        raise ValueError(f"unknown branch {branch!r}; expected one of "
+                         f"{list(_SIGNS)}")
 
     sigma_cap = min(N / 4.0, 1.0)
     if not (0.0 < sigma < sigma_cap):
@@ -191,32 +172,37 @@ _SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform staggered radial grid with exact cell-integral quadrature
-    weights.
+    weights: the value (N, n, rmax), from which its arrays derive.
 
     Nodes sit strictly inside (0, rmax) at spacing h = rmax / n; node i
     owns the cell [edges[i], edges[i+1]] and its quadrature weight is the
     exact integral of r^(N-1) over that cell.  The first edge is 0 and
     carries zero flux (even parity), the last edge is rmax with a Dirichlet
     ghost value 0 mirrored at distance ``ghost_gap`` beyond the last node.
+    Grids compare and hash by (N, n, rmax); each array is built on first
+    use and kept.  Build grids with :func:`make_grid`, which checks n and
+    rmax.
     """
 
     N: int
-    nodes: np.ndarray
-    edges: np.ndarray
-    quad_weights: np.ndarray
+    n: int
     rmax: float
 
-    def __post_init__(self) -> None:
-        if self.nodes[0] <= 0.0:
-            raise ValueError("grid must exclude the origin (nodes > 0)")
-        if not np.all(np.diff(self.nodes) > 0.0):
-            raise ValueError("grid nodes must be strictly increasing")
-        if not np.all(self.quad_weights > 0.0):
-            raise ValueError("quadrature weights must be positive")
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """(i - 1/2) h, i = 1..n."""
+        return (np.arange(self.n) + 0.5) * (self.rmax / self.n)
 
-    @property
-    def n(self) -> int:
-        return self.nodes.size
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Cell edges i h, i = 0..n."""
+        return np.linspace(0.0, self.rmax, self.n + 1)
+
+    @cached_property
+    def quad_weights(self) -> np.ndarray:
+        """Exact cell integrals of r^(N-1) dr."""
+        e = self.edges
+        return (e[1:] ** self.N - e[:-1] ** self.N) / self.N
 
     @property
     def h(self) -> float:
@@ -246,17 +232,13 @@ class RadialGrid:
 
 
 def make_grid(N: int, n: int, rmax: float) -> RadialGrid:
-    """Build the uniform staggered radial grid: nodes (i - 1/2) * h with
-    h = rmax / n, i = 1..n, and cell edges i * h."""
+    """The uniform staggered radial grid (N, n, rmax): nodes (i - 1/2) * h
+    with h = rmax / n, i = 1..n, and cell edges i * h."""
     if n < 8:
         raise ValueError("grid needs at least 8 nodes")
     if rmax <= 0.0:
         raise ValueError("rmax must be positive")
-    edges = np.linspace(0.0, rmax, n + 1)
-    nodes = (np.arange(n) + 0.5) * (rmax / n)
-    weights = (edges[1:] ** N - edges[:-1] ** N) / N
-    return RadialGrid(N=N, nodes=nodes, edges=edges, quad_weights=weights,
-                      rmax=float(rmax))
+    return RadialGrid(N=N, n=n, rmax=float(rmax))
 
 
 @dataclass

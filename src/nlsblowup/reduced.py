@@ -108,12 +108,11 @@ def integrate_reduced(
     """Integrate lambda' = -b lambda, b' = -b^2 + theta(lambda, b).
 
     theta is ``expansion.theta``; DOP853 runs at rtol 1e-10, atol 1e-13.
-    The trajectory is ``n_points`` samples of [s0, s1], s_range = (s0, s1)
-    with s0 < s1.  If lambda decays to the floor (default
-    max(1e-12, 1e-9 * lambda_init)) integration stops and the trajectory
-    is returned truncated with ``truncated=True``: ``n_points`` samples of
-    the dense output spread over [s0, s_event], ending exactly at the
-    floor event.
+    s_range = (s0, s1) with s0 < s1.  If lambda decays to the floor
+    (default max(1e-12, 1e-9 * lambda_init)) integration stops there and
+    the trajectory is returned with ``truncated=True``.  Either way the
+    trajectory is ``n_points`` evenly spaced samples of the dense output
+    from s0 to where integration ended, s1 or exactly the floor event.
     """
     from scipy.integrate import solve_ivp
 
@@ -143,7 +142,6 @@ def integrate_reduced(
         (s0, s1),
         [lambda_init, b_init, 0.0],
         method="DOP853",
-        t_eval=np.linspace(s0, s1, n_points),
         rtol=1e-10,
         atol=1e-13,
         dense_output=True,
@@ -151,26 +149,15 @@ def integrate_reduced(
     )
     if sol.status < 0:
         raise RuntimeError(f"reduced ODE integration failed: {sol.message}")
-    truncated = sol.status == 1
-
-    s_grid, y = sol.t, sol.y
-    if truncated:
-        s_event, y_event = sol.t_events[0][0], sol.y_events[0][0]
-        s_grid = np.linspace(s0, s_event, n_points)
-        y = sol.sol(s_grid)
-        keep = s_grid < s_event
-        s_grid = np.append(s_grid[keep], s_event)
-        y = np.column_stack([y[:, keep], y_event])
-    lam, b, t_grid = y
-    if s_grid.size < 2:
-        raise RuntimeError("reduced ODE stopped before producing a trajectory")
+    s_grid = np.linspace(s0, sol.t[-1], n_points)
+    lam, b, t_grid = sol.sol(s_grid)
     lam = np.maximum(lam, floor)
     residual = _resubstitution_residual(sol.sol, theta_fn, s_grid[0], s_grid[-1])
     return ReducedTrajectory(
         s_grid=s_grid,
         lam=lam,
         b=b,
-        truncated=truncated,
+        truncated=sol.status == 1,
         t_grid=t_grid,
         ode_residual=residual,
     )

@@ -207,11 +207,11 @@ class _Stepper:
     grad_norm_sq(v) and returns it from what it computes anyway: h *
     surface * sum mu |w_k|^2 on the cosine coefficients w, or the integral
     of conj(v) (-Lap v) on the banded path.  A NaN anywhere in v makes g
-    NaN.
+    NaN.  ``set_dt`` sets dt, before the first step.  ``measure`` reads the
+    stepped field once.
     """
 
-    def __init__(self, grid: RadialGrid, params: ProblemParams,
-                 dt: float) -> None:
+    def __init__(self, grid: RadialGrid, params: ProblemParams) -> None:
         self.grid = grid
         self.terms = LocalTerms.of(params, grid)
         self.pending = 0.0
@@ -222,7 +222,6 @@ class _Stepper:
             self._gscale = grid.surface * grid.h
         else:
             self._lap = Operator.of(grid, 0.0)
-        self.set_dt(dt)
 
     def set_dt(self, dt: float) -> None:
         """Rebuild the dt-dependent Crank-Nicolson arrays (O(n) vector ops)."""
@@ -269,6 +268,14 @@ class _Stepper:
         v, self.pending = self.rotate(v, self.pending), 0.0
         return v
 
+    def measure(self, v: np.ndarray
+                ) -> tuple[RadialField, float, tuple[float, float]]:
+        """Settle v and measure the stepped field once: (field, g =
+        grad_norm_sq, (mass, energy))."""
+        field = RadialField(self.grid, self.settle(v))
+        g = grad_norm_sq(field)
+        return field, g, _mass_energy(field, self.terms, g)
+
 
 def propagate(u: RadialField, dt: float, n_steps: int,
               params: ProblemParams) -> RadialField:
@@ -277,7 +284,8 @@ def propagate(u: RadialField, dt: float, n_steps: int,
     whose field is non-finite.
     """
 
-    stepper = _Stepper(u.grid, params, dt)
+    stepper = _Stepper(u.grid, params)
+    stepper.set_dt(dt)
     v = u.values.astype(complex)
     for k in range(n_steps):
         v, g = stepper.step(v)
@@ -327,7 +335,7 @@ def lambda_hat(u: RadialField, groundstate: GroundState) -> float:
 # Blow-up driver
 # --------------------------------------------------------------------------
 
-def _regrid(f: RadialField) -> tuple[np.ndarray, RadialGrid]:
+def _regrid(f: RadialField) -> RadialField:
     """Shrink the domain by the rescale factor (same n), quintic resample.
 
     Quintic rather than cubic: at the regrid trigger the core is resolved
@@ -337,17 +345,7 @@ def _regrid(f: RadialField) -> tuple[np.ndarray, RadialGrid]:
     """
 
     new_grid = make_grid(f.grid.N, f.grid.n, f.grid.rmax / _RESCALE_FACTOR)
-    return even_spline(f)(new_grid.nodes), new_grid
-
-
-def _measure(stepper: _Stepper, v: np.ndarray, gs: GroundState
-             ) -> tuple[RadialField, float, float, tuple[float, float]]:
-    """Settle v and measure the stepped field once: (field, g =
-    grad_norm_sq, lambda_hat, (mass, energy))."""
-    field = RadialField(stepper.grid, stepper.settle(v))
-    g = grad_norm_sq(field)
-    mass_energy = _mass_energy(field, stepper.terms, g)
-    return field, g, math.sqrt(gs.norms["grad"] / g), mass_energy
+    return RadialField(new_grid, even_spline(f)(new_grid.nodes))
 
 
 def initial_datum(config: SimConfig, expansion: ProfileExpansion,
@@ -397,10 +395,10 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
     # minimum span the rate fit accepts.
     floor = (config.lambda_floor if config.lambda_floor is not None
              else lam1 / 10.0 ** 1.02)
-    grid = u.grid
-    v = u.values.astype(complex)
-    g = grad_norm_sq(u)
-    mass0, energy0 = _mass_energy(u, LocalTerms.of(params, grid), g)
+    # v owes the stepper's pending half-angle; measure settles it first.
+    stepper = _Stepper(u.grid, params)
+    field, g, (mass0, energy0) = stepper.measure(u.values.astype(complex))
+    v = field.values
 
     series = SnapshotSeries(snapshots=[], lam1=lam1, b1=b1, mass0=mass0,
                             energy0=energy0, regime=classify_regime(expansion))
@@ -409,14 +407,13 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
     s = s_next_snap = s1
     guess = (lam1, b1, 0.0)
     lam_h = lam_hat_regrid = math.sqrt(gs.norms["grad"] / g)
-    # v owes the stepper's pending half-angle; _measure settles it first.
-    stepper = _Stepper(grid, params, config.c_dt * lam_h ** 2)
     t_wall = time.perf_counter()
 
     for n_step in range(_MAX_STEPS + 1):  # the last pass stops on the cap
         if s >= s_next_snap - 1e-12:
-            field, g, lam_h, (mass, energy) = _measure(stepper, v, gs)
+            field, g, (mass, energy) = stepper.measure(v)
             v = field.values
+            lam_h = math.sqrt(gs.norms["grad"] / g)
             # Conservation monitor.  Mass is compared against the global
             # initial value (the stepping is unitary, regrids conserve it to
             # interpolation accuracy).  Energy is compared against the value
@@ -460,16 +457,18 @@ def simulate_blowup(config: SimConfig, expansion: ProfileExpansion,
             break
 
         if lam_h <= lam_hat_regrid / _RESCALE_FACTOR:
-            field, _, lam_h, before = _measure(stepper, v, gs)
-            v, grid = _regrid(field)
-            after = conserved(RadialField(grid, v), params)
+            field, g, before = stepper.measure(v)
+            lam_h = math.sqrt(gs.norms["grad"] / g)
+            field = _regrid(field)
+            stepper = _Stepper(field.grid, params)
+            field, _, after = stepper.measure(field.values)
+            v = field.values
             series.regrid_log.append({
-                "t": t, "s": s, "lam_hat": lam_h, "rmax": grid.rmax,
+                "t": t, "s": s, "lam_hat": lam_h, "rmax": field.grid.rmax,
                 "mass_before": before[0], "mass_after": after[0],
                 "energy_before": before[1], "energy_after": after[1]})
             lam_hat_regrid = lam_h
             energy_ref = after[1]
-            stepper = _Stepper(grid, params, stepper.dt)
 
         # dt tracks lambda_hat^2 step by step (lambda_hat of the last step's
         # midpoint field), so one step always advances rescaled time by

@@ -477,7 +477,7 @@ def test_sweep_on_one_allowed_cpu_runs_serially(tmp_path, capsys,
                         raising=False)
     pids = []
 
-    def failing_stage(cfg, c0_ratio=None):
+    def failing_stage(cfg, n, rmax, c0_ratio=None):
         pids.append(os.getpid())
         raise RuntimeError("stage skipped")
 

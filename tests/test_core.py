@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from scipy.fft import dct, idct
 from scipy.integrate import quad
 from scipy.linalg import LinAlgError, solve_banded
 
-from nlsblowup.core import (Branch, LocalTerms, Operator, RadialField,
+from nlsblowup.core import (LocalTerms, Operator, RadialField, RadialGrid,
                             apply_neg_laplacian, apply_scaling_generator,
                             grad_norm_sq, integrate, make_grid, make_params,
                             neg_laplacian_banded, norm_L2, norm_Lq, pair,
@@ -25,12 +26,16 @@ from nlsblowup.core import (Branch, LocalTerms, Operator, RadialField,
 # --------------------------------------------------------------------------
 
 def test_branch_signs():
-    pm = make_params(1, None, 0.2, 3.0, "plusminus", 1.0)
-    assert pm.C1 == 3.0 and pm.C2 == -1.0
-    mp = make_params(1, None, 0.2, 3.0, "minusplus", 1.0)
-    assert mp.C1 == -3.0 and mp.C2 == 1.0
-    cr = make_params(1, None, 0.2, 0.0, "critical", 1.0)
-    assert cr.C1 == 0.0 and cr.C2 == 0.0
+    # C1 = +C0, -C0, 0 and C2 = -1, +1, 0 bit for bit, signed zeros included
+    def bits(x):
+        return np.float64(x).tobytes()
+    for C0 in (0.0, 3.0, 2.4495996213973981):
+        for branch, C1, C2 in (("plusminus", C0, -1.0),
+                               ("minusplus", -C0, 1.0),
+                               ("critical", 0.0, 0.0)):
+            params = make_params(1, None, 0.2, C0, branch, 1.0)
+            assert params.branch == branch
+            assert (bits(params.C1), bits(params.C2)) == (bits(C1), bits(C2))
 
 
 def test_matched_exponent_and_alpha():
@@ -74,14 +79,12 @@ def test_invalid_parameters_rejected():
         make_params(7, None, 0.2, 1.0, "plusminus", 1.0)
     with pytest.raises(ValueError):
         make_params(1, None, 0.2, 1.0, "nosuchbranch", 1.0)
+    # branch words are exact; "balanced" is the CLI's, not a sign branch
+    for word in ("PlusMinus", "balanced"):
+        with pytest.raises(ValueError):
+            make_params(1, None, 0.2, 1.0, word, 1.0)
     with pytest.raises(ValueError):
         make_params(1, None, 0.2, -1.0, "plusminus", 1.0)
-
-
-def test_branch_enum_roundtrip():
-    assert Branch.from_name("PlusMinus") is Branch.PLUS_MINUS
-    with pytest.raises(ValueError):
-        Branch.from_name("bogus")
 
 
 # --------------------------------------------------------------------------
@@ -94,12 +97,36 @@ def test_grid_cells_and_total_volume(N):
     h = 10.0 / 512
     assert np.allclose(grid.nodes, (np.arange(512) + 0.5) * h, rtol=0,
                        atol=1e-14)
+    # the arrays derive from (N, n, rmax), built once, bit for bit
+    edges = np.linspace(0.0, 10.0, 513)
+    assert np.array_equal(grid.edges, edges)
+    assert np.array_equal(grid.nodes, (np.arange(512) + 0.5) * h)
+    assert np.array_equal(grid.quad_weights,
+                          (edges[1:] ** N - edges[:-1] ** N) / N)
+    assert grid.nodes is grid.nodes
     # weights are exact cell integrals of r^(N-1): they sum to rmax^N / N,
     # and integrate() adds the surface factor (volume of the ball)
     assert grid.quad_weights.sum() == pytest.approx(10.0 ** N / N, rel=1e-13)
     surface = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[N]
     assert integrate(grid, np.ones(grid.n)) == pytest.approx(
         surface * 10.0 ** N / N, rel=1e-13)
+
+
+def test_grids_compare_and_hash_by_value():
+    assert [f.name for f in dataclasses.fields(RadialGrid)] == ["N", "n",
+                                                                 "rmax"]
+    grid = make_grid(1, 64, 2)
+    assert grid == make_grid(1, 64, 2.0)
+    assert hash(grid) == hash(make_grid(1, 64, 2.0))
+    for other in (make_grid(2, 64, 2.0), make_grid(1, 65, 2.0),
+                  make_grid(1, 64, 2.5)):
+        assert grid != other
+    assert repr(grid) == "RadialGrid(N=1, n=64, rmax=2.0)"
+    # a replaced grid builds its own arrays, never the source's
+    grid.nodes
+    half = dataclasses.replace(grid, rmax=1.0)
+    assert half == make_grid(1, 64, 1.0)
+    assert np.array_equal(half.nodes, 0.5 * grid.nodes)
 
 
 @settings(max_examples=60, deadline=None)

@@ -77,6 +77,9 @@ def test_lambda_floor_event(expansion_balanced):
                              lambda_floor=5e-3)
     assert traj.truncated
     assert traj.lam[-1] == pytest.approx(5e-3, rel=1e-6)
+    # n_points even samples from s0 to the event, as on an untruncated run
+    assert traj.s_grid[-1] < 1e6
+    assert np.array_equal(traj.s_grid, np.linspace(30.0, traj.s_grid[-1], 400))
 
 
 def _probe_by_probe_residual(sol, theta_fn, s_lo, s_hi):

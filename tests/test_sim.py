@@ -44,7 +44,8 @@ def test_linear_step_exact_solution_and_order():
     grid = make_grid(1, 2048, 40.0)
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
-        stepper = _Stepper(grid, CRIT, dt)
+        stepper = _Stepper(grid, CRIT)
+        stepper.set_dt(dt)
         v = _free_gaussian(grid, 0.0)
         for _ in range(int(round(0.2 / dt))):
             v, _ = stepper.linear(v)
@@ -176,7 +177,7 @@ def test_fused_march_equals_unfused_steps(N):
     ref = _wave(grid)
     for dt in dts:
         ref = _unfused_step(grid, params, ref, dt)
-    fused = _fused_march(_Stepper(grid, params, dts[0]), _wave(grid), dts)
+    fused = _fused_march(_Stepper(grid, params), _wave(grid), dts)
     assert np.max(np.abs(fused - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -193,7 +194,9 @@ def test_linear_returns_the_gradient_norm_it_keeps(N):
     params = PLUSMINUS[N]
     grid = make_grid(N, 512, 12.0)
     v = _wave(grid)
-    out, g = _Stepper(grid, params, 2e-3).linear(v)
+    stepper = _Stepper(grid, params)
+    stepper.set_dt(2e-3)
+    out, g = stepper.linear(v)
     assert g == pytest.approx(grad_norm_sq(RadialField(grid, v)), rel=1e-12)
     assert g == pytest.approx(grad_norm_sq(RadialField(grid, out)), rel=1e-12)
 
@@ -202,7 +205,7 @@ def test_multiplier_is_the_inline_cayley_formula():
     # the Crank-Nicolson multiplier is, bit for bit, the real-arithmetic
     # Cayley formula written out here as the reference
     grid = make_grid(1, 512, 12.0)
-    stepper = _Stepper(grid, PLUSMINUS[1], 1e-3)
+    stepper = _Stepper(grid, PLUSMINUS[1])
     for dt in (1e-3, 3.7e-4, 5e-2):
         stepper.set_dt(dt)
         x = (-0.5 * dt) * penta_symbol(grid)
@@ -219,7 +222,7 @@ def test_rotate_is_the_exact_phase_flow(N, angle):
     # no small-angle guard: at phases up to about 200 rotate is still
     # v exp(i angle rate) to rounding
     grid = make_grid(N, 512, 12.0)
-    stepper = _Stepper(grid, PLUSMINUS[N], 1e-3)
+    stepper = _Stepper(grid, PLUSMINUS[N])
     v = _wave(grid)
     rate = stepper.terms.rate(v.real ** 2 + v.imag ** 2)
     ref = v * np.exp(1j * angle * rate)
@@ -231,7 +234,8 @@ def test_rotate_is_the_exact_phase_flow(N, angle):
 def test_nan_raises_at_its_step(N):
     params = PLUSMINUS[N]
     grid = make_grid(N, 256, 12.0)
-    stepper = _Stepper(grid, params, 1e-3)
+    stepper = _Stepper(grid, params)
+    stepper.set_dt(1e-3)
     v = _wave(grid)
     for k in range(6):
         if k == 4:
@@ -310,6 +314,20 @@ def test_short_run_reaches_floor_with_regrids(short_run):
     assert not series.tube_exit, series.abort_reason
     assert len(series.regrid_log) >= 1
     assert series.snapshots[-1].lam_hat <= 2.1 * config.lambda_floor
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_regrid_is_exact_on_even_quartics(n):
+    # the regrid's quintic spline reproduces an even polynomial of degree
+    # 4 at the half-domain nodes to rounding, where the cubic _resample
+    # misses by 4e-8 (n = 64) and 5e-13 (n = 1024)
+    def quartic(r):
+        return (1.0 + 0.5j) - (0.3 - 0.2j) * r ** 2 + (0.02 + 0.01j) * r ** 4
+    grid = make_grid(1, n, 20.0)
+    half = sim._regrid(RadialField(grid, quartic(grid.nodes)))
+    assert half.grid == make_grid(1, n, 10.0)
+    ref = quartic(half.grid.nodes)
+    assert np.max(np.abs(half.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_regrid_mass_invariance(short_run):
