@@ -19,9 +19,11 @@ restricted to radial data in dimension N in {1, 2, 3}.  The modules provide:
 - sim:         direct time propagation with dynamic rescaling and rate fits
 - cli:         command-line front end
 
-Import policy: the modules load numpy and scipy.linalg at import; every
-other scipy subpackage, and the sweep's process pool, loads inside the one
-function that calls it, so a process pays only for the solvers it runs.
+Import policy: the modules load numpy, the top-level scipy package and
+scipy's compiled LAPACK module (``core._lapack``) at import, not the
+scipy.linalg package; every scipy subpackage, and the sweep's process
+pool, loads inside the one function that calls it, so a process pays only
+for the solvers it runs.
 """
 
 from __future__ import annotations

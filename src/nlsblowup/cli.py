@@ -12,7 +12,8 @@ significant digits, so re-running an identical configuration reproduces
 identical artifact bytes.  JSON goes through ``_json17`` and every CSV
 through ``_write_csv``: %.17g floats, csv-module quoting (QUOTE_MINIMAL)
 and ``\\r\\n`` line ends.  ``manifest.json``'s ``wall_time_s`` includes
-the import of any scipy solver the pipeline loads on its first call.
+the import of any scipy solver the pipeline loads on its first call, with
+the ``scipy.linalg`` package's import wherever that solver loads it.
 
 Exit codes: 0 on success, 1 on a domain error (a machine-readable error
 record is printed to stdout), 2 on a usage error (argparse).

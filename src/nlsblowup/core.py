@@ -20,7 +20,10 @@ bilinear identities hold exactly in floating point:
   diagonal, which factors its band once (LAPACK ?gbtrf, or ?gttrf for the
   tridiagonal flux form) and solves each right-hand side with one
   triangular sweep (?gbtrs / ?gttrs), bit for bit what
-  ``scipy.linalg.solve_banded`` returns;
+  ``scipy.linalg.solve_banded`` returns.  They and the profile's spline
+  solves come from ``_lapack``, scipy's compiled LAPACK module loaded from
+  its file, since importing the ``scipy.linalg`` package would take about
+  half of the CLI's start-up;
 - the squared gradient norm is the Dirichlet form of that operator, so
   <-Lap u, u> equals |grad u|^2 exactly;
 - the inverse-power potential r^(-2*sigma) is represented by exact cell
@@ -34,11 +37,16 @@ bilinear identities hold exactly in floating point:
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
-from scipy.linalg import LinAlgError, lapack
+import scipy
+from numpy.linalg import LinAlgError
 
 __all__ = [
     "ProblemParams",
@@ -64,6 +72,23 @@ __all__ = [
     "LocalTerms",
     "unit_phase",
 ]
+
+
+def _load_lapack():
+    """scipy's compiled LAPACK module ``scipy.linalg._flapack``: the one in
+    ``sys.modules``, else loaded from its file under that name without the
+    ``scipy.linalg`` package, whose later import then reuses it."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        found = PathFinder.find_spec(
+            "_flapack", [os.path.join(scipy.__path__[0], "linalg")])
+        spec = spec_from_file_location(name, found.origin)
+        sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_lapack = _load_lapack()
 
 
 # --------------------------------------------------------------------------
@@ -438,17 +463,17 @@ class Operator:
         if u == 1:
             # ?gttrf/?gttrs, not ?gbtrf: only these are bit for bit the
             # ?gtsv that solve_banded calls for a tridiagonal band
-            *lu, info = getattr(lapack, t + "gttrf")(
+            *lu, info = getattr(_lapack, t + "gttrf")(
                 self.ab[2, :-1], self.ab[1], self.ab[0, 1:])
-            sweep = partial(getattr(lapack, t + "gttrs"), *lu)
+            sweep = partial(getattr(_lapack, t + "gttrs"), *lu)
         else:
             # ?gbtrf needs u extra rows for the fill-in of its pivoting
             ab = np.zeros((3 * u + 1, self.ab.shape[1]),
                           dtype=complex if t == "z" else float)
             ab[u:] = self.ab
-            lu, piv, info = getattr(lapack, t + "gbtrf")(ab, u, u,
-                                                         overwrite_ab=True)
-            sweep = partial(getattr(lapack, t + "gbtrs"), lu, u, u, ipiv=piv)
+            lu, piv, info = getattr(_lapack, t + "gbtrf")(ab, u, u,
+                                                          overwrite_ab=True)
+            sweep = partial(getattr(_lapack, t + "gbtrs"), lu, u, u, ipiv=piv)
         if info > 0:
             raise LinAlgError("singular matrix")
         self._solvers[t] = sweep

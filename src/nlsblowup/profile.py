@@ -59,7 +59,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .core import (
     LocalTerms,
@@ -67,6 +66,7 @@ from .core import (
     RadialField,
     RadialGrid,
     _cayley,
+    _lapack,
     apply_neg_laplacian,
     apply_scaling_generator,
     grad_norm_sq,
@@ -440,7 +440,7 @@ def _slope_factor(n: int) -> tuple:
     d[0], d[-1] = 3.0, 1.0
     dl = np.ones(n - 1)
     dl[-1] = 2.0
-    *factor, ipiv, _ = lapack.dgttrf(dl, d, np.ones(n - 1))
+    *factor, ipiv, _ = _lapack.dgttrf(dl, d, np.ones(n - 1))
     return (*(a.astype(complex) for a in factor), ipiv)
 
 
@@ -493,8 +493,8 @@ def _slopes(grid: RadialGrid, vals: np.ndarray, K: int) -> np.ndarray:
     if K == n:  # the not-a-knot row
         rhs[-1] = 0.5 * (dy[-2] + 5.0 * dy[-1])
     dl, d, du, du2, ipiv = _slope_factor(n)
-    return lapack.zgttrs(dl[:K - 1], d[:K], du[:K - 1], du2[:K - 2],
-                         ipiv[:K], rhs, overwrite_b=1)[0]
+    return _lapack.zgttrs(dl[:K - 1], d[:K], du[:K - 1], du2[:K - 2],
+                          ipiv[:K], rhs, overwrite_b=1)[0]
 
 
 def _resample(grid: RadialGrid, vals: np.ndarray, q: np.ndarray,

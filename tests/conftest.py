@@ -8,9 +8,8 @@ test that needs it reads the same object.
 from __future__ import annotations
 
 import pytest
-from scipy.linalg import lapack
 
-from nlsblowup.core import make_grid, make_params
+from nlsblowup.core import _lapack, make_grid, make_params
 from nlsblowup.groundstate import compute_omega, solve_ground_state
 from nlsblowup.profile import build_profile
 
@@ -61,11 +60,12 @@ def expansion_unbalanced(gs_profile, params_unbalanced):
 @pytest.fixture
 def factorizations(monkeypatch):
     """Names of the LAPACK band factor routines called while the test
-    runs, one entry per factorization ``core.Operator`` makes."""
+    runs, one entry per factorization ``core.Operator`` makes (counted on
+    ``core._lapack``, the LAPACK module the package calls)."""
     calls = []
     for name in ("dgbtrf", "zgbtrf", "dgttrf", "zgttrf"):
-        def counted(*args, _trf=getattr(lapack, name), _name=name, **kw):
+        def counted(*args, _trf=getattr(_lapack, name), _name=name, **kw):
             calls.append(_name)
             return _trf(*args, **kw)
-        monkeypatch.setattr(lapack, name, counted)
+        monkeypatch.setattr(_lapack, name, counted)
     return calls

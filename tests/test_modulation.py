@@ -9,11 +9,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import lapack
 
 from nlsblowup import cli, modulation, profile
-from nlsblowup.core import (RadialField, apply_scaling_generator, make_grid,
-                            make_params, norm_H1, norm_L2, pair)
+from nlsblowup.core import (RadialField, _lapack, apply_scaling_generator,
+                            make_grid, make_params, norm_H1, norm_L2, pair)
 from nlsblowup.groundstate import compute_omega, solve_ground_state
 from nlsblowup.modulation import (ModulationState, TubeExit, _remainder,
                                   decompose, energy_inequality_check,
@@ -149,10 +148,10 @@ def test_decompose_solves_a_window_of_the_cached_slope_factor(
     u, guess = _tube_cases(expansion_balanced)[1]
     rows = []
 
-    def counted(dl, d, *args, _trs=lapack.zgttrs, **kw):
+    def counted(dl, d, *args, _trs=_lapack.zgttrs, **kw):
         rows.append(d.size)
         return _trs(dl, d, *args, **kw)
-    monkeypatch.setattr(lapack, "zgttrs", counted)
+    monkeypatch.setattr(_lapack, "zgttrs", counted)
     for n in (u.grid.n, expansion_balanced.grid.n):
         profile._slope_factor(n)
     expansion_balanced._stack
