@@ -497,7 +497,7 @@ def _pipe_reduced(cfg: dict, rundir: Path) -> dict:
     lam1, b1 = initial_params(expansion, cfg["E0"], s1)
     try:
         traj = integrate_reduced(expansion, [s1, 1e7], lam1, b1,
-                                 n_points=2000, lambda_floor=cfg["lambda_floor"])
+                                 lambda_floor=cfg["lambda_floor"])
     except RuntimeError as exc:
         raise DomainError(f"no reduced trajectory: {exc}") from exc
     if balanced:

@@ -20,10 +20,11 @@ bilinear identities hold exactly in floating point:
   diagonal, which factors its band once (LAPACK ?gbtrf, or ?gttrf for the
   tridiagonal flux form) and solves each right-hand side with one
   triangular sweep (?gbtrs / ?gttrs), bit for bit what
-  ``scipy.linalg.solve_banded`` returns.  They and the profile's spline
-  solves come from ``_lapack``, scipy's compiled LAPACK module loaded from
-  its file, since importing the ``scipy.linalg`` package would take about
-  half of the CLI's start-up;
+  ``scipy.linalg.solve_banded`` returns; it refines solutions on that
+  factor and checks their residuals against the roundoff floor.  These
+  and the profile's spline solves come from ``_lapack``, scipy's compiled
+  LAPACK module loaded from its file, since importing the ``scipy.linalg``
+  package would take about half of the CLI's start-up;
 - the squared gradient norm is the Dirichlet form of that operator, so
   <-Lap u, u> equals |grad u|^2 exactly;
 - the inverse-power potential r^(-2*sigma) is represented by exact cell
@@ -478,6 +479,26 @@ class Operator:
             raise LinAlgError("singular matrix")
         self._solvers[t] = sweep
         return sweep
+
+    def refine(self, x: np.ndarray, residual, rounds: int = 2) -> np.ndarray:
+        """``rounds`` sweeps x += solve(residual(x) as double) on the stored
+        factor, in x's dtype (a double sweep copies nothing)."""
+        for _ in range(rounds):
+            x = x + self.solve(residual(x).astype(float, copy=False)).astype(
+                x.dtype, copy=False)
+        return x
+
+    def check(self, x: np.ndarray, rhs: np.ndarray, res: float, rel: float,
+              what: str) -> None:
+        """Raise ``ValueError`` if the residual ``res`` of the solve
+        ``what`` exceeds rel ||rhs|| and 100 times the roundoff floor
+        eps (sum_rows max|ab| ||x|| + ||rhs||) that even an exact x
+        shows in floating point."""
+        floor = np.finfo(float).eps * (np.sum(np.max(np.abs(self.ab), axis=1))
+                                       * np.linalg.norm(x) + np.linalg.norm(rhs))
+        if res > max(100.0 * floor, rel * np.linalg.norm(rhs)):
+            raise ValueError(f"{what} solve residual {res:.3e} exceeds "
+                             f"tolerance (roundoff floor {floor:.3e})")
 
     def shifted(self, s: float | complex) -> "Operator":
         """L - s (a new operator; complex s gives a complex band)."""

@@ -89,17 +89,13 @@ class GroundState:
 
     @functools.cached_property
     def rho(self) -> RadialField:
-        """The decaying solution of  Lplus rho = r^2 Q  (the companion
-        profile of the bordered problem)."""
+        """The decaying solution of  Lplus rho = r^2 Q  (the bordered
+        problem's companion profile), refined and checked on Lplus."""
         op = self.Lplus
         rhs = self.grid.nodes ** 2 * self.Q.values
-        x = _solve_refined(op, rhs)
-        res = float(np.linalg.norm(op.matvec(x) - rhs))
-        floor = _residual_floor(op, x, rhs)
-        if res > max(100.0 * floor, 1e-10 * np.linalg.norm(rhs)):
-            raise ValueError(
-                f"Lplus solve breakdown: residual {res:.3e} vs roundoff "
-                f"floor {floor:.3e} (solution scale {np.max(np.abs(x)):.3e})")
+        x = op.refine(op.solve(rhs), lambda x: rhs - op.matvec(x))
+        op.check(x, rhs, float(np.linalg.norm(op.matvec(x) - rhs)), 1e-10,
+                 "Lplus")
         return RadialField(self.grid, x)
 
     @functools.cached_property
@@ -109,40 +105,16 @@ class GroundState:
         The double-precision field carries per-node rounding noise of order
         eps*|Q|; difference stencils amplify such noise by 1/h^2
         (Laplacian) or 1/h^3 (Laplacian of the scaling generator), which
-        dominates identity residuals on fine grids.  Three rounds of
-        iterative refinement -- extended-precision residual,
-        double-precision banded correction -- push the noise floor down to
-        long-double rounding, each round on Lplus's factor (the
-        O(eps*|Q|) corrections cannot tell it from the refined iterate's
-        Lplus).
+        dominates identity residuals on fine grids.  Three mixed-precision
+        rounds of ``Operator.refine`` -- long-double residual of the
+        elliptic equation, double-precision banded correction -- push the
+        noise floor down to long-double rounding, each round on Lplus's
+        factor (the O(eps*|Q|) corrections cannot tell it from the refined
+        iterate's Lplus).
         """
-        op = self.Lplus
-        Qld = self.Q.values.astype(np.longdouble)
-        for _ in range(3):
-            res = _elliptic_residual(self.grid, self.params.q, Qld)
-            Qld = Qld + op.solve(-res.astype(float)).astype(np.longdouble)
-        return Qld
-
-
-def _solve_refined(op: Operator, rhs: np.ndarray) -> np.ndarray:
-    """Banded solve followed by two sweeps of iterative refinement; the
-    three solves share the operator's one LU factor."""
-    x = op.solve(rhs)
-    for _ in range(2):
-        x = x + op.solve(rhs - op.matvec(x))
-    return x
-
-
-def _residual_floor(op: Operator, x: np.ndarray, rhs: np.ndarray) -> float:
-    """Roundoff floor of a measured residual ||A x - rhs||.
-
-    Even an exact solution shows a residual of order eps * ||A|| * ||x||
-    when evaluated in floating point; genuine breakdowns exceed this by
-    orders of magnitude.
-    """
-    opscale = float(np.sum(np.max(np.abs(op.ab), axis=1)))
-    eps = np.finfo(float).eps
-    return eps * (opscale * float(np.linalg.norm(x)) + float(np.linalg.norm(rhs)))
+        return self.Lplus.refine(
+            self.Q.values.astype(np.longdouble),
+            lambda x: -_elliptic_residual(self.grid, self.params.q, x), 3)
 
 
 def default_rmax(N: int) -> float:

@@ -12,12 +12,12 @@ with Lminus Q = 0.  Both are ``core.Operator``s, the grid's one discrete
 product; the fourth-order pentadiagonal stencil for N = 1, the tridiagonal
 flux form for N = 2, 3), built once per ground state as
 ``GroundState.Lplus``/``.Lminus`` and factored on their first solve; every
-later solve and refinement sweep reuses that factor, and so does the
-ground state's companion profile rho solving  Lplus rho = r^2 Q.  This
-module solves well-posed and bordered systems with iterative refinement,
-finds the bottom of each operator's spectrum and certifies constrained
-positivity of the quadratic form, both by one shift-invert Lanczos
-eigensolve.
+later solve reuses that factor, and so does the ground state's companion
+profile rho solving  Lplus rho = r^2 Q.  This module solves bordered and
+Lminus solvability systems, each refined by ``Operator.refine`` and its
+residual gated by ``Operator.check``, finds the bottom of each operator's
+spectrum and certifies constrained positivity of the quadratic form, both
+by one shift-invert Lanczos eigensolve.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .core import (
     apply_scaling_generator,
     pair,
 )
-from .groundstate import GroundState, _residual_floor, _solve_refined
+from .groundstate import GroundState
 
 __all__ = [
     "BorderedSolution",
@@ -78,7 +78,7 @@ def solve_bordered(gs: GroundState, F: RadialField) -> BorderedSolution:
     """
     op = gs.Lplus
     Fv = np.asarray(F.values, dtype=float)
-    x = _solve_refined(op, Fv)
+    x = op.refine(op.solve(Fv), lambda x: Fv - op.matvec(x))
     grid = gs.grid
     Qv = gs.Q.values
     x1 = gs.rho.values / 4.0
@@ -87,12 +87,9 @@ def solve_bordered(gs: GroundState, F: RadialField) -> BorderedSolution:
         raise ValueError("bordered system singular: (rho, Q)_2 vanished")
     beta = -pair(grid, x, Qv) / denom
     P = x + beta * x1
-    res = float(np.linalg.norm(
-        op.matvec(P) - beta * 0.25 * grid.nodes ** 2 * Qv - Fv))
-    floor = _residual_floor(op, P, Fv)
-    if res > max(100.0 * floor, 1e-9 * np.linalg.norm(Fv)):
-        raise ValueError(f"bordered solve residual {res:.3e} exceeds tolerance "
-                         f"(roundoff floor {floor:.3e})")
+    op.check(P, Fv, float(np.linalg.norm(
+        op.matvec(P) - beta * 0.25 * grid.nodes ** 2 * Qv - Fv)), 1e-9,
+        "bordered")
     return BorderedSolution(P=RadialField(grid, P), beta=float(beta))
 
 
@@ -113,17 +110,13 @@ def solve_lminus_orthogonal(gs: GroundState, G: np.ndarray) -> tuple[np.ndarray,
     qq = pair(grid, Qv, Qv)
     nu = pair(grid, G, Qv) / qq
     Gt = G - nu * Qv
-    x = op.solve(Gt)
-    for _ in range(2):
+
+    def residual(x):  # projected off Q, the kernel
         r = Gt - op.matvec(x)
-        r = r - (pair(grid, r, Qv) / qq) * Qv
-        x = x + op.solve(r)
+        return r - (pair(grid, r, Qv) / qq) * Qv
+    x = op.refine(op.solve(Gt), residual)
     x = x - (pair(grid, x, rhov) / pair(grid, Qv, rhov)) * Qv
-    res = float(np.linalg.norm(op.matvec(x) - Gt))
-    floor = _residual_floor(op, x, Gt)
-    if res > max(100.0 * floor, 1e-8 * np.linalg.norm(Gt)):
-        raise ValueError(f"Lminus solve residual {res:.3e} exceeds tolerance "
-                         f"(roundoff floor {floor:.3e})")
+    op.check(x, Gt, float(np.linalg.norm(op.matvec(x) - Gt)), 1e-8, "Lminus")
     return x, nu
 
 
@@ -186,10 +179,8 @@ def operator_identity_residuals(gs: GroundState) -> dict:
 
     # refine rho in extended precision against the long-double forcing
     r2Qld = grid.nodes.astype(np.longdouble) ** 2 * Qld
-    rho = gs.rho.values.astype(np.longdouble)
-    for _ in range(2):
-        res = r2Qld - lplus(rho)
-        rho = rho + gs.Lplus.solve(res.astype(float)).astype(np.longdouble)
+    rho = gs.Lplus.refine(gs.rho.values.astype(np.longdouble),
+                          lambda x: r2Qld - lplus(x))
 
     lam = apply_scaling_generator(grid, Qld)
 

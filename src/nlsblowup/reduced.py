@@ -96,23 +96,25 @@ def _resubstitution_residual(
     return worst
 
 
+# Samples of a reduced trajectory, evenly spaced in s.
+N_POINTS = 2000
+
+
 def integrate_reduced(
     expansion: ProfileExpansion,
     s_range: Sequence[float],
     lambda_init: float,
     b_init: float,
     *,
-    n_points: int = 400,
     lambda_floor: Optional[float] = None,
 ) -> ReducedTrajectory:
     """Integrate lambda' = -b lambda, b' = -b^2 + theta(lambda, b).
 
     theta is ``expansion.theta``; DOP853 runs at rtol 1e-10, atol 1e-13.
-    s_range = (s0, s1) with s0 < s1.  If lambda decays to the floor
-    (default max(1e-12, 1e-9 * lambda_init)) integration stops there and
-    the trajectory is returned with ``truncated=True``.  Either way the
-    trajectory is ``n_points`` evenly spaced samples of the dense output
-    from s0 to where integration ended, s1 or exactly the floor event.
+    s_range = (s0, s1), s0 < s1.  Integration stops where lambda decays to
+    the floor, in (0, lambda_init), default max(1e-12, 1e-9 lambda_init),
+    with ``truncated=True``.  Either way the trajectory is ``N_POINTS``
+    even samples of the dense output from s0 to where integration ended.
     """
     from scipy.integrate import solve_ivp
 
@@ -121,10 +123,11 @@ def integrate_reduced(
         raise ValueError("s_range must be (s0, s1) with s0 < s1")
     if lambda_init <= 0.0:
         raise ValueError("lambda_init must be positive")
-    s0, s1 = s_arr
-
-    theta_fn = expansion.theta
     floor = lambda_floor if lambda_floor is not None else max(1e-12, 1e-9 * lambda_init)
+    if not 0.0 < floor < lambda_init:
+        raise ValueError(f"lambda_floor={floor} outside (0, {lambda_init})")
+    s0, s1 = s_arr
+    theta_fn = expansion.theta
 
     def rhs(s: float, y: np.ndarray) -> list[float]:
         lam, b = y[0], y[1]
@@ -149,7 +152,7 @@ def integrate_reduced(
     )
     if sol.status < 0:
         raise RuntimeError(f"reduced ODE integration failed: {sol.message}")
-    s_grid = np.linspace(s0, sol.t[-1], n_points)
+    s_grid = np.linspace(s0, sol.t[-1], N_POINTS)
     lam, b, t_grid = sol.sol(s_grid)
     lam = np.maximum(lam, floor)
     residual = _resubstitution_residual(sol.sol, theta_fn, s_grid[0], s_grid[-1])

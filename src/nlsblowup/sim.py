@@ -519,22 +519,21 @@ def fit_blowup_rate(series: SnapshotSeries) -> RateFit:
     t_max = tt.max()
     span = max(t_max - tt.min(), 1e-12)
 
+    def line(T: float) -> tuple[np.ndarray, np.ndarray]:
+        # least squares of ln lambda = ln c + e ln(T - t): (ln c, e), residual
+        A = np.column_stack([np.ones_like(tt), np.log(T - tt)])
+        coef = np.linalg.lstsq(A, ll, rcond=None)[0]
+        return coef, ll - A @ coef
+
     def sse(T: float) -> float:
-        x = np.log(T - tt)
-        A = np.column_stack([np.ones_like(x), x])
-        coef, res, *_ = np.linalg.lstsq(A, ll, rcond=None)
-        r = ll - A @ coef
+        r = line(T)[1]
         return float(r @ r)
 
-    res = minimize_scalar(sse, bounds=(t_max + 1e-9 * span, t_max + 10.0 * span),
-                          method="bounded",
-                          options={"xatol": 1e-13 * span})
-    T = float(res.x)
-    x = np.log(T - tt)
-    A = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(A, ll, rcond=None)
-    fitted = A @ coef
-    ss_res = float(np.sum((ll - fitted) ** 2))
+    T = float(minimize_scalar(
+        sse, bounds=(t_max + 1e-9 * span, t_max + 10.0 * span),
+        method="bounded", options={"xatol": 1e-13 * span}).x)
+    coef, r = line(T)
+    ss_res = float(np.sum(r ** 2))
     ss_tot = float(np.sum((ll - ll.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return RateFit(exponent=float(coef[1]), coefficient=float(math.exp(coef[0])),

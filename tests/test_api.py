@@ -4,7 +4,8 @@ Every public top-level def or class of a layer module is listed in its
 ``__all__``, and every listed name is used somewhere in ``src/`` outside
 its own definition or by the benchmark in ``perfbench/``.  The exempt
 names state a result of the paper or run the propagator on its own; tests
-are their only callers.
+are their only callers.  No module imports another layer's private
+(underscore) name, except the few shared on purpose.
 """
 
 from __future__ import annotations
@@ -20,6 +21,15 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("core", "groundstate", "linops", "profile", "modulation",
            "reduced", "sim")
 EXEMPT = {"propagate", "energy_inequality_check", "alpha_lt1_solutions"}
+# Private names another layer may import: core's LAPACK module, which the
+# profile's spline solves call, and its two bit-exact elementwise kernels;
+# the profile's resampling internals, which the decomposition reuses on
+# its window, and the accuracy region that bounds the reduced initial data.
+SHARED_PRIVATE = {
+    ("core", "_lapack"), ("core", "_cayley"), ("core", "_divide"),
+    ("profile", "_rescale"), ("profile", "_resample"), ("profile", "_window"),
+    ("profile", "_ACCURACY_BOUND"),
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -77,3 +87,13 @@ def test_exports_are_used(module):
     unused = [name for name in exported if name not in EXEMPT
               and not _used_outside_definition(module, name)]
     assert not unused, unused
+
+
+def test_no_layer_imports_another_layers_private_name():
+    imported = {(node.module, alias.name)
+                for path in (ROOT / "src" / "nlsblowup").glob("*.py")
+                for node in ast.walk(_parse(path))
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module in MODULES
+                for alias in node.names if alias.name.startswith("_")}
+    assert imported <= SHARED_PRIVATE, sorted(imported - SHARED_PRIVATE)

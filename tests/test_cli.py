@@ -329,6 +329,18 @@ def test_reduced_emits_trajectory(tmp_path, capsys):
     assert float(rows[-1]["ratio_lambda"]) == pytest.approx(1.0, abs=0.05)
 
 
+@pytest.mark.parametrize("floor", ["1.0", "-1"])
+def test_reduced_rejects_a_floor_outside_the_scale_range(floor, tmp_path,
+                                                         capsys):
+    # lambda1 is about 0.046 here: a floor at or above it would lift the
+    # whole track to the floor, a negative one is no floor at all
+    code, out = _run(capsys, ["reduced", "--grid-n", "1024", "--rmax", "15",
+                              "--lambda-floor", floor, "--out", str(tmp_path)])
+    assert code == 1 and out["subcommand"] == "reduced"
+    assert "lambda_floor" in out["error"]
+    assert not list(tmp_path.rglob("reduced.csv"))
+
+
 def test_reduced_subthreshold_advice_follows_branch(tmp_path, capsys):
     # on minusplus beta00 falls as C0 grows: C0 = 5 > omega is subthreshold,
     # and the way back is a smaller C0, not a larger one

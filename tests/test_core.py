@@ -340,6 +340,47 @@ def test_operator_checks_its_band_once(N, monkeypatch):
         op.solve(rhs)
 
 
+def _lplus_1d():
+    """L+ = -Lap + 1 - 5 Q^4 about the N = 1 soliton (3 sech^2 2r)^(1/4),
+    and the right-hand side r^2 Q of the companion profile rho."""
+    grid = make_grid(1, 512, 15.0)
+    Q = (3.0 / np.cosh(2.0 * grid.nodes) ** 2) ** 0.25
+    return Operator.of(grid, 1.0 - 5.0 * Q ** 4), grid.nodes ** 2 * Q
+
+
+def test_operator_refine_is_the_hand_written_sweep_bit_for_bit():
+    op, rhs = _lplus_1d()
+    # double precision: two sweeps of x += solve(rhs - L x)
+    x0 = op.solve(rhs)
+    ref = x0
+    for _ in range(2):
+        ref = ref + op.solve(rhs - op.matvec(ref))
+    x = op.refine(x0, lambda x: rhs - op.matvec(x))
+    assert x.dtype == np.float64 and np.array_equal(x, ref)
+    # mixed precision: long-double residual, double correction, three sweeps
+    rhs_ld = rhs.astype(np.longdouble)
+    ref = x0.astype(np.longdouble)
+    for _ in range(3):
+        res = rhs_ld - op.matvec(ref)
+        ref = ref + op.solve(res.astype(float)).astype(np.longdouble)
+    x = op.refine(x0.astype(np.longdouble),
+                  lambda x: rhs_ld - op.matvec(x), 3)
+    assert x.dtype == np.longdouble and np.array_equal(x, ref)
+
+
+def test_operator_check_gates_the_residual_at_its_roundoff_floor():
+    op, rhs = _lplus_1d()
+    x = op.refine(op.solve(rhs), lambda x: rhs - op.matvec(x))
+
+    def res(x):
+        return float(np.linalg.norm(op.matvec(x) - rhs))
+    op.check(x, rhs, res(x), 1e-10, "Lplus")
+    bad = x * (1.0 + 1e-6 * np.random.default_rng(0).standard_normal(x.size))
+    with pytest.raises(ValueError, match=r"^Lplus solve residual .* exceeds "
+                                         r"tolerance \(roundoff floor "):
+        op.check(bad, rhs, res(bad), 1e-10, "Lplus")
+
+
 def test_penta_fourth_order_and_symmetric():
     errs = []
     for n in (512, 1024):

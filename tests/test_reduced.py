@@ -26,7 +26,7 @@ def test_zero_theta_closed_form():
     # with theta = 0: b' = -b^2, lambda'/lambda = -b have explicit solutions
     lam1, b1, s1 = 0.5, 0.2, 10.0
     traj = integrate_reduced(_theta_law(lambda lam, b: 0.0), [s1, 40.0],
-                             lam1, b1, n_points=200)
+                             lam1, b1)
     denom = 1.0 + b1 * (traj.s_grid - s1)
     b_exact = b1 / denom
     lam_exact = lam1 / denom
@@ -38,13 +38,13 @@ def test_constant_theta_riccati():
     # b' + b^2 = th0 with th0 > 0 relaxes to sqrt(th0)
     th0 = 0.04
     traj = integrate_reduced(_theta_law(lambda lam, b: th0), [0.0, 200.0],
-                             1.0, 0.5, n_points=100)
+                             1.0, 0.5)
     assert traj.b[-1] == pytest.approx(math.sqrt(th0), rel=1e-6)
 
 
 def test_time_grid_is_integral_of_lambda_squared():
     traj = integrate_reduced(_theta_law(lambda lam, b: 0.0), [5.0, 25.0],
-                             0.4, 0.1, n_points=400)
+                             0.4, 0.1)
     # dt/ds = lambda^2: check by trapezoid quadrature
     t_quad = np.concatenate(
         [[0.0], np.cumsum(0.5 * (traj.lam[1:] ** 2 + traj.lam[:-1] ** 2)
@@ -62,8 +62,7 @@ def test_s_range_is_two_increasing_points():
 def test_balanced_flow_tracks_app_solution(expansion_balanced, gs_profile):
     E0, s1 = 1.0, 30.0
     lam1, b1 = init_params(expansion_balanced, E0, s1)
-    traj = integrate_reduced(expansion_balanced, [s1, 300.0], lam1, b1,
-                             n_points=300)
+    traj = integrate_reduced(expansion_balanced, [s1, 300.0], lam1, b1)
     lam_app, b_app = app_solutions(gs_profile, E0, traj.s_grid)
     ratio_lam = traj.lam[-1] / lam_app[-1]
     ratio_b = traj.b[-1] / b_app[-1]
@@ -77,9 +76,10 @@ def test_lambda_floor_event(expansion_balanced):
                              lambda_floor=5e-3)
     assert traj.truncated
     assert traj.lam[-1] == pytest.approx(5e-3, rel=1e-6)
-    # n_points even samples from s0 to the event, as on an untruncated run
+    # N_POINTS even samples from s0 to the event, as on an untruncated run
     assert traj.s_grid[-1] < 1e6
-    assert np.array_equal(traj.s_grid, np.linspace(30.0, traj.s_grid[-1], 400))
+    assert np.array_equal(traj.s_grid,
+                          np.linspace(30.0, traj.s_grid[-1], reduced.N_POINTS))
 
 
 def _probe_by_probe_residual(sol, theta_fn, s_lo, s_hi):
@@ -202,8 +202,7 @@ def test_unbalanced_flow_power_law(expansion_unbalanced):
     A = (2.0 * (2.0 - alpha) / (alpha ** 2 * beta00)) ** (1.0 / alpha)
     s1 = 20.0
     lam1, b1 = A * s1 ** (-2.0 / alpha), 2.0 / (alpha * s1)
-    traj = integrate_reduced(expansion_unbalanced, [s1, 400.0], lam1, b1,
-                             n_points=300)
+    traj = integrate_reduced(expansion_unbalanced, [s1, 400.0], lam1, b1)
     tail = traj.s_grid > 100.0
     slope = np.polyfit(np.log(traj.s_grid[tail]),
                        np.log(traj.lam[tail]), 1)[0]
